@@ -26,9 +26,10 @@
                            (instance), (mode));                       \
   } while (0)
 
-// Transaction identity: cheap enough (two thread-local ops) to run
-// unconditionally so per-table trace overrides still see txn ids even when
-// the global switch is off.
+// Transaction nesting depth: one thread-local increment or decrement, cheap
+// enough to run unconditionally. The id itself is assigned on first use
+// (obs::current_txn), so per-table trace overrides still see txn ids when
+// the global switch is off, and an untraced transaction consumes none.
 #define SEMLOCK_OBS_TXN_BEGIN() ::semlock::obs::txn_begin()
 #define SEMLOCK_OBS_TXN_END() ::semlock::obs::txn_end()
 

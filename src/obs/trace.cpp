@@ -575,7 +575,7 @@ std::array<std::uint64_t, kNumEventTypes> event_count_totals() {
 AcquireStats& thread_acquire_stats() { return thread_state().stats; }
 
 std::uint64_t current_owner_id() noexcept {
-  const std::uint64_t txn = detail::txn_tls().id;
+  const std::uint64_t txn = current_txn();
   if (txn != 0) return txn;
   return 0x8000000000000000ull | thread_state().tid;
 }

@@ -71,7 +71,7 @@ extern std::atomic<bool> g_runtime_enabled;
 extern std::atomic<std::uint64_t> g_next_txn;
 
 struct TxnTls {
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;  // 0 until current_txn() assigns one
   std::uint32_t depth = 0;
   // Id of the thread's most recently closed outermost transaction; lets the
   // server stamp a queue-wait span with the transaction its request ran as
@@ -109,15 +109,13 @@ std::uint32_t ring_capacity() noexcept;
 void set_ring_capacity(std::uint32_t events) noexcept;
 
 // --- transaction identity ---------------------------------------------------
-// Every outermost Transaction gets a process-unique id; events emitted while
-// it is open are stamped with it. Nested transactions share the outer id.
+// An outermost Transaction gets a process-unique id the first time anything
+// asks for it (current_txn(), current_owner_id()); events emitted while it is
+// open are stamped with it. Nested transactions share the outer id. An
+// untraced transaction never asks, so it only bumps the thread-local depth
+// and consumes no id.
 
-inline void txn_begin() noexcept {
-  detail::TxnTls& tls = detail::txn_tls();
-  if (tls.depth++ == 0) {
-    tls.id = detail::g_next_txn.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-}
+inline void txn_begin() noexcept { ++detail::txn_tls().depth; }
 
 inline void txn_end() noexcept {
   detail::TxnTls& tls = detail::txn_tls();
@@ -127,9 +125,18 @@ inline void txn_end() noexcept {
   }
 }
 
-inline std::uint64_t current_txn() noexcept { return detail::txn_tls().id; }
+// The open transaction's id, assigned on this first request (0 outside any
+// transaction).
+inline std::uint64_t current_txn() noexcept {
+  detail::TxnTls& tls = detail::txn_tls();
+  if (tls.id == 0 && tls.depth > 0) {
+    tls.id = detail::g_next_txn.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  return tls.id;
+}
 
-// Most recently completed outermost transaction on this thread (0 if none).
+// Id of this thread's most recently completed outermost transaction; 0 if
+// there was none or it never had an id assigned.
 inline std::uint64_t last_completed_txn() noexcept {
   return detail::txn_tls().last_id;
 }

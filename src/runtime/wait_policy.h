@@ -112,6 +112,23 @@ class WaitState {
     return false;  // unreachable
   }
 
+  // True when the next step() may leave the CPU: it yields, or it tells the
+  // caller to park. Until then the waiter is spinning, so its CPU time
+  // equals its wall time (the mechanism reads the thread-CPU clock only from
+  // this step on).
+  bool may_block() const noexcept {
+    switch (kind_) {
+      case WaitPolicyKind::SpinYield:
+        return backoff_.yielding();
+      case WaitPolicyKind::SpinThenPark:
+      case WaitPolicyKind::FutexWord:
+        return spins_left_ == 0 || backoff_.yielding();
+      case WaitPolicyKind::AlwaysPark:
+        return true;
+    }
+    return true;  // unreachable
+  }
+
  private:
   WaitPolicyKind kind_;
   std::uint32_t spins_left_;

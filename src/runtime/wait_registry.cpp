@@ -56,7 +56,8 @@ WaitRegistry::Slot* WaitRegistry::thread_slot() {
   return owner.slot;
 }
 
-WaitScope::WaitScope(const void* mechanism, int mode, int partition)
+WaitScope::WaitScope(const void* mechanism, int mode, int partition,
+                     std::uint64_t start_ns)
     : slot_(WaitRegistry::instance().thread_slot()) {
   if (!slot_) return;
   const std::uint64_t seq = slot_->seq.load(std::memory_order_relaxed);
@@ -66,7 +67,7 @@ WaitScope::WaitScope(const void* mechanism, int mode, int partition)
                          std::memory_order_relaxed);
   slot_->mode.store(mode, std::memory_order_relaxed);
   slot_->partition.store(partition, std::memory_order_relaxed);
-  slot_->start_ns.store(steady_now_ns(), std::memory_order_relaxed);
+  slot_->start_ns.store(start_ns, std::memory_order_relaxed);
   slot_->seq.store(seq + 2, std::memory_order_release);  // even: published
 }
 

@@ -82,14 +82,20 @@ std::uint64_t steady_now_ns();
 // CPU nanoseconds charged to the calling thread (CLOCK_THREAD_CPUTIME_ID).
 // The waiting subsystem's key observable: a spinning waiter accumulates
 // thread CPU for its entire wait, a parked waiter only around the futex
-// calls.
+// calls. Unlike the steady clock this is a system call, so the lock path
+// reads it only once a wait may leave the CPU (WaitState::may_block).
 std::uint64_t thread_cpu_now_ns();
 
 // RAII publication of one wait episode. Constructed on entry to the
 // contended lock path, destroyed on acquisition. Null-slot safe.
 class WaitScope {
  public:
-  WaitScope(const void* mechanism, int mode, int partition);
+  // `start_ns` is the wait's steady_now_ns() stamp, which the lock path
+  // already holds; the 3-argument form reads the clock itself.
+  WaitScope(const void* mechanism, int mode, int partition,
+            std::uint64_t start_ns);
+  WaitScope(const void* mechanism, int mode, int partition)
+      : WaitScope(mechanism, mode, partition, steady_now_ns()) {}
   WaitScope(const WaitScope&) = delete;
   WaitScope& operator=(const WaitScope&) = delete;
   ~WaitScope();

@@ -25,7 +25,9 @@ struct AcquireStats {
   std::uint64_t wait_ns = 0;    // total wall time spent in contended waits
   // Thread CPU time charged to this thread while it waited. The policy
   // discriminator: spinners burn CPU for the whole wait, parked waiters
-  // only around the futex calls.
+  // only around the futex calls. The spin phase before a wait's first yield
+  // or park (and every refused try_lock) is charged its wall time; the
+  // thread-CPU clock covers the rest (docs/RUNTIME_WAITING.md §2).
   std::uint64_t wait_cpu_ns = 0;
   // Longest single contended wait. The fairness headline: under the Free
   // grant policy a commuting flood makes this unbounded while the averages

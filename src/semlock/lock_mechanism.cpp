@@ -849,8 +849,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   }
 #endif
   const std::uint64_t wait_start = runtime::steady_now_ns();
-  const std::uint64_t cpu_start = runtime::thread_cpu_now_ns();
-  runtime::WaitScope watchdog_scope(this, mode, partition);
+  runtime::WaitScope watchdog_scope(this, mode, partition, wait_start);
 #if defined(SEMLOCK_OBS)
   // Publish this wait's waiter -> blocker edge in the live wait-for graph
   // beside the watchdog's WaitScope; refreshed with the blocker at each
@@ -876,6 +875,12 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
     internal.unlock();
   }
   runtime::WaitState wait(policy_, spin_limit_);
+  // wait_cpu_ns: a spinning waiter is on the CPU, so the spin phase counts
+  // its wall time. The thread-CPU clock (a system call) is read only from
+  // the first step that may yield or park; spin_ns is the wall time up to
+  // that read, and cpu_start is 0 until it happens.
+  std::uint64_t spin_ns = 0;
+  std::uint64_t cpu_start = 0;
   const bool precheck = table_->config().fast_path_precheck;
   for (;;) {
     const bool eligible =
@@ -920,7 +925,10 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
         const std::uint64_t waited = runtime::steady_now_ns() - wait_start;
         stats.wait_ns += waited;
         if (waited > stats.max_wait_ns) stats.max_wait_ns = waited;
-        stats.wait_cpu_ns += runtime::thread_cpu_now_ns() - cpu_start;
+        stats.wait_cpu_ns +=
+            cpu_start == 0
+                ? waited
+                : spin_ns + (runtime::thread_cpu_now_ns() - cpu_start);
         LM_OBS_EVENT(kAcquireGrant, mode);
         LM_ATTR_GRANT(mode, args);
 #if defined(SEMLOCK_DCT)
@@ -945,6 +953,10 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
     // release racing with the announcement is never missed; with a ticket
     // the re-validation covers eligibility too, since the handoff wakeup
     // above races with this announcement the same way a release does.
+    if (cpu_start == 0 && wait.may_block()) {
+      spin_ns = runtime::steady_now_ns() - wait_start;
+      cpu_start = runtime::thread_cpu_now_ns();
+    }
     if (wait.step()) {
       bool slept_on_word = false;
       if constexpr (Storage::kPacked) {
@@ -1045,7 +1057,6 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
   // same ablation knob, and a refused attempt charges its duration to the
   // wait counters just like a contended lock() does.
   const std::uint64_t wait_start = runtime::steady_now_ns();
-  const std::uint64_t cpu_start = runtime::thread_cpu_now_ns();
   const bool precheck = table_->config().fast_path_precheck;
   bool ok = false;
   // A try_lock never queues, so under a raised grant barrier it simply
@@ -1117,9 +1128,11 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
     }
   }
   if (!ok) {
+    // A refused try_lock never leaves the CPU: its wall time is CPU time.
+    const std::uint64_t waited = runtime::steady_now_ns() - wait_start;
     ++stats.contended;
-    stats.wait_ns += runtime::steady_now_ns() - wait_start;
-    stats.wait_cpu_ns += runtime::thread_cpu_now_ns() - cpu_start;
+    stats.wait_ns += waited;
+    stats.wait_cpu_ns += waited;
   }
   return ok;
 }

@@ -16,26 +16,39 @@ void Transaction::lv_ordered(std::span<DynTarget> targets) {
   for (const auto& t : targets) lv_mode(t.lk, t.mode);
 }
 
+void Transaction::grow() {
+  const std::size_t capacity = capacity_ * 2;
+  auto bigger = std::make_unique<HeldEntry[]>(capacity);
+  std::copy(data_, data_ + size_, bigger.get());
+  heap_ = std::move(bigger);
+  data_ = heap_.get();
+  capacity_ = capacity;
+}
+
 void Transaction::unlock_instance(SemanticLock* lk) {
-  for (auto& e : entries_) {
+  for (const auto& e : entries()) {
     if (e.lk == lk) e.lk->unlock(e.mode);
   }
-  std::erase_if(entries_, [&](const Entry& e) { return e.lk == lk; });
+  size_ = static_cast<std::size_t>(
+      std::remove_if(data_, data_ + size_,
+                     [&](const HeldEntry& e) { return e.lk == lk; }) -
+      data_);
   if (index_live_) index_.erase(lk);
 }
 
 void Transaction::unlock_all() {
-  for (auto& e : entries_) e.lk->unlock(e.mode);
-  if (!entries_.empty()) {
+  for (const auto& e : entries()) e.lk->unlock(e.mode);
+  if (size_ != 0) {
     // Epilogue marker: one event per non-empty release, with the number of
     // instances released in the mode field. Emitted after the unlocks so a
     // reader sees release events inside the [begin, unlock_all] span.
-    SEMLOCK_OBS_EVENT(kUnlockAll, nullptr,
-                      static_cast<int>(entries_.size()));
+    SEMLOCK_OBS_EVENT(kUnlockAll, nullptr, static_cast<int>(size_));
   }
-  entries_.clear();
-  index_.clear();
-  index_live_ = false;
+  size_ = 0;
+  if (index_live_) {
+    index_.clear();
+    index_live_ = false;
+  }
 }
 
 }  // namespace semlock

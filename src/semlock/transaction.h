@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -22,10 +23,9 @@ namespace semlock {
 class Transaction {
  public:
   Transaction() {
-    entries_.reserve(8);
-    // Stamp a process-unique transaction id into the thread's trace state:
-    // every event emitted while this (outermost) transaction is open carries
-    // it, which is what lets forensics name the holder.
+    // Open the thread's transaction scope: every event emitted while this
+    // (outermost) transaction is open carries its id, assigned on first use,
+    // which is what lets forensics name the holder.
     SEMLOCK_OBS_TXN_BEGIN();
 #if defined(SEMLOCK_OBS)
     exec_start_ns_ = SEMLOCK_OBS_SPAN_CLOCK();
@@ -39,7 +39,7 @@ class Transaction {
     // unlock_all. Recorded before TXN_END so the spans carry this txn's id.
     const std::uint64_t commit_start_ns =
         exec_start_ns_ != 0 ? ::semlock::obs::span_now_ns() : 0;
-    const int released = static_cast<int>(entries_.size());
+    const int released = static_cast<int>(size_);
 #endif
     unlock_all();
 #if defined(SEMLOCK_OBS)
@@ -58,17 +58,14 @@ class Transaction {
   void lv(SemanticLock* lk, int site,
           std::span<const commute::Value> values = {}) {
     if (lk == nullptr || holds(lk)) return;
-    const int mode = lk->lock_site(site, values);
-    entries_.push_back(Entry{lk, mode});
-    on_entry_added();
+    add_entry(lk, lk->lock_site(site, values));
   }
 
   // Mode-level LV for callers that resolved the mode themselves.
   void lv_mode(SemanticLock* lk, int mode) {
     if (lk == nullptr || holds(lk)) return;
     lk->lock(mode);
-    entries_.push_back(Entry{lk, mode});
-    on_entry_added();
+    add_entry(lk, mode);
   }
 
   // LV2/LVn (Fig. 12): lock several same-equivalence-class instances in
@@ -87,7 +84,7 @@ class Transaction {
   // kInlineHeldScan entries the set is mirrored into a hash index.
   bool holds(const SemanticLock* lk) const {
     if (index_live_) return index_.count(lk) != 0;
-    for (const auto& e : entries_) {
+    for (const auto& e : entries()) {
       if (e.lk == lk) return true;
     }
     return false;
@@ -97,15 +94,14 @@ class Transaction {
     SemanticLock* lk;
     int mode;
   };
-  // The instances/modes currently held (introspection for protocol checks).
+  // The instances/modes currently held, in acquisition order (introspection
+  // for protocol checks).
   std::vector<HeldEntry> held() const {
-    std::vector<HeldEntry> out;
-    out.reserve(entries_.size());
-    for (const auto& e : entries_) out.push_back(HeldEntry{e.lk, e.mode});
-    return out;
+    const auto e = entries();
+    return std::vector<HeldEntry>(e.begin(), e.end());
   }
 
-  std::size_t num_held() const { return entries_.size(); }
+  std::size_t num_held() const { return size_; }
 
   // Early lock release for one instance (Appendix A): unlocks every mode
   // this transaction holds on `lk`. No-op if none are held.
@@ -115,28 +111,39 @@ class Transaction {
   void unlock_all();
 
  private:
-  struct Entry {
-    SemanticLock* lk;
-    int mode;
-  };
-
-  // Largest held-set size still served by the inline linear scan.
+  // Held entries kept in the object itself: an untraced transaction over at
+  // most this many instances never touches the heap.
+  static constexpr std::size_t kInlineEntries = 8;
+  // Largest held-set size still served by the linear scan.
   static constexpr std::size_t kInlineHeldScan = 64;
 
-  void on_entry_added() {
+  std::span<const HeldEntry> entries() const { return {data_, size_}; }
+
+  void add_entry(SemanticLock* lk, int mode) {
+    if (size_ == capacity_) grow();
+    data_[size_++] = HeldEntry{lk, mode};
     if (index_live_) {
-      index_.insert(entries_.back().lk);
-    } else if (entries_.size() > kInlineHeldScan) {
-      index_.reserve(entries_.size() * 2);
-      for (const auto& e : entries_) index_.insert(e.lk);
+      index_.insert(lk);
+    } else if (size_ > kInlineHeldScan) {
+      index_.reserve(size_ * 2);
+      for (const auto& e : entries()) index_.insert(e.lk);
       index_live_ = true;
     }
   }
 
-  std::vector<Entry> entries_;
-  // Hash mirror of entries_' instances; live once the set outgrows the
-  // inline scan, reset by unlock_all (instances, not modes: an instance
-  // appears in entries_ at most once).
+  // Moves the held set to a heap array of twice the capacity.
+  void grow();
+
+  // The held set, in acquisition order: data_[0, size_) lives in inline_
+  // until it outgrows kInlineEntries, then in heap_, which is kept for reuse
+  // after unlock_all. An instance appears at most once.
+  HeldEntry inline_[kInlineEntries] = {};
+  std::unique_ptr<HeldEntry[]> heap_;
+  HeldEntry* data_ = inline_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = kInlineEntries;
+  // Hash mirror of the held instances; live once the set outgrows the
+  // linear scan, reset by unlock_all.
   std::unordered_set<const SemanticLock*> index_;
   bool index_live_ = false;
 #if defined(SEMLOCK_OBS)

@@ -47,6 +47,9 @@ class Backoff {
 
   void reset() noexcept { spins_ = 1; }
 
+  // True once pause() yields the CPU instead of spinning.
+  bool yielding() const noexcept { return spins_ >= kMaxSpins; }
+
  private:
   static constexpr std::uint32_t kMaxSpins = 256;
   std::uint32_t spins_ = 1;

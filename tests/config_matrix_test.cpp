@@ -140,6 +140,8 @@ TEST_P(ConfigMatrix, TryLockMatchesLockSemantics) {
   EXPECT_EQ(stats.acquisitions, kAttempts);
   EXPECT_EQ(stats.contended, kAttempts);
   EXPECT_GT(stats.wait_ns, 0u);  // refused attempts charge their duration
+  // A refused try_lock never leaves the CPU: its wall time is its CPU time.
+  EXPECT_EQ(stats.wait_cpu_ns, stats.wait_ns);
 
   mech.unlock(mode);
   stats.reset();

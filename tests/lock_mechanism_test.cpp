@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
 #include "commute/builtin_specs.h"
+#include "runtime/wait_registry.h"
 #include "semlock/lock_mechanism.h"
 #include "semlock/semantic_lock.h"
+#include "util/spinlock.h"
 
 namespace semlock {
 namespace {
@@ -237,6 +242,103 @@ TEST(LockMechanism, UnlockWakesOnlyOnLastRelease) {
   // Two add releases plus the waiter's own clear release produced exactly
   // one generation bump: the wakeup that mattered.
   EXPECT_EQ(m.parking_lot().generation(partition), gen_before + 1);
+}
+
+struct WaitSample {
+  std::uint64_t contended;
+  std::uint64_t wait_ns;
+  std::uint64_t wait_cpu_ns;
+};
+
+// Pins the calling thread to `cpu` (-1: leaves it where it is).
+void pin_to(int cpu) {
+  if (cpu < 0) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(set), &set), 0);
+}
+
+// One contended lock() of the self-conflicting `mode`: this thread holds it
+// until a second thread's wait is published in the WaitRegistry, then for
+// `hold` longer, then releases. Returns the waiter's AcquireStats.
+WaitSample blocked_wait(LockMechanism& m, int mode,
+                        std::chrono::microseconds hold, int waiter_cpu = -1) {
+  m.lock(mode);
+  std::atomic<runtime::WaitRegistry::Slot*> slot{nullptr};
+  WaitSample out{};
+  std::thread waiter([&] {
+    pin_to(waiter_cpu);
+    slot.store(runtime::WaitRegistry::instance().thread_slot());
+    AcquireStats& stats = local_acquire_stats();
+    stats.reset();
+    m.lock(mode);
+    out = {stats.contended, stats.wait_ns, stats.wait_cpu_ns};
+    m.unlock(mode);
+  });
+  runtime::WaitRegistry::Slot* s = nullptr;
+  while ((s = slot.load()) == nullptr) util::cpu_relax();
+  const auto mech = reinterpret_cast<std::uintptr_t>(&m);
+  while (s->mechanism.load() != mech) util::cpu_relax();
+  std::this_thread::sleep_for(hold);
+  m.unlock(mode);
+  waiter.join();
+  return out;
+}
+
+ModeTable make_wait_table(runtime::WaitPolicyKind policy) {
+  ModeTableConfig c;
+  c.abstract_values = 4;
+  c.wait_policy = policy;
+  return ModeTable::compile(
+      commute::set_spec(),
+      {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})})}, c);
+}
+
+// wait_cpu_ns reads the thread-CPU clock only once a wait may yield or park.
+// A waiter granted during its spin phase (about 5 µs of pause rounds) was on
+// the CPU throughout and is charged exactly its wall time.
+TEST(LockMechanism, WaitCpuIsWallTimeWhileSpinning) {
+  const auto t = make_wait_table(runtime::WaitPolicyKind::SpinYield);
+  LockMechanism m(t);
+  const Value v0[1] = {0};
+  const int mode = t.resolve(0, v0);
+  ASSERT_FALSE(t.commutes(mode, mode));
+
+  // The releaser must run beside the spinning waiter, not after its first
+  // yield, so the two threads are pinned to different CPUs.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  }
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two CPUs";
+  pin_to(cpus[0]);
+  // Released as soon as it is seen waiting, the waiter is granted within
+  // its spin phase unless the host deschedules one of the two threads, so a
+  // handful of trials settles it.
+  bool exact = false;
+  for (int trial = 0; trial < 20 && !exact; ++trial) {
+    const WaitSample w =
+        blocked_wait(m, mode, std::chrono::microseconds(0), cpus[1]);
+    EXPECT_EQ(w.contended, 1u);
+    exact = w.wait_cpu_ns == w.wait_ns;
+  }
+  EXPECT_TRUE(exact);
+  EXPECT_EQ(sched_setaffinity(0, sizeof(allowed), &allowed), 0);
+}
+
+// A parked waiter is off the CPU for almost all of its wait.
+TEST(LockMechanism, WaitCpuExcludesParkedTime) {
+  const auto t = make_wait_table(runtime::WaitPolicyKind::AlwaysPark);
+  LockMechanism m(t);
+  const Value v0[1] = {0};
+  const int mode = t.resolve(0, v0);
+  const WaitSample w = blocked_wait(m, mode, std::chrono::milliseconds(20));
+  EXPECT_EQ(w.contended, 1u);
+  EXPECT_GE(w.wait_ns, 20'000'000u);
+  EXPECT_LT(w.wait_cpu_ns, w.wait_ns / 4);
 }
 
 TEST(SemanticLockTest, LockSiteResolvesAndLocks) {

@@ -213,6 +213,34 @@ TEST(ObsTrace, NestedTransactionsShareTheOuterTxnId) {
   EXPECT_EQ(obs::current_txn(), id);
 }
 
+// Ids are assigned on first use: untraced transactions that nothing asks
+// for an id consume none, so the next transaction that asks gets id 1.
+TEST(ObsTrace, UntracedTransactionsConsumeNoTxnIds) {
+  const bool was_enabled = obs::runtime_enabled();
+  obs::set_runtime_enabled(false);
+  obs::reset_for_test();
+  ModeTableConfig c;
+  c.abstract_values = 4;
+  c.trace_events = false;
+  const auto t = ModeTable::compile(
+      commute::set_spec(), {SymbolicSet({op("size"), op("clear")})}, c);
+  SemanticLock lk(t);
+  const int mode = t.resolve_constant(0);
+  for (int i = 0; i < 1000; ++i) {
+    Transaction txn;
+    txn.lv_mode(&lk, mode);
+  }
+  EXPECT_EQ(obs::last_completed_txn(), 0u);
+  {
+    Transaction txn;
+    EXPECT_EQ(obs::current_txn(), 1u);
+    EXPECT_EQ(obs::current_owner_id(), 1u);
+  }
+  EXPECT_EQ(obs::last_completed_txn(), 1u);
+  EXPECT_EQ(obs::current_txn(), 0u);  // outside a transaction: none
+  obs::set_runtime_enabled(was_enabled);
+}
+
 TEST(ObsTrace, ConflictMatrixContainsExactlyExercisedNonCommutingPairs) {
   obs::reset_for_test();
   const auto t = make_traced_table();

@@ -80,6 +80,37 @@ TEST(WaitPolicy, WaitStateSchedule) {
   EXPECT_TRUE(eager.step());
 }
 
+// may_block() marks the first step that can leave the CPU: the backoff's
+// first yield (after 8 doubling pause rounds, 1 + 2 + ... + 128 pauses) or
+// the first park, whichever comes first; it stays set from then on.
+TEST(WaitPolicy, MayBlockMarksTheFirstYieldOrPark) {
+  const auto spinning_steps = [](runtime::WaitState w) {
+    int steps = 0;
+    while (!w.may_block()) {
+      EXPECT_FALSE(w.step());
+      ++steps;
+    }
+    EXPECT_TRUE(w.may_block());
+    return steps;
+  };
+  EXPECT_EQ(spinning_steps(runtime::WaitState(WaitPolicyKind::SpinYield, 0)),
+            8);
+  EXPECT_EQ(spinning_steps(
+                runtime::WaitState(WaitPolicyKind::SpinThenPark, 64)),
+            8);
+  EXPECT_EQ(
+      spinning_steps(runtime::WaitState(WaitPolicyKind::SpinThenPark, 3)), 3);
+  EXPECT_EQ(spinning_steps(runtime::WaitState(WaitPolicyKind::FutexWord, 3)),
+            3);
+  EXPECT_EQ(
+      spinning_steps(runtime::WaitState(WaitPolicyKind::AlwaysPark, 1000)), 0);
+
+  runtime::WaitState adaptive(WaitPolicyKind::SpinThenPark, 3);
+  for (int i = 0; i < 3; ++i) adaptive.step();
+  EXPECT_TRUE(adaptive.may_block());
+  EXPECT_TRUE(adaptive.step());  // the step may_block() announced parks
+}
+
 TEST(ParkingLot, GenerationAndParkedAccounting) {
   ParkingLot lot(2);
   EXPECT_EQ(lot.generation(0), 0u);

@@ -171,6 +171,82 @@ TEST(TransactionTest, HoldsScalesPastInlineThreshold) {
   txn.unlock_all();
 }
 
+std::vector<SemanticLock*> held_locks(const Transaction& txn) {
+  std::vector<SemanticLock*> out;
+  for (const auto& e : txn.held()) out.push_back(e.lk);
+  return out;
+}
+
+// One held set across both storage boundaries: the inline entries (8 -> 9
+// moves it to the heap) and the linear scan (64 -> 65 adds the hash index).
+// Membership, LOCAL_SET semantics and acquisition order hold throughout.
+TEST(TransactionTest, HeldSetCrossesInlineAndIndexBoundaries) {
+  const auto t = make_table();
+  const int mode = t.resolve_constant(0);  // add(*): self-commuting
+  constexpr std::size_t kInstances = 65;
+  std::vector<std::unique_ptr<SemanticLock>> locks;
+  std::vector<SemanticLock*> order;
+  for (std::size_t i = 0; i < kInstances; ++i) {
+    locks.push_back(std::make_unique<SemanticLock>(t));
+    order.push_back(locks.back().get());
+  }
+
+  Transaction txn;
+  for (std::size_t i = 0; i < kInstances; ++i) {
+    txn.lv_mode(order[i], mode);
+    const std::size_t n = i + 1;
+    if (n == 8 || n == 9 || n == 64 || n == 65) {
+      SCOPED_TRACE(n);
+      EXPECT_EQ(txn.num_held(), n);
+      EXPECT_EQ(held_locks(txn),
+                std::vector<SemanticLock*>(order.begin(), order.begin() + n));
+      for (std::size_t j = 0; j < kInstances; ++j) {
+        EXPECT_EQ(txn.holds(order[j]), j < n);
+      }
+      txn.lv_mode(order[0], mode);  // already held: no re-lock
+      EXPECT_EQ(txn.num_held(), n);
+      EXPECT_EQ(order[0]->holders(mode), 1u);
+    }
+  }
+  txn.unlock_all();
+  for (auto* lk : order) EXPECT_EQ(lk->holders(mode), 0u);
+}
+
+// Early release removes exactly one entry and keeps the others' order,
+// whether the held set is still inline or already on the heap.
+TEST(TransactionTest, UnlockInstanceOnInlineAndSpilledEntries) {
+  const auto t = make_table();
+  const int mode = t.resolve_constant(0);
+  for (const std::size_t held : {std::size_t{4}, std::size_t{12}}) {
+    SCOPED_TRACE(held);
+    std::vector<std::unique_ptr<SemanticLock>> locks;
+    std::vector<SemanticLock*> order;
+    for (std::size_t i = 0; i < held; ++i) {
+      locks.push_back(std::make_unique<SemanticLock>(t));
+      order.push_back(locks.back().get());
+    }
+    Transaction txn;
+    for (auto* lk : order) txn.lv_mode(lk, mode);
+
+    SemanticLock* released = order[1];
+    txn.unlock_instance(released);
+    order.erase(order.begin() + 1);
+    EXPECT_EQ(released->holders(mode), 0u);
+    EXPECT_FALSE(txn.holds(released));
+    EXPECT_EQ(held_locks(txn), order);
+    for (auto* lk : order) EXPECT_EQ(lk->holders(mode), 1u);
+
+    txn.unlock_instance(released);  // not held: no-op
+    EXPECT_EQ(held_locks(txn), order);
+
+    txn.lv_mode(released, mode);  // re-locking appends
+    order.push_back(released);
+    EXPECT_EQ(held_locks(txn), order);
+    txn.unlock_all();
+    for (auto* lk : order) EXPECT_EQ(lk->holders(mode), 0u);
+  }
+}
+
 TEST(TransactionTest, HeldExposesEntries) {
   const auto t = make_table();
   SemanticLock a(t);
