@@ -822,6 +822,29 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
       return;
     }
   };
+  // Right after a handoff this waiter can find `other` held before its new
+  // holder has published the grant record: the record is mid-write or still
+  // names this waiter's own earlier grant, and classifying then blames the
+  // missing record (SELF_MODE) instead of the holder. The holder publishes
+  // before it can release, so give it a bounded moment while `other` stays
+  // held. Skipped on a DCT virtual thread, where the holder cannot run until
+  // this thread reaches a schedule point.
+  const auto await_grant_record = [&](std::int32_t other) {
+    if (args == nullptr) return;  // a bare-mode waiter classifies without it
+#if defined(SEMLOCK_DCT)
+    if (dct::scheduled()) return;
+#endif
+    constexpr int kSteps = 12;  // 255 pauses, then 4 yields
+    const obs::AttrRecord& rec = attr_records_[static_cast<std::size_t>(other)];
+    const std::uint64_t self = obs::current_owner_id();
+    util::Backoff backoff;
+    for (int step = 0; step < kSteps; ++step) {
+      const std::uint64_t owner = obs::attr_read(rec).owner;
+      if (owner != 0 && owner != self) return;
+      if (s.holder_count(other, std::memory_order_acquire) == 0) return;
+      backoff.pause();
+    }
+  };
   if (trace_) {
     if (span_on) capture_blocker(runtime::steady_now_ns());
     // Sample the blocked-by conflict matrix: which non-commuting modes were
@@ -837,6 +860,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
       if (s.holder_count(other, std::memory_order_acquire) > 0) {
         obs::record_blocked_by(this, mode, other);
         if (classify) {
+          await_grant_record(other);
           const obs::AttrClass cls = obs::record_attribution(
               this, *table_, mode, args, other,
               &attr_records_[static_cast<std::size_t>(other)]);

@@ -261,15 +261,20 @@ void pin_to(int cpu) {
 
 // One contended lock() of the self-conflicting `mode`: this thread holds it
 // until a second thread's wait is published in the WaitRegistry, then for
-// `hold` longer, then releases. Returns the waiter's AcquireStats.
+// `hold` longer, then releases. Returns the waiter's AcquireStats. The waiter
+// calls lock() only after this thread has seen it start, so the wait begins
+// with both threads known to be on a CPU rather than with this one having
+// spun through thread start-up.
 WaitSample blocked_wait(LockMechanism& m, int mode,
                         std::chrono::microseconds hold, int waiter_cpu = -1) {
   m.lock(mode);
   std::atomic<runtime::WaitRegistry::Slot*> slot{nullptr};
+  std::atomic<bool> go{false};
   WaitSample out{};
   std::thread waiter([&] {
     pin_to(waiter_cpu);
     slot.store(runtime::WaitRegistry::instance().thread_slot());
+    while (!go.load()) util::cpu_relax();
     AcquireStats& stats = local_acquire_stats();
     stats.reset();
     m.lock(mode);
@@ -278,6 +283,7 @@ WaitSample blocked_wait(LockMechanism& m, int mode,
   });
   runtime::WaitRegistry::Slot* s = nullptr;
   while ((s = slot.load()) == nullptr) util::cpu_relax();
+  go.store(true);
   const auto mech = reinterpret_cast<std::uintptr_t>(&m);
   while (s->mechanism.load() != mech) util::cpu_relax();
   std::this_thread::sleep_for(hold);
