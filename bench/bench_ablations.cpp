@@ -8,7 +8,7 @@
 //      instance-exclusive locking; larger n approaches per-key striping.
 //   3. Symbolic-set refinement (Section 4) vs generic lock(+) (Section 3):
 //      lock(+) makes every transaction conflict (the 2PL shape).
-//   4. The Fig. 20 fast-path pre-check on/off.
+//   4. Counter cache-line padding (ModeTableConfig::pad_counters).
 #include <memory>
 
 #include "adt/striped_hash_map.h"
@@ -142,22 +142,6 @@ int main() {
 
   {
     semlock::util::SeriesTable t("threads", "ops/ms");
-    t.set_series({"precheck on", "precheck off"});
-    for (const std::size_t threads : default_threads()) {
-      ModeTableConfig on;
-      on.abstract_values = 64;
-      ModeTableConfig off = on;
-      off.fast_path_precheck = false;
-      t.add_row(static_cast<double>(threads),
-                {run_variant(on, true, threads, ops),
-                 run_variant(off, true, threads, ops)});
-    }
-    std::printf("--- Ablation 4: Fig. 20 fast-path pre-check\n");
-    print_results(t);
-  }
-
-  {
-    semlock::util::SeriesTable t("threads", "ops/ms");
     t.set_series({"packed counters", "padded counters"});
     for (const std::size_t threads : default_threads()) {
       ModeTableConfig packed;
@@ -168,7 +152,7 @@ int main() {
                 {run_variant(packed, true, threads, ops),
                  run_variant(padded, true, threads, ops)});
     }
-    std::printf("--- Ablation 5: counter cache-line padding\n");
+    std::printf("--- Ablation 4: counter cache-line padding\n");
     print_results(t);
   }
   return 0;

@@ -169,20 +169,17 @@ inline std::string run_metadata_json() {
   std::snprintf(buf, sizeof(buf),
                 "\", \"hardware_threads\": %u"
                 ", \"hardware_concurrency\": %u, \"scale_factor\": %.2f, "
-                "\"wait_policy\": \"%s\", \"optimistic\": %s, "
+                "\"wait_policy\": \"%s\", "
                 "\"stripes\": %d, \"grant_policy\": \"%s\", "
                 "\"bypass_bound\": %u, \"storage\": \"%s\", "
-                "\"elision\": %s, \"scaling_claims\": \"%s\"}",
+                "\"scaling_claims\": \"%s\"}",
                 std::thread::hardware_concurrency(),
                 std::thread::hardware_concurrency(), scale_factor(),
                 runtime::wait_policy_name(runtime::default_wait_policy()),
-                default_optimistic_acquire() ? "true" : "false",
-                default_stripe_self_commuting() ? default_counter_stripes()
-                                                : 0,
+                default_counter_stripes(),
                 runtime::grant_policy_name(runtime::default_grant_policy()),
                 static_cast<unsigned>(runtime::default_bypass_bound()),
                 storage_kind_name(default_storage()),
-                default_elide_locks() ? "true" : "false",
                 scaling_claims().c_str());
   out += buf;
   return out;

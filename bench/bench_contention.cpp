@@ -69,17 +69,18 @@ void report(const char* bench, const char* strategy, const Contention& c) {
 // --- Fast-path sweep (ISSUE 3 headline) -------------------------------------
 // Acquire/release throughput of a self-commuting read mode R={contains(*)}
 // that conflicts with a writer mode W={add(*),remove(*)}, read-mostly mix.
-// `fastpath` is the shipped configuration (optimistic + striped counters);
-// `spinlock` forces every acquisition through the partition-spinlock
-// arbitrated path — the pre-ISSUE-3 mechanism. Same table, same wait policy,
-// same workload: the gap is pure acquire-path overhead.
-ModeTable make_sweep_table(bool fastpath) {
+// `striped` is the shipped configuration (Striped storage, automatic stripe
+// count); `unstriped` is the same storage with counter_stripes = 0, so every
+// reader announces on one shared counter line. Same table, same wait
+// policy, same workload: the gap is what the stripes buy — the row that
+// defends Striped storage.
+ModeTable make_sweep_table(bool striped) {
   using commute::op;
   using commute::star;
   using commute::SymbolicSet;
   ModeTableConfig cfg;
-  cfg.optimistic_acquire = fastpath;
-  cfg.stripe_self_commuting = fastpath;  // stripe count: auto (per-machine)
+  cfg.storage = StorageKind::Striped;
+  if (!striped) cfg.counter_stripes = 0;
   return ModeTable::compile(
       commute::set_spec(),
       {
@@ -89,9 +90,9 @@ ModeTable make_sweep_table(bool fastpath) {
       cfg);
 }
 
-double sweep_cell(std::size_t threads, bool fastpath, std::size_t ops,
+double sweep_cell(std::size_t threads, bool striped, std::size_t ops,
                   semlock::bench::AcquireTally* tally) {
-  const ModeTable table = make_sweep_table(fastpath);
+  const ModeTable table = make_sweep_table(striped);
   LockMechanism mech(table);
   const int read_mode = table.resolve_constant(0);
   const int write_mode = table.resolve_constant(1);
@@ -260,20 +261,20 @@ int main(int argc, char** argv) {
   // --- Fast-path sweep ------------------------------------------------------
   std::printf(
       "Fast path: read-mostly acquire/release of a self-commuting mode\n"
-      "(fastpath = optimistic + striped counters; spinlock = arbitrated "
-      "path)\n");
+      "(striped = automatic stripe count; unstriped = counter_stripes 0)\n");
   util::SeriesTable sweep_tbl("threads", "ops/ms");
-  sweep_tbl.set_series({"fastpath", "spinlock", "speedup"});
+  sweep_tbl.set_series({"striped", "unstriped", "speedup"});
   const auto sweep_ops = static_cast<std::size_t>(200'000 * scale_factor());
   AcquireTally tally;
   for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}, std::size_t{16}}) {
-    const double fast = sweep_cell(t, true, sweep_ops, &tally);
-    const double slow = sweep_cell(t, false, sweep_ops, nullptr);
-    sweep_tbl.add_row(static_cast<double>(t), {fast, slow, fast / slow});
+    const double striped = sweep_cell(t, true, sweep_ops, &tally);
+    const double unstriped = sweep_cell(t, false, sweep_ops, nullptr);
+    sweep_tbl.add_row(static_cast<double>(t),
+                      {striped, unstriped, striped / unstriped});
   }
   print_results(sweep_tbl);
-  tally.print("fastpath");
+  tally.print("striped");
 
   if (!write_bench_json(json_path, "contention",
                         {{"contended_percent", &contended_tbl},

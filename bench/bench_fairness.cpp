@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -38,8 +39,6 @@ ModeTable make_flood_table() {
   // ModeTableConfig defaults pick up the ambient grant policy installed by
   // the ScopedGrantPolicy around each sweep cell.
   ModeTableConfig cfg;
-  cfg.optimistic_acquire = true;
-  cfg.stripe_self_commuting = true;
   return ModeTable::compile(
       commute::set_spec(),
       {
@@ -138,7 +137,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(2'000 * scale_factor()) + 1;
   const runtime::GrantPolicyKind policies[] = {
       runtime::GrantPolicyKind::Free,
-      runtime::GrantPolicyKind::Fifo,
       runtime::GrantPolicyKind::PhaseFair,
       runtime::GrantPolicyKind::BoundedBypass,
   };
@@ -146,7 +144,7 @@ int main(int argc, char** argv) {
   std::printf(
       "%zu readers flooding contains(*), 1 writer x %zu add/remove "
       "acquisitions\n"
-      "policy rows: 0=free 1=fifo 2=phase-fair 3=bounded-bypass (K=%u)\n\n",
+      "policy rows: 0=free 1=phase-fair 2=bounded-bypass (K=%u)\n\n",
       kReaders, writer_ops,
       static_cast<unsigned>(runtime::default_bypass_bound()));
 
@@ -155,7 +153,7 @@ int main(int argc, char** argv) {
   util::SeriesTable tput_tbl("policy", "ops/ms");
   tput_tbl.set_series({"readers", "writer"});
 
-  for (std::size_t p = 0; p < 4; ++p) {
+  for (std::size_t p = 0; p < std::size(policies); ++p) {
     AcquireTally tally;
     // Warm-up cell shakes out first-touch allocation; the measured cell runs
     // the full workload.

@@ -63,7 +63,6 @@ ModeTable make_table(const StorageConfig& sc) {
   cfg.storage = sc.storage;
   cfg.pad_counters = sc.pad_counters;
   cfg.wait_policy = sc.wait_policy;
-  cfg.stripe_self_commuting = sc.storage == StorageKind::Striped;
   return ModeTable::compile(
       commute::set_spec(),
       {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),

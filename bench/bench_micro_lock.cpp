@@ -66,33 +66,25 @@ void BM_SemanticLockModeKnown(benchmark::State& state) {
 BENCHMARK(BM_SemanticLockModeKnown);
 
 // Read-heavy acquisition of one self-commuting mode across threads — the
-// headline microbench of the ISSUE 3 fast path. With optimistic + striped
-// acquisition the series scales with threads; forcing every acquisition
-// through the partition spinlock (`fast` == 0) flatlines it.
+// headline microbench of the ISSUE 3 fast path. With striped holder
+// counters the series scales with threads; one shared counter line
+// (`striped` == 0, counter_stripes = 0) flatlines it.
+ModeTable self_commuting_table(int stripes) {
+  ModeTableConfig cfg;
+  cfg.storage = StorageKind::Striped;
+  cfg.counter_stripes = stripes;
+  return ModeTable::compile(
+      commute::set_spec(),
+      {SymbolicSet({op("contains", {star()})}),
+       SymbolicSet({op("add", {star()}), op("remove", {star()})})},
+      cfg);
+}
+
 void BM_SelfCommutingAcquire(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
-  static const ModeTable fast_table = [] {
-    ModeTableConfig cfg;
-    cfg.optimistic_acquire = true;
-    cfg.stripe_self_commuting = true;
-    cfg.counter_stripes = 64;
-    return ModeTable::compile(
-        commute::set_spec(),
-        {SymbolicSet({op("contains", {star()})}),
-         SymbolicSet({op("add", {star()}), op("remove", {star()})})},
-        cfg);
-  }();
-  static const ModeTable slow_table = [] {
-    ModeTableConfig cfg;
-    cfg.optimistic_acquire = false;
-    cfg.stripe_self_commuting = false;
-    return ModeTable::compile(
-        commute::set_spec(),
-        {SymbolicSet({op("contains", {star()})}),
-         SymbolicSet({op("add", {star()}), op("remove", {star()})})},
-        cfg);
-  }();
-  const ModeTable& table = fast ? fast_table : slow_table;
+  static const ModeTable striped_table = self_commuting_table(64);
+  static const ModeTable unstriped_table = self_commuting_table(0);
+  const ModeTable& table =
+      state.range(0) != 0 ? striped_table : unstriped_table;
   static SemanticLock* lock = nullptr;
   if (state.thread_index() == 0) lock = new SemanticLock(table);
   const int mode = table.resolve_constant(0);
@@ -107,7 +99,7 @@ void BM_SelfCommutingAcquire(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelfCommutingAcquire)
-    ->ArgName("fast")
+    ->ArgName("striped")
     ->Arg(1)
     ->Arg(0)
     ->Threads(1)

@@ -37,8 +37,6 @@ const char* grant_policy_name(GrantPolicyKind kind) {
   switch (kind) {
     case GrantPolicyKind::Free:
       return "free";
-    case GrantPolicyKind::Fifo:
-      return "fifo";
     case GrantPolicyKind::PhaseFair:
       return "phase-fair";
     case GrantPolicyKind::BoundedBypass:
@@ -49,7 +47,6 @@ const char* grant_policy_name(GrantPolicyKind kind) {
 
 std::optional<GrantPolicyKind> parse_grant_policy(std::string_view text) {
   if (text == "free") return GrantPolicyKind::Free;
-  if (text == "fifo" || text == "ticket") return GrantPolicyKind::Fifo;
   if (text == "phase-fair" || text == "phasefair" || text == "pf") {
     return GrantPolicyKind::PhaseFair;
   }

@@ -12,15 +12,10 @@
 //
 //   Free          — no admission control. The compatibility baseline; the
 //                   mechanism's fast paths are byte-for-byte the PR 3 code.
-//   Fifo          — strict ticket handoff: once anyone waits, every new
-//                   arrival (including the optimistic tier, which checks the
-//                   partition's barrier word before announcing) is diverted
-//                   to the wait queue and grants happen in arrival order.
-//                   Strongest fairness, pays head-of-line blocking: a
-//                   commuting flood behind one conflicting waiter serializes
-//                   through the ticket cursor.
 //   PhaseFair     — phase-fair handoff (Brandenburg/Anderson-style): while
-//                   waiters exist the fast path stays barred, and the queue
+//                   waiters exist every new arrival (including the
+//                   optimistic tier, which checks the partition's barrier
+//                   before announcing) is diverted to the queue, and the queue
 //                   drains in phases — every waiter present at phase start
 //                   is granted (commuting ones overlap freely) before the
 //                   tickets taken after the phase began get their turn.
@@ -39,14 +34,14 @@
 // ModeTableConfig::bypass_bound / SEMLOCK_BYPASS_BOUND.
 //
 // The DCT no-starvation oracle counts true overtakes only — grants to
-// later arrivals while a waiter is queued; a FIFO queue draining in arrival
+// later arrivals while a waiter is queued; a queue draining in arrival
 // order charges nothing. The certified bound adds an O(T) in-flight
 // allowance on top of the policy's budget: every other thread may slip one
 // doorway grant in (it passed its barrier check just before the barrier
 // rose) and one ticket/registration-reorder grant; PHASE_FAIR may reorder
 // a waiter behind later-ticketed peers of its own phase; and BOUNDED_BYPASS
 // refills its K budget for each successive queue head, so K scales by the
-// queue depth (at most T). FIFO/PHASE_FAIR certify 3x(T-1) and
+// queue depth (at most T). PHASE_FAIR certifies 3x(T-1) and
 // BOUNDED_BYPASS certifies KxT + 2x(T-1) (tests/dct_mutation_test.cpp).
 #pragma once
 
@@ -58,12 +53,11 @@ namespace semlock::runtime {
 
 enum class GrantPolicyKind {
   Free,
-  Fifo,
   PhaseFair,
   BoundedBypass,
 };
 
-// Short stable name ("free", "fifo", "phase-fair", "bounded-bypass") used by
+// Short stable name ("free", "phase-fair", "bounded-bypass") used by
 // benchmark tables, JSON output, and the environment knob.
 const char* grant_policy_name(GrantPolicyKind kind);
 

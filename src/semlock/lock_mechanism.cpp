@@ -5,7 +5,6 @@
 #include "dct/hooks.h"
 #include "runtime/wait_registry.h"
 #include "util/align.h"
-#include "util/htm.h"
 
 #if defined(SEMLOCK_DCT)
 #include "dct/starvation.h"
@@ -66,7 +65,7 @@ namespace semlock {
 namespace {
 
 // Bounded retries for the lock-free optimistic tier before falling back to
-// the spinlock-arbitrated slow path. Small on purpose: a validation failure
+// the spinlock-arbitrated wait path. Small on purpose: a validation failure
 // means a conflicting mode is actually held, and repeated announce/retract
 // cycles only disturb that holder's cache lines.
 constexpr int kOptimisticAttempts = 4;
@@ -101,14 +100,20 @@ void backoff_pause(int attempt) noexcept {
 }
 
 // The futex-word policy degrades to SpinThenPark unless the storage is
-// Packed — only a packed table has a single word to sleep on. Resolved once
+// Packed — only a packed table has a single word to sleep on — and the
+// grant policy is Free. A ticketed policy's cursor lives outside the word,
+// so a sleeper whose turn comes can find the word back at the value it
+// slept on: the handoff cleared W and notified before it slept, the holder
+// released without W, and a later waiter set W again. The ParkingLot's
+// generation counter sees every wakeup and has no such ABA. Resolved once
 // here so every consumer (parking allocation, can_park_, the public
 // wait_policy() accessor) agrees on the effective policy.
 runtime::WaitPolicyKind effective_wait_policy(const ModeTable& table,
                                               StorageKind kind) {
   const runtime::WaitPolicyKind p = table.config().wait_policy;
   if (p == runtime::WaitPolicyKind::FutexWord &&
-      kind != StorageKind::Packed) {
+      (kind != StorageKind::Packed ||
+       table.config().grant_policy != runtime::GrantPolicyKind::Free)) {
     return runtime::WaitPolicyKind::SpinThenPark;
   }
   return p;
@@ -119,44 +124,6 @@ bool uses_futex_word(const ModeTable& table, StorageKind kind) {
          effective_wait_policy(table, kind) ==
              runtime::WaitPolicyKind::FutexWord;
 }
-
-bool elision_armed(const ModeTable& table, StorageKind kind) {
-#if defined(SEMLOCK_DCT)
-  // A hardware transaction cannot surrender at schedule points (everything
-  // inside it is invisible until commit), so elision is never armed under
-  // the DCT harness — the deterministic schedules exercise the software
-  // tiers only.
-  (void)table;
-  (void)kind;
-  return false;
-#else
-  return table.config().elide_locks && kind == StorageKind::Packed &&
-         util::htm_compiled && util::htm_supported();
-#endif
-}
-
-// T0 elision bookkeeping. The slot is WRITTEN inside the hardware
-// transaction, so an abort rolls it back — `active` is truthful on every
-// path. One slot per thread suffices because a nested acquisition inside an
-// elided section aborts the transaction instead of stacking.
-struct ElisionSlot {
-  const void* mech = nullptr;
-  int mode = -1;
-  bool active = false;
-};
-
-ElisionSlot& elision_slot() noexcept {
-  thread_local ElisionSlot slot;
-  return slot;
-}
-
-// Abort-streak backoff: after this many consecutive failed elision attempts,
-// skip elision entirely for the next kElisionPausePeriod acquisitions —
-// a workload whose sections genuinely conflict (or overflow the HTM write
-// set) must not pay the begin/abort tax on every lock.
-constexpr int kElisionRetries = 3;
-constexpr std::uint32_t kElisionAbortThreshold = 4;
-constexpr std::uint32_t kElisionPausePeriod = 64;
 
 }  // namespace
 
@@ -209,14 +176,12 @@ LockMechanism::LockMechanism(const ModeTable& table)
                             table.config().park_spin_limit)
                       : 0),
       can_park_(policy_ != runtime::WaitPolicyKind::SpinYield),
-      optimistic_(table.config().optimistic_acquire),
 #if defined(SEMLOCK_OBS)
       trace_(table.config().trace_events),
 #else
       trace_(false),
 #endif
       futex_word_(uses_futex_word(table, storage_kind_)),
-      elide_(elision_armed(table, storage_kind_)),
       grant_policy_(table.config().grant_policy),
       bypass_bound_(table.config().bypass_bound > 0
                         ? static_cast<std::uint32_t>(
@@ -346,7 +311,7 @@ bool LockMechanism::announce_validate(Storage& s, int mode, int partition,
   return false;
 }
 
-LockMechanism::PackedAttempt LockMechanism::packed_try_acquire(
+LockMechanism::Attempt LockMechanism::packed_try_acquire(
     PackedStorage& s, int mode, int partition, AcquireStats& stats,
     bool doorway) {
   const PackedLayout& layout = s.layout();
@@ -355,7 +320,7 @@ LockMechanism::PackedAttempt LockMechanism::packed_try_acquire(
   const auto pi = static_cast<std::size_t>(partition);
   // Whether the folded grant-barrier bits still gate this attempt. The
   // ticketed arbitrated tier (doorway=false) ignores them, exactly as the
-  // flat contended tier never consults fast_path_admitted.
+  // flat arbitrated tier never consults fast_path_admitted.
   bool barrier_passed = grant_slots_ == nullptr || !doorway;
 #if defined(SEMLOCK_DCT)
   // Test-only mutation: ignore the barrier — the bypass tiers behave as
@@ -372,20 +337,20 @@ LockMechanism::PackedAttempt LockMechanism::packed_try_acquire(
     // oracle must catch the damage (tests/dct_mutation_test.cpp).
     if (dct::mutation_drop_packed_mask_check()) conflict = 0;
 #endif
-    if ((w & conflict) != 0) return PackedAttempt::Blocked;
+    if ((w & conflict) != 0) return Attempt::Blocked;
     if ((w & layout.field_mask[mi]) == layout.field_mask[mi]) {
       // Mini-counter saturated: another increment would overflow into the
       // neighbor field, so this arrival falls back to the arbitrated/wait
       // tier until a release drops the field below field_max (releases from
       // saturation replay the wakeup; see unlock_impl).
-      return PackedAttempt::Blocked;
+      return Attempt::Blocked;
     }
     if (!barrier_passed) {
       SEMLOCK_DCT_POINT("grant.barrier", &word);
       if ((w & layout.closed_bit[pi]) != 0) {
         ++stats.diverted;
         LM_OBS_EVENT(kBarrierDivert, mode);
-        return PackedAttempt::Blocked;
+        return Attempt::Blocked;
       }
       if ((w & layout.counting_bit[pi]) != 0) {
         // BoundedBypass counting: charge the budget once per attempt
@@ -409,7 +374,7 @@ LockMechanism::PackedAttempt LockMechanism::packed_try_acquire(
         if (before >= bypass_bound_) {
           ++stats.diverted;
           LM_OBS_EVENT(kBarrierDivert, mode);
-          return PackedAttempt::Blocked;
+          return Attempt::Blocked;
         }
         // Admitted: like the flat doorway, a barrier that rises after this
         // point (possibly by our own hand just above) no longer diverts us.
@@ -426,10 +391,10 @@ LockMechanism::PackedAttempt LockMechanism::packed_try_acquire(
     if (word.compare_exchange_weak(w, w + layout.inc[mi],
                                    std::memory_order_seq_cst,
                                    std::memory_order_seq_cst)) {
-      return PackedAttempt::Acquired;
+      return Attempt::Acquired;
     }
     // compare_exchange reloaded w; re-run the checks on the fresh value.
-    if (attempt >= kPackedCasRetries) return PackedAttempt::Contended;
+    if (attempt >= kPackedCasRetries) return Attempt::Contended;
   }
 }
 
@@ -442,50 +407,6 @@ void LockMechanism::packed_word_wait(PackedStorage& s,
   }
 #endif
   s.word().wait(observed, std::memory_order_seq_cst);
-}
-
-bool LockMechanism::try_elide(PackedStorage& s, int mode) {
-  if (!util::htm_compiled) return false;
-  ElisionSlot& slot = elision_slot();
-  if (slot.active) {
-    // Nested acquisition inside an elided section (of this or any other
-    // mechanism): abort back to the outer htm_begin, whose retry logic
-    // falls back to the real path; the rollback resets slot.active.
-    util::htm_abort();
-    return false;  // not reached while a transaction is live
-  }
-  const std::uint32_t pause =
-      elision_pause_.load(std::memory_order_relaxed);
-  if (pause != 0) {
-    elision_pause_.store(pause - 1, std::memory_order_relaxed);
-    return false;
-  }
-  for (int attempt = 0; attempt < kElisionRetries; ++attempt) {
-    const unsigned code = util::htm_begin();
-    if (code == util::kHtmStarted) {
-      if (s.word().load(std::memory_order_relaxed) != 0) {
-        // The word is busy — a real holder, waiter bit, or barrier bit
-        // exists — so elision would have to reason about conflicts it
-        // cannot see. Abort (explicit, non-retryable) back to htm_begin.
-        util::htm_abort();
-      }
-      // Quiescent word in the read set: any concurrent real acquisition
-      // CASes the word and aborts this transaction, and vice versa this
-      // section publishes nothing until commit. Serializable by hardware.
-      slot.mech = this;
-      slot.mode = mode;
-      slot.active = true;
-      return true;
-    }
-    if (!util::htm_retryable(code)) break;
-  }
-  const std::uint32_t streak =
-      elision_aborts_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= kElisionAbortThreshold) {
-    elision_aborts_.store(0, std::memory_order_relaxed);
-    elision_pause_.store(kElisionPausePeriod, std::memory_order_relaxed);
-  }
-  return false;
 }
 
 bool LockMechanism::fast_path_admitted(int partition, AcquireStats& stats,
@@ -529,17 +450,8 @@ std::uint64_t LockMechanism::enqueue_waiter(Storage& s, int partition) {
   // PR 7 GrantSlot barrier word; packed raises the closed/counting bits in
   // the lock word so the bypass tiers' doorway stays one load.
   switch (grant_policy_) {
-    case runtime::GrantPolicyKind::Fifo:
-      // Strict handoff: the moment anyone queues, every bypass tier closes.
-      if constexpr (Storage::kPacked) {
-        s.word().fetch_or(s.layout().closed_bit[static_cast<std::size_t>(
-                              partition)],
-                          std::memory_order_seq_cst);
-      } else {
-        slot.barrier.store(2, std::memory_order_release);
-      }
-      break;
     case runtime::GrantPolicyKind::PhaseFair:
+      // The moment anyone queues, every bypass tier closes.
       if constexpr (Storage::kPacked) {
         s.word().fetch_or(s.layout().closed_bit[static_cast<std::size_t>(
                               partition)],
@@ -586,7 +498,6 @@ bool LockMechanism::waiter_eligible(int partition,
   if (grant_slots_ == nullptr) return true;
   const GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
   switch (grant_policy_) {
-    case runtime::GrantPolicyKind::Fifo:
     case runtime::GrantPolicyKind::BoundedBypass:
       // Tickets are unique, so once granted == ticket the cursor cannot move
       // past us — eligibility is monotone and this lock-free read is final.
@@ -607,16 +518,6 @@ bool LockMechanism::grant_complete(Storage& s, int partition) {
   --slot.waiting;
   slot.granted.fetch_add(1, std::memory_order_release);
   switch (grant_policy_) {
-    case runtime::GrantPolicyKind::Fifo:
-      if (slot.waiting == 0) {
-        if constexpr (Storage::kPacked) {
-          s.word().fetch_and(~s.layout().closed_bit[pi],
-                             std::memory_order_seq_cst);
-        } else {
-          slot.barrier.store(0, std::memory_order_release);
-        }
-      }
-      break;
     case runtime::GrantPolicyKind::PhaseFair:
       if (--slot.phase_remaining == 0) {
         if (slot.waiting > 0) {
@@ -675,8 +576,7 @@ void LockMechanism::wake_partition(Storage& s, int partition) {
     if (futex_word_) {
       // Futex-word wakeup: clearing W both licenses future releases to skip
       // the notify and CHANGES THE WORD'S VALUE, so sleepers blocked on any
-      // stale `observed` return from wait — including handoff wakeups that
-      // touched no counter field. Woken waiters re-publish W before
+      // stale `observed` return from wait. Woken waiters re-publish W before
       // sleeping again, so a cleared bit never strands a still-blocked
       // waiter.
       const PackedLayout& layout = s.layout();
@@ -693,6 +593,28 @@ void LockMechanism::wake_partition(Storage& s, int partition) {
 }
 
 template <class Storage>
+LockMechanism::Attempt LockMechanism::try_acquire(Storage& s, int mode,
+                                                  int partition,
+                                                  AcquireStats& stats,
+                                                  bool doorway) {
+  if constexpr (Storage::kPacked) {
+    // The CAS validates against the word it claims, so the pre-check is
+    // part of the attempt itself.
+    return packed_try_acquire(s, mode, partition, stats, doorway);
+  } else {
+    // Fig. 20 pre-check: a visibly held conflict is refused before the
+    // announcement, so it costs no transient increment and no retract.
+    // Validation inside announce_validate is unconditional.
+    if (doorway && (!fast_path_admitted(partition, stats, mode) ||
+                    !conflicts_clear(s, mode))) {
+      return Attempt::Blocked;
+    }
+    return announce_validate(s, mode, partition, stats) ? Attempt::Acquired
+                                                        : Attempt::Contended;
+  }
+}
+
+template <class Storage>
 void LockMechanism::lock_impl(Storage& s, int mode,
                               const LockSiteArgs* args) {
   auto& stats = local_acquire_stats();
@@ -700,97 +622,31 @@ void LockMechanism::lock_impl(Storage& s, int mode,
   LM_OBS_EVENT(kAcquireBegin, mode);
   LM_OBS_SITE(args);
   const int partition = table_->partition_of(mode);
-  util::Spinlock& internal =
-      partition_locks_[static_cast<std::size_t>(partition)];
-  const bool precheck = table_->config().fast_path_precheck;
-  if constexpr (Storage::kPacked) {
-    // Tier T0: hardware elision — no counter write at all when it commits.
-    if (elide_ && try_elide(s, mode)) return;
-    if (optimistic_) {
-      // Tier T1: the packed CAS already validates, honors the folded
-      // barrier bits, and cannot leave a transient announcement, so the
-      // whole doorway+announce+validate sequence is one bounded CAS loop.
-      for (int attempt = 0; attempt < kOptimisticAttempts; ++attempt) {
-        const PackedAttempt r =
-            packed_try_acquire(s, mode, partition, stats, /*doorway=*/true);
-        if (r == PackedAttempt::Acquired) {
-          ++stats.optimistic_hits;
-          LM_OBS_EVENT(kOptimisticHit, mode);
-          LM_ATTR_GRANT(mode, args);
-          LM_DCT_GRANT(partition);
-          return;
-        }
-        if (r == PackedAttempt::Blocked) break;
-        backoff_pause(attempt);
-      }
-    } else {
-      // Historical arbitrated flavor: one attempt under the internal lock
-      // (the CAS subsumes check-then-increment). Still a ticketless bypass,
-      // so the doorway bits apply.
-      if (!precheck || conflicts_clear(s, mode)) {
-        internal.lock();
-        const PackedAttempt r =
-            packed_try_acquire(s, mode, partition, stats, /*doorway=*/true);
-        internal.unlock();
-        if (r == PackedAttempt::Acquired) {
-          LM_OBS_EVENT(kAcquireGrant, mode);
-          LM_ATTR_GRANT(mode, args);
-          LM_DCT_GRANT(partition);
-          return;
-        }
-      }
-    }
-    lock_contended(s, mode, partition, internal, stats, args);
-  } else {
-    if (optimistic_) {
-      // Tier T1: lock-free attempts. The pre-check keeps the ablation knob
-      // meaningful (and skips a futile announce when a conflict is visibly
-      // held); validation inside announce_validate is unconditional. Under
-      // a non-Free grant policy every attempt first consults the
-      // partition's barrier word — a raised barrier sends this arrival to
-      // the wait path.
-      for (int attempt = 0; attempt < kOptimisticAttempts; ++attempt) {
-        if (!fast_path_admitted(partition, stats, mode)) break;
-        if (precheck && !conflicts_clear(s, mode)) break;
-        if (announce_validate(s, mode, partition, stats)) {
-          ++stats.optimistic_hits;
-          LM_OBS_EVENT(kOptimisticHit, mode);
-          LM_ATTR_GRANT(mode, args);
-          LM_DCT_GRANT(partition);
-          return;
-        }
-        backoff_pause(attempt);
-      }
-      lock_contended(s, mode, partition, internal, stats, args);
+  // Tier T1: lock-free attempts. Under a non-Free grant policy every attempt
+  // first consults the partition's barrier — a raised barrier sends this
+  // arrival to the wait path.
+  for (int attempt = 0; attempt < kOptimisticAttempts; ++attempt) {
+    const Attempt r =
+        try_acquire(s, mode, partition, stats, /*doorway=*/true);
+    if (r == Attempt::Acquired) {
+      ++stats.optimistic_hits;
+      LM_OBS_EVENT(kOptimisticHit, mode);
+      LM_ATTR_GRANT(mode, args);
+      LM_DCT_GRANT(partition);
       return;
     }
-    // Historical arbitrated path (optimistic_acquire off): check-then-
-    // increment is sound here because every increment happens under the
-    // partition's internal lock. This uncontended grant is ticketless, so
-    // it is a bypass too and obeys the same barrier.
-    if ((!precheck || conflicts_clear(s, mode)) &&
-        fast_path_admitted(partition, stats, mode)) {
-      internal.lock();
-      if (conflicts_clear(s, mode)) {
-        SEMLOCK_DCT_POINT("mode.acquire", s.dct_id(mode));
-        s.increment(mode, std::memory_order_relaxed);
-        internal.unlock();
-        LM_OBS_EVENT(kAcquireGrant, mode);
-        LM_ATTR_GRANT(mode, args);
-        LM_DCT_GRANT(partition);
-        return;
-      }
-      internal.unlock();
-    }
-    lock_contended(s, mode, partition, internal, stats, args);
+    if (r == Attempt::Blocked) break;
+    backoff_pause(attempt);
   }
+  lock_contended(s, mode, partition, stats, args);
 }
 
 template <class Storage>
 void LockMechanism::lock_contended(Storage& s, int mode, int partition,
-                                   util::Spinlock& internal,
                                    AcquireStats& stats,
                                    const LockSiteArgs* args) {
+  util::Spinlock& internal =
+      partition_locks_[static_cast<std::size_t>(partition)];
   ++stats.contended;
   LM_OBS_EVENT(kContendedWait, mode);
 #if defined(SEMLOCK_OBS)
@@ -905,34 +761,20 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   // that read, and cpu_start is 0 until it happens.
   std::uint64_t spin_ns = 0;
   std::uint64_t cpu_start = 0;
-  const bool precheck = table_->config().fast_path_precheck;
   for (;;) {
     const bool eligible =
         ticket == kMaxTicket || waiter_eligible(partition, ticket);
-    if (eligible && (!precheck || conflicts_clear(s, mode))) {
+    if (eligible && conflicts_clear(s, mode)) {
+      // Tier T2: the T1 protocol, arbitrated — the internal lock serializes
+      // the slow-path waiters of this partition so they cannot starve each
+      // other with dueling announcements, and doorway=false because a
+      // ticketed waiter whose turn came must not divert against its own
+      // barrier. (Plain check-then-increment would race with the lock-free
+      // T1 announcers, which never take this lock.)
       internal.lock();
-      bool acquired;
-      if constexpr (Storage::kPacked) {
-        // Tier T2, packed: the same fused CAS, arbitrated by the internal
-        // lock and with doorway=false — a ticketed waiter whose turn came
-        // must not divert against its own barrier.
-        acquired = packed_try_acquire(s, mode, partition, stats,
-                                      /*doorway=*/false) ==
-                   PackedAttempt::Acquired;
-      } else if (optimistic_) {
-        // Tier T2: same announce/validate protocol, but arbitrated — the
-        // internal lock serializes the slow-path waiters of this partition
-        // so they cannot starve each other with dueling announcements.
-        // (Plain check-then-increment would race with the lock-free T1
-        // announcers, which never take this lock.)
-        acquired = announce_validate(s, mode, partition, stats);
-      } else {
-        acquired = conflicts_clear(s, mode);
-        if (acquired) {
-          SEMLOCK_DCT_POINT("mode.acquire", s.dct_id(mode));
-          s.increment(mode, std::memory_order_relaxed);
-        }
-      }
+      const bool acquired =
+          try_acquire(s, mode, partition, stats, /*doorway=*/false) ==
+          Attempt::Acquired;
       bool handoff = false;
       if (acquired && ticket != kMaxTicket) {
         handoff = grant_complete(s, partition);
@@ -992,9 +834,8 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           // that would satisfy us (then that release observes W and
           // notifies after clearing it), or it follows it (then `observed`
           // already shows the conflict clear and we retry instead of
-          // sleeping). Eligibility is covered the same way — a handoff
-          // wake clears W, changing the word, so a stale `observed` never
-          // outlives its wakeup.
+          // sleeping). Only Free grants sleep on the word
+          // (effective_wait_policy), so there is no ticket to re-check.
           const PackedLayout& layout = s.layout();
           const auto mi = static_cast<std::size_t>(mode);
           SEMLOCK_DCT_POINT("word.announce", &s.word());
@@ -1002,10 +843,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
               s.word().fetch_or(layout.waiters_bit,
                                 std::memory_order_seq_cst) |
               layout.waiters_bit;
-          const bool turn_ok =
-              ticket == kMaxTicket || waiter_eligible(partition, ticket);
           bool still_blocked =
-              !turn_ok ||
               (observed & layout.conflict_mask[mi]) != 0 ||
               (observed & layout.field_mask[mi]) == layout.field_mask[mi];
 #if defined(SEMLOCK_DCT)
@@ -1075,105 +913,49 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
   LM_OBS_EVENT(kAcquireBegin, mode);
   LM_OBS_SITE(args);
   const int partition = table_->partition_of(mode);
-  util::Spinlock& internal =
-      partition_locks_[static_cast<std::size_t>(partition)];
-  // Mirrors lock(): the pre-check is the Fig. 20 fast path and obeys the
-  // same ablation knob, and a refused attempt charges its duration to the
-  // wait counters just like a contended lock() does.
+  // Mirrors lock(): the same pre-checked attempt, and a refused attempt
+  // charges its duration to the wait counters just like a contended lock()
+  // does.
   const std::uint64_t wait_start = runtime::steady_now_ns();
-  const bool precheck = table_->config().fast_path_precheck;
-  bool ok = false;
   // A try_lock never queues, so under a raised grant barrier it simply
   // refuses — overtaking the queued waiters here would reopen the
-  // starvation channel the barrier exists to close.
-  if constexpr (Storage::kPacked) {
-    // One lock-free attempt (doorway honored — the barrier bits are part of
-    // the same word the CAS validates), then one arbitrated attempt when
-    // only CAS churn stood in the way.
-    const PackedAttempt first =
-        packed_try_acquire(s, mode, partition, stats, /*doorway=*/true);
-    if (first == PackedAttempt::Acquired) {
-      ok = true;
-      ++stats.optimistic_hits;
-      LM_OBS_EVENT(kOptimisticHit, mode);
-      LM_ATTR_GRANT(mode, args);
-      LM_DCT_GRANT(partition);
-    } else if (first == PackedAttempt::Contended) {
-      internal.lock();
-      ok = packed_try_acquire(s, mode, partition, stats,
-                              /*doorway=*/true) == PackedAttempt::Acquired;
-      internal.unlock();
-      if (ok) {
-        LM_OBS_EVENT(kAcquireGrant, mode);
-        LM_ATTR_GRANT(mode, args);
-        LM_DCT_GRANT(partition);
-      }
-    }
-    (void)precheck;  // the CAS always validates; the knob has nothing to skip
-  } else {
-    if ((!precheck || conflicts_clear(s, mode)) &&
-        fast_path_admitted(partition, stats, mode)) {
-      if (optimistic_) {
-        // One lock-free attempt, then one arbitrated attempt. The fallback
-        // keeps try_lock as decisive as the historical path: two
-        // conflicting try_locks that retract against each other's
-        // announcements settle under the internal lock, where exactly one
-        // of them revalidates.
-        ok = announce_validate(s, mode, partition, stats);
-        if (ok) {
-          ++stats.optimistic_hits;
-          LM_OBS_EVENT(kOptimisticHit, mode);
-          LM_ATTR_GRANT(mode, args);
-          LM_DCT_GRANT(partition);
-        } else {
-          internal.lock();
-          ok = announce_validate(s, mode, partition, stats);
-          internal.unlock();
-          if (ok) {
-            LM_OBS_EVENT(kAcquireGrant, mode);
-            LM_ATTR_GRANT(mode, args);
-            LM_DCT_GRANT(partition);
-          }
-        }
-      } else {
-        internal.lock();
-        ok = conflicts_clear(s, mode);
-        if (ok) {
-          SEMLOCK_DCT_POINT("mode.acquire", s.dct_id(mode));
-          s.increment(mode, std::memory_order_relaxed);
-        }
-        internal.unlock();
-        if (ok) {
-          LM_OBS_EVENT(kAcquireGrant, mode);
-          LM_ATTR_GRANT(mode, args);
-          LM_DCT_GRANT(partition);
-        }
-      }
-    }
+  // starvation channel the barrier exists to close. One lock-free attempt,
+  // then one arbitrated attempt when only a racing announcement or CAS
+  // churn stood in the way: two conflicting try_locks that retract against
+  // each other's announcements settle under the internal lock, where
+  // exactly one of them revalidates.
+  Attempt r = try_acquire(s, mode, partition, stats, /*doorway=*/true);
+  if (r == Attempt::Acquired) {
+    ++stats.optimistic_hits;
+    LM_OBS_EVENT(kOptimisticHit, mode);
+  } else if (r == Attempt::Contended) {
+    util::Spinlock& internal =
+        partition_locks_[static_cast<std::size_t>(partition)];
+    internal.lock();
+    // The flat/striped retry announces at once, like tier T2: this arrival
+    // already passed the doorway and the pre-check. The packed retry
+    // re-reads the barrier bits, which live in the word its CAS validates.
+    r = try_acquire(s, mode, partition, stats,
+                    /*doorway=*/Storage::kPacked);
+    internal.unlock();
+    if (r == Attempt::Acquired) LM_OBS_EVENT(kAcquireGrant, mode);
   }
-  if (!ok) {
-    // A refused try_lock never leaves the CPU: its wall time is CPU time.
-    const std::uint64_t waited = runtime::steady_now_ns() - wait_start;
-    ++stats.contended;
-    stats.wait_ns += waited;
-    stats.wait_cpu_ns += waited;
+  if (r == Attempt::Acquired) {
+    LM_ATTR_GRANT(mode, args);
+    LM_DCT_GRANT(partition);
+    return true;
   }
-  return ok;
+  // A refused try_lock never leaves the CPU: its wall time is CPU time.
+  const std::uint64_t waited = runtime::steady_now_ns() - wait_start;
+  ++stats.contended;
+  stats.wait_ns += waited;
+  stats.wait_cpu_ns += waited;
+  return false;
 }
 
 template <class Storage>
 void LockMechanism::unlock_impl(Storage& s, int mode) {
   if constexpr (Storage::kPacked) {
-    if (elide_) {
-      ElisionSlot& slot = elision_slot();
-      if (slot.active && slot.mech == this && slot.mode == mode) {
-        // Elided section: commit the hardware transaction. Nothing was
-        // written to the word, so there is nobody to wake.
-        slot.active = false;
-        util::htm_end();
-        return;
-      }
-    }
     LM_OBS_EVENT(kRelease, mode);
     const PackedLayout& layout = s.layout();
     const auto mi = static_cast<std::size_t>(mode);

@@ -6,26 +6,22 @@
 // mode table: Flat (one atomic per mode, the paper's layout), Striped
 // (PR 3's banks for self-commuting modes), or Packed (the whole table in
 // one 64-bit word with compiled conflict masks). Acquisition runs through
-// up to four tiers (docs/FAST_PATH.md):
+// three tiers (docs/FAST_PATH.md):
 //
-//   T0 (elision, optional): under the SEMLOCK_ELISION build with RTM/TME
-//      hardware and a Packed table, run the critical section as a hardware
-//      transaction with the quiescent lock word in the read set — no
-//      counter is written at all; an abort falls back to T1.
-//   T1 (optimistic, default): announce by incrementing C_l, seq_cst fence,
-//      validate that the conflicting counters are clear; retract + replay
-//      the wakeup handshake on failure, with a few randomized-backoff
-//      retries. Lock-free — the common commuting acquisition never touches
-//      the partition spinlock. Packed storage fuses announce+validate into
-//      one CAS, so the packed fast path has no retract and no rewake.
+//   T1 (optimistic): the Fig. 20 pre-check (skip a visibly held conflict
+//      without writing anything), then announce by incrementing C_l,
+//      seq_cst fence, validate that the conflicting counters are clear;
+//      retract + replay the wakeup handshake on failure, with a few
+//      randomized-backoff retries. Lock-free — the common commuting
+//      acquisition never touches the partition spinlock. Packed storage
+//      fuses announce+validate into one CAS, so the packed fast path has no
+//      retract and no rewake.
 //   T2 (arbitrated): the same protocol under the partition's internal
-//      spinlock, so conflicting waiters make progress in turn. With
-//      optimistic_acquire off this is the first tier, using the historical
-//      check-then-increment (sound because then EVERY increment happens
-//      under the spinlock).
+//      spinlock, so conflicting waiters make progress in turn.
 //   T3 (waiting): between T2 attempts, spin/yield/park per the table's wait
-//      policy. Under the futex-word policy, packed waiters sleep directly
-//      on the lock word via std::atomic::wait instead of the ParkingLot.
+//      policy. Under the futex-word policy (Packed storage, Free grants),
+//      waiters sleep directly on the lock word via std::atomic::wait
+//      instead of the ParkingLot.
 //
 // `unlock(l)` decrements C_l and, when that was the mode's last hold and the
 // wait policy can park, wakes the released mode's conflict partition.
@@ -42,7 +38,7 @@
 // Under a non-Free grant policy (ModeTableConfig::grant_policy,
 // src/runtime/grant_policy.h) every bypass tier additionally consults the
 // partition's barrier before acquiring: once a conflicting waiter has
-// queued (Fifo/PhaseFair) or exhausted its bypass budget (BoundedBypass),
+// queued (PhaseFair) or exhausted its bypass budget (BoundedBypass),
 // new arrivals — including T1 — divert to the wait path and grants hand off
 // through a ticket cursor, bounding how long a commuting flood can starve a
 // conflicting waiter (docs/RUNTIME_WAITING.md §5). With Packed storage the
@@ -153,9 +149,9 @@ class LockMechanism {
   // traced and attribution is on.
   void lock(int mode, const LockSiteArgs* args = nullptr);
 
-  // Non-blocking variant: returns false instead of waiting. Honors the same
-  // fast-path pre-check knob as lock() and charges refused attempts to the
-  // contended/wait counters.
+  // Non-blocking variant: returns false instead of waiting. Runs the same
+  // pre-check as lock() and charges refused attempts to the contended/wait
+  // counters.
   bool try_lock(int mode, const LockSiteArgs* args = nullptr);
 
   // Releases one hold on `mode` and, when that was the mode's last hold,
@@ -176,11 +172,6 @@ class LockMechanism {
   // canonical modes) falls back to Flat.
   StorageKind storage() const { return storage_kind_; }
 
-  // True when the HTM elision tier is armed: ModeTableConfig::elide_locks,
-  // the SEMLOCK_ELISION build, runtime RTM/TME support, and Packed storage
-  // all present. (docs/FAST_PATH.md §8.)
-  bool elision_enabled() const { return elide_; }
-
   // Total per-instance memory of this mechanism: the object itself plus
   // every heap allocation it owns (counter storage, partition locks,
   // ParkingLot, grant slots, attribution records). Logical bytes as
@@ -190,16 +181,14 @@ class LockMechanism {
 
   // Waiting-subsystem observability (tests, watchdog, benches). The
   // ParkingLot exists unless waiters sleep on the packed word itself
-  // (Packed storage under the futex-word policy); callers in that
-  // configuration must not ask for it.
+  // (Packed storage under the futex-word policy and Free grants); callers
+  // in that configuration must not ask for it.
   const runtime::ParkingLot& parking_lot() const { return *parking_; }
   bool has_parking_lot() const { return parking_ != nullptr; }
   runtime::WaitPolicyKind wait_policy() const { return policy_; }
   runtime::GrantPolicyKind grant_policy() const { return grant_policy_; }
   std::uint32_t bypass_bound() const { return bypass_bound_; }
 
-  // Fast-path observability (tests, docs/FAST_PATH.md examples).
-  bool optimistic() const { return optimistic_; }
   // True when this mechanism emits src/obs trace events and metrics
   // (ModeTableConfig::trace_events; always false without SEMLOCK_OBS). The
   // StallWatchdog consults this before asking obs for forensics.
@@ -234,7 +223,11 @@ class LockMechanism {
     std::uint32_t phase_remaining = 0;
   };
 
-  enum class PackedAttempt { Acquired, Blocked, Contended };
+  // Outcome of one acquisition attempt: Blocked means a conflict,
+  // saturation or the grant barrier stood in the way (diversions are
+  // charged to stats); Contended means only a racing announcement or CAS
+  // churn did, so an arbitrated retry may land.
+  enum class Attempt { Acquired, Blocked, Contended };
 
   using StorageVariant =
       std::variant<FlatStorage, StripedStorage, PackedStorage>;
@@ -253,8 +246,7 @@ class LockMechanism {
   void unlock_impl(Storage& s, int mode);
   template <class Storage>
   void lock_contended(Storage& s, int mode, int partition,
-                      util::Spinlock& internal, AcquireStats& stats,
-                      const LockSiteArgs* args);
+                      AcquireStats& stats, const LockSiteArgs* args);
 
   template <class Storage>
   bool conflicts_clear(const Storage& s, int mode) const;
@@ -269,37 +261,38 @@ class LockMechanism {
                             std::uint32_t self_allow,
                             std::memory_order order) const;
 
-  // The optimistic announce/validate/retract step (tiers T1 and T2 when
-  // optimistic_acquire is on), flat/striped storages only. Returns true when
-  // `mode` was acquired; on failure the announcement has been retracted and,
-  // if it might have parked a conflicting waiter, the partition rewoken.
+  // One acquisition attempt of tiers T1/T2. With `doorway` the attempt
+  // honors the grant barrier and, on flat/striped storage, runs the Fig. 20
+  // pre-check before announcing. The ticketed arbitrated tier passes false:
+  // its caller has pre-checked and its turn came, so its own barrier must
+  // not divert it.
+  template <class Storage>
+  Attempt try_acquire(Storage& s, int mode, int partition, AcquireStats& stats,
+                      bool doorway);
+
+  // The announce/validate/retract step, flat/striped storages only. Returns
+  // true when `mode` was acquired; on failure the announcement has been
+  // retracted and, if it might have parked a conflicting waiter, the
+  // partition rewoken.
   template <class Storage>
   bool announce_validate(Storage& s, int mode, int partition,
                          AcquireStats& stats);
 
   // Packed equivalent of announce_validate + fast_path_admitted: one bounded
-  // CAS-loop attempt. `doorway` selects whether the folded grant-barrier
-  // bits are honored (the bypass tiers) or ignored (the ticketed arbitrated
-  // tier). Returns Acquired, Blocked (conflict/saturation/barrier — charged
-  // to stats when diverted by the barrier) or Contended (CAS churn without a
-  // visible blocker).
-  PackedAttempt packed_try_acquire(PackedStorage& s, int mode, int partition,
-                                   AcquireStats& stats, bool doorway);
+  // CAS-loop attempt, with the grant-barrier bits honored iff `doorway`.
+  // Returns Contended on CAS churn without a visible blocker.
+  Attempt packed_try_acquire(PackedStorage& s, int mode, int partition,
+                             AcquireStats& stats, bool doorway);
   // Sleep on the packed word until it differs from `observed` (futex-word
   // policy; cooperative under DCT).
   static void packed_word_wait(PackedStorage& s, std::uint64_t observed);
 
-  // T0: attempt to elide the acquisition entirely as a hardware transaction
-  // (util/htm.h). True when the caller is now inside a live transaction
-  // with the word in its read set; unlock_impl commits it.
-  bool try_elide(PackedStorage& s, int mode);
-
-  // Doorway check for the bypass tiers (T1, the historical uncontended
-  // grant, try_lock) of the flat/striped storages: may this arrival acquire
-  // without a ticket? Charges stats.diverted and emits kBarrierDivert when
-  // it says no. Lock-free; an arrival that passed the check before the
-  // barrier rose may still announce (the "doorway race"), which is why the
-  // certified bypass bound is K plus an in-flight allowance, not exactly K.
+  // Doorway check for the bypass tiers (T1, try_lock) of the flat/striped
+  // storages: may this arrival acquire without a ticket? Charges
+  // stats.diverted and emits kBarrierDivert when it says no. Lock-free; an
+  // arrival that passed the check before the barrier rose may still
+  // announce (the "doorway race"), which is why the certified bypass bound
+  // is K plus an in-flight allowance, not exactly K.
   // (Packed storage folds this check into packed_try_acquire.)
   bool fast_path_admitted(int partition, AcquireStats& stats, int mode);
   // Takes a ticket and raises the barrier per policy (in the GrantSlot or,
@@ -326,29 +319,22 @@ class LockMechanism {
   StorageKind storage_kind_;
   StorageVariant storage_;
   std::unique_ptr<util::Spinlock[]> partition_locks_;
-  // Null only for Packed storage under the futex-word policy, where waiters
-  // sleep on the lock word itself and the per-partition slots would be dead
-  // weight at "millions of instances" scale.
+  // Null only for Packed storage under the futex-word policy (Free grants),
+  // where waiters sleep on the lock word itself and the per-partition slots
+  // would be dead weight at "millions of instances" scale.
   std::unique_ptr<runtime::ParkingLot> parking_;
   runtime::WaitPolicyKind policy_;
   std::uint32_t spin_limit_;
   // False under SpinYield: unlock skips the wakeup fence entirely, keeping
   // the historical release path (one relaxed RMW) intact.
   bool can_park_;
-  bool optimistic_;
   bool trace_;
-  // Packed + futex-word: waiters sleep on the word (parking_ is null).
+  // Packed + futex-word + Free: waiters sleep on the word (parking_ is null).
   bool futex_word_;
-  // HTM elision tier armed (see elision_enabled()).
-  bool elide_;
   runtime::GrantPolicyKind grant_policy_;
   std::uint32_t bypass_bound_;
   // One slot per conflict partition; nullptr under the Free policy.
   std::unique_ptr<GrantSlot[]> grant_slots_;
-  // Elision abort backoff: aborts in the current streak, and how many
-  // acquisitions must pass before elision is attempted again.
-  std::atomic<std::uint32_t> elision_aborts_{0};
-  std::atomic<std::uint32_t> elision_pause_{0};
 #if defined(SEMLOCK_OBS)
   // One seqlock-protected last-acquirer record per mode, allocated only when
   // this mechanism traces (nullptr otherwise). Written at every grant that

@@ -18,28 +18,19 @@
 
 namespace semlock {
 
-bool optimistic_from_env_text(const char* text) {
-  if (text == nullptr) return true;
-  const auto parsed = util::env_int_in_range(
-      "SEMLOCK_OPTIMISTIC", text, 0, 1, "optimistic acquisition on");
-  return parsed ? *parsed != 0 : true;
-}
-
-StripeEnvChoice stripes_from_env_text(const char* text) {
+int stripes_from_env_text(const char* text) {
   // Auto: one stripe per hardware thread (rounded up to a power of two) so
   // fully-parallel commuting holders get disjoint lines without
   // over-allocating on small machines. hardware_concurrency may return 0.
   const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   const int auto_stripes =
       static_cast<int>(util::StripedCounterBank::round_up_pow2(hw));
-  if (text == nullptr) return {true, auto_stripes};
+  if (text == nullptr) return auto_stripes;
   const auto parsed = util::env_int_in_range(
       "SEMLOCK_STRIPES", text, 0,
       static_cast<long long>(util::StripedCounterBank::kMaxStripes),
       "automatic stripe count");
-  if (!parsed) return {true, auto_stripes};
-  if (*parsed == 0) return {false, auto_stripes};
-  return {true, static_cast<int>(*parsed)};
+  return parsed ? static_cast<int>(*parsed) : auto_stripes;
 }
 
 StorageKind storage_from_env_text(const char* text) {
@@ -49,26 +40,13 @@ StorageKind storage_from_env_text(const char* text) {
   return StorageKind::Striped;
 }
 
-bool elision_from_env_text(const char* text) {
-  if (text == nullptr) return false;
-  const auto parsed =
-      util::env_bool_01("SEMLOCK_ELISION", text, "elision off");
-  return parsed ? *parsed : false;
-}
-
 namespace {
 
 // Read each variable once per process: the knobs gate code paths chosen at
 // ModeTable construction, so mid-run environment edits must not make two
 // tables of the same spec disagree.
-bool env_optimistic_acquire() {
-  static const bool value =
-      optimistic_from_env_text(std::getenv("SEMLOCK_OPTIMISTIC"));
-  return value;
-}
-
-StripeEnvChoice env_stripe_choice() {
-  static const StripeEnvChoice value =
+int env_counter_stripes() {
+  static const int value =
       stripes_from_env_text(std::getenv("SEMLOCK_STRIPES"));
   return value;
 }
@@ -79,19 +57,10 @@ StorageKind env_storage() {
   return value;
 }
 
-bool env_elide_locks() {
-  static const bool value =
-      elision_from_env_text(std::getenv("SEMLOCK_ELISION"));
-  return value;
-}
-
 }  // namespace
 
-bool default_optimistic_acquire() { return env_optimistic_acquire(); }
-bool default_stripe_self_commuting() { return env_stripe_choice().enabled; }
-int default_counter_stripes() { return env_stripe_choice().stripes; }
+int default_counter_stripes() { return env_counter_stripes(); }
 StorageKind default_storage() { return env_storage(); }
-bool default_elide_locks() { return env_elide_locks(); }
 
 bool default_trace_events() {
 #if defined(SEMLOCK_OBS)

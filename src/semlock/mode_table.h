@@ -23,15 +23,11 @@
 
 namespace semlock {
 
-// Process-wide defaults for the lock-free fast path of the lock mechanism
+// Process-wide default stripe count of the Striped storage
 // (docs/FAST_PATH.md), read once from the environment:
-//   SEMLOCK_OPTIMISTIC=0|1   gates the optimistic announce/validate tier
-//                            (default on).
 //   SEMLOCK_STRIPES=N        0 disables holder-counter striping; 1..1024
 //                            fixes the stripe count. Default: striping on
 //                            with a hardware-concurrency-sized power of two.
-bool default_optimistic_acquire();
-bool default_stripe_self_commuting();
 int default_counter_stripes();
 // Whether mechanisms built from this config emit observability events
 // (src/obs). Snapshot of the process-wide trace switch (SEMLOCK_TRACE /
@@ -39,15 +35,10 @@ int default_counter_stripes();
 // library is built without SEMLOCK_OBS.
 bool default_trace_events();
 
-// Testable strict parsers behind the defaults. Same contract as the other
-// runtime knobs (util/env): malformed values warn once on stderr and fall
-// back to the documented default; nullptr (unset) is silent.
-bool optimistic_from_env_text(const char* text);
-struct StripeEnvChoice {
-  bool enabled;
-  int stripes;
-};
-StripeEnvChoice stripes_from_env_text(const char* text);
+// Testable strict parser behind default_counter_stripes(). Same contract as
+// the other runtime knobs (util/env): malformed values warn once on stderr
+// and fall back to the automatic count; nullptr (unset) is silent.
+int stripes_from_env_text(const char* text);
 
 struct ModeTableConfig {
   // n: number of abstract values of phi (the paper evaluates with 64).
@@ -63,10 +54,6 @@ struct ModeTableConfig {
   // the conflict graph, each with its own internal lock. Disabling this is
   // exposed only for the ablation benchmark (a single internal lock).
   bool partition = true;
-  // Fig. 20 lines 3–4: spin outside the internal lock until the conflicting
-  // counters clear. Disabling (ablation) makes every acquisition take the
-  // internal lock immediately.
-  bool fast_path_precheck = true;
   // Give every mode counter its own cache line. Costs memory per instance
   // (64 B per mode instead of 4 B) but removes false sharing between
   // commuting modes that happen to share a line — worthwhile for hot,
@@ -83,7 +70,7 @@ struct ModeTableConfig {
   // parks on the partition's futex. Higher values favor latency over CPU.
   int park_spin_limit = 64;
   // WHO gets the lock next once waiters exist (src/runtime/grant_policy.h):
-  // Free is the historical unbounded-bypass behavior; Fifo/PhaseFair/
+  // Free is the historical unbounded-bypass behavior; PhaseFair and
   // BoundedBypass bound how often commuting arrivals (including the
   // optimistic tier) may overtake a conflicting waiter. Defaults to the
   // ambient process policy: ScopedGrantPolicy if installed, else
@@ -92,32 +79,18 @@ struct ModeTableConfig {
   // BoundedBypass budget K: commuting arrivals granted past the oldest
   // waiter before the barrier rises (SEMLOCK_BYPASS_BOUND, default 16).
   int bypass_bound = static_cast<int>(runtime::default_bypass_bound());
-  // Lock-free fast path (docs/FAST_PATH.md). With optimistic_acquire, lock()
-  // and try_lock() announce by incrementing the mode's counter BEFORE
-  // validating that the conflicting counters are clear, retracting on
-  // failure — mutual exclusion then follows from announce-before-validate on
-  // both sides (Dekker), and the common commuting acquisition never takes
-  // the partition spinlock. Disabling restores the spinlock-arbitrated
-  // acquire path (and is the baseline of bench_contention's fastpath sweep).
-  bool optimistic_acquire = default_optimistic_acquire();
-  // Give every self-commuting mode counter_stripes cache-line-padded stripes
-  // (util/striped_counter.h) so commuting holders stop ping-ponging one
-  // counter line; conflict checks and holders() sum the stripes. Costs
-  // 64 B * counter_stripes per striped mode per instance.
-  bool stripe_self_commuting = default_stripe_self_commuting();
+  // Striped storage only: give every self-commuting mode counter_stripes
+  // cache-line-padded stripes (util/striped_counter.h) so commuting holders
+  // stop ping-ponging one counter line; conflict checks and holders() sum
+  // the stripes. Costs 64 B * counter_stripes per striped mode per
+  // instance. 0 turns striping off (SEMLOCK_STRIPES=0).
   int counter_stripes = default_counter_stripes();
   // Which counter representation mechanisms built over this table use
   // (semlock/storage_policy.h): Flat (per-mode atomics), Striped (Flat plus
-  // the striping above — the historical default; whether striping actually
-  // engages is still stripe_self_commuting/counter_stripes), or Packed (the
-  // whole table in one 64-bit word, falling back to Flat when the table has
-  // more than kMaxPackedModes modes). SEMLOCK_STORAGE overrides the default.
+  // the striping above — the historical default), or Packed (the whole
+  // table in one 64-bit word, falling back to Flat when the table has more
+  // than kMaxPackedModes modes). SEMLOCK_STORAGE overrides the default.
   StorageKind storage = default_storage();
-  // Arm the HTM lock-elision tier above the optimistic path for Packed
-  // mechanisms (docs/FAST_PATH.md §8). Requires the SEMLOCK_ELISION build
-  // option and runtime RTM/TME support — without them the flag is inert.
-  // SEMLOCK_ELISION=0|1 sets the default; off otherwise.
-  bool elide_locks = default_elide_locks();
   // Emit binary trace events and conflict/latency metrics from mechanisms
   // built over this table (src/obs, docs/OBSERVABILITY.md). Cached by the
   // LockMechanism at construction; defaults to the ambient trace switch so

@@ -10,7 +10,8 @@
 //             historical behavior; the baseline every other policy is
 //             A/B-ed against.
 //   Striped — Flat plus PR 3's BRAVO/SNZI-style striped banks for the
-//             self-commuting modes (util/striped_counter.h). Best when many
+//             self-commuting modes (util/striped_counter.h), engaged when
+//             ModeTableConfig::counter_stripes > 0. Best when many
 //             commuting holders would otherwise ping-pong one counter line.
 //   Packed  — the whole mode table in ONE 64-bit atomic word: per-mode
 //             holder mini-counters in bit fields, the conflict check
@@ -58,25 +59,14 @@ inline std::optional<StorageKind> parse_storage_kind(std::string_view text) {
 
 // Resolves SEMLOCK_STORAGE text: "flat" | "striped" | "packed"; anything
 // else warns once on stderr and falls back to Striped (the historical
-// default — whether striping actually engages is still governed by the
-// stripe_self_commuting/counter_stripes knobs, so unset stays byte-for-byte
-// compatible). Split out from the cached env lookup for testability;
-// defined in mode_table.cpp beside the other config-default parsers.
+// default — whether striping actually engages is still governed by
+// counter_stripes, so unset stays byte-for-byte compatible). Split out from
+// the cached env lookup for testability; defined in mode_table.cpp beside
+// the other config-default parsers.
 StorageKind storage_from_env_text(const char* text);
 
 // Process-wide default storage policy: SEMLOCK_STORAGE (parsed once), else
 // Striped.
 StorageKind default_storage();
-
-// Resolves SEMLOCK_ELISION text: strict "0"/"1" per util::env_bool_01;
-// malformed values warn and fall back to off. Elision additionally requires
-// the SEMLOCK_ELISION CMake option (which compiles the HTM tier in,
-// util/htm.h) and runtime hardware support — the knob alone never fails, it
-// just arms the tier where it exists.
-bool elision_from_env_text(const char* text);
-
-// Process-wide default for ModeTableConfig::elide_locks: SEMLOCK_ELISION
-// (parsed once), else off.
-bool default_elide_locks();
 
 }  // namespace semlock

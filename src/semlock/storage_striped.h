@@ -29,8 +29,7 @@ class StripedStorage {
   explicit StripedStorage(const ModeTable& table)
       : flat_(table),
         striped_row_(static_cast<std::size_t>(table.num_modes()), -1) {
-    if (table.config().stripe_self_commuting &&
-        table.config().counter_stripes > 0) {
+    if (table.config().counter_stripes > 0) {
       std::uint32_t rows = 0;
       for (int m = 0; m < table.num_modes(); ++m) {
         if (table.commutes(m, m)) {

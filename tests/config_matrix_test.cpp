@@ -1,7 +1,7 @@
 // Configuration-matrix stress: the lock mechanism must be correct under
-// every combination of abstract-value count, partitioning, merging and
-// fast-path settings. Each configuration runs a mutual-exclusion invariant
-// and a commuting-parallelism invariant.
+// every combination of abstract-value count, partitioning and merging, and
+// under every storage and wait policy. Each configuration runs a
+// mutual-exclusion invariant and a commuting-parallelism invariant.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,18 +22,17 @@ using commute::SymbolicSet;
 using commute::Value;
 using commute::var;
 
-// (abstract_values, partition, merge, fast_path)
-using Config = std::tuple<int, bool, bool, bool>;
+// (abstract_values, partition, merge)
+using Config = std::tuple<int, bool, bool>;
 
 class ConfigMatrix : public ::testing::TestWithParam<Config> {
  protected:
   ModeTableConfig make_config() const {
-    const auto [n, partition, merge, fast_path] = GetParam();
+    const auto [n, partition, merge] = GetParam();
     ModeTableConfig cfg;
     cfg.abstract_values = n;
     cfg.partition = partition;
     cfg.merge_indistinguishable = merge;
-    cfg.fast_path_precheck = fast_path;
     return cfg;
   }
 };
@@ -119,9 +118,8 @@ TEST_P(ConfigMatrix, CommutingModesOverlap) {
 }
 
 TEST_P(ConfigMatrix, TryLockMatchesLockSemantics) {
-  // try_lock must honor the same fast-path knob as lock() (the matrix runs
-  // this with fast_path_precheck both on and off) and account refusals the
-  // same way a contended lock() does: contended bumps and wait time.
+  // try_lock must account refusals the same way a contended lock() does:
+  // contended bumps and wait time.
   const auto table = ModeTable::compile(
       commute::map_spec(),
       {SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})})},
@@ -153,9 +151,9 @@ TEST_P(ConfigMatrix, TryLockMatchesLockSemantics) {
 }
 
 TEST_P(ConfigMatrix, ConflictInvariantAcrossConfigs) {
-  // F_c is semantic: configuration knobs (partitioning, merging, fast path)
-  // must never change WHICH operations may overlap, only the mechanism's
-  // internals. Compare against the reference config.
+  // F_c is semantic: configuration knobs (partitioning, merging) must never
+  // change WHICH operations may overlap, only the mechanism's internals.
+  // Compare against the reference config.
   const auto table = ModeTable::compile(
       commute::map_spec(),
       {SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})}),
@@ -186,37 +184,33 @@ INSTANTIATE_TEST_SUITE_P(
     AllConfigs, ConfigMatrix,
     ::testing::Combine(::testing::Values(1, 2, 8, 64),
                        ::testing::Bool(),   // partition
-                       ::testing::Bool(),   // merge
-                       ::testing::Bool()),  // fast path
+                       ::testing::Bool()),  // merge
     [](const auto& pinfo) {
       // NOTE: no structured bindings here — the commas inside the brackets
       // would split the INSTANTIATE macro's arguments.
       std::string name = "n" + std::to_string(std::get<0>(pinfo.param));
       name += std::get<1>(pinfo.param) ? "_part" : "_nopart";
       name += std::get<2>(pinfo.param) ? "_merge" : "_nomerge";
-      name += std::get<3>(pinfo.param) ? "_fast" : "_slow";
       return name;
     });
 
-// --- fast-path matrix: optimistic × storage policy × wait policy ------------
+// --- fast-path matrix: storage policy × wait policy --------------------------
 // The acquire tiers and counter representations must be correct under every
 // wait policy, including the parked ones whose wakeup handshake the
 // optimistic retract path replays and the futex-word policy that sleeps on
 // the packed word itself. Kept separate from the main matrix (which varies
 // the compilation knobs) so the cross product stays small.
 
-// (optimistic_acquire, storage, wait_policy)
-using FastPathConfig = std::tuple<bool, StorageKind, runtime::WaitPolicyKind>;
+// (storage, wait_policy)
+using FastPathConfig = std::tuple<StorageKind, runtime::WaitPolicyKind>;
 
 class FastPathMatrix : public ::testing::TestWithParam<FastPathConfig> {
  protected:
   ModeTableConfig make_config() const {
-    const auto [optimistic, storage, policy] = GetParam();
+    const auto [storage, policy] = GetParam();
     ModeTableConfig cfg;
     cfg.abstract_values = 8;
-    cfg.optimistic_acquire = optimistic;
     cfg.storage = storage;
-    cfg.stripe_self_commuting = storage == StorageKind::Striped;
     cfg.counter_stripes = 4;
     cfg.wait_policy = policy;
     cfg.park_spin_limit = 4;  // reach the parked tier quickly
@@ -305,20 +299,18 @@ TEST_P(FastPathMatrix, KeyedExclusionHolds) {
 INSTANTIATE_TEST_SUITE_P(
     FastPathConfigs, FastPathMatrix,
     ::testing::Combine(
-        ::testing::Bool(),  // optimistic_acquire
         ::testing::Values(StorageKind::Flat, StorageKind::Striped,
                           StorageKind::Packed),
         ::testing::Values(runtime::WaitPolicyKind::SpinYield,
                           runtime::WaitPolicyKind::SpinThenPark,
                           runtime::WaitPolicyKind::AlwaysPark,
-                          // Degrades to SpinThenPark on flat/striped;
-                          // exercises the word sleep on packed.
+                          // Degrades to SpinThenPark on flat/striped and
+                          // under a non-Free grant policy; exercises the
+                          // word sleep on packed under Free.
                           runtime::WaitPolicyKind::FutexWord)),
     [](const auto& pinfo) {
-      std::string name = std::get<0>(pinfo.param) ? "opt" : "noopt";
-      name += "_";
-      name += storage_kind_name(std::get<1>(pinfo.param));
-      switch (std::get<2>(pinfo.param)) {
+      std::string name = storage_kind_name(std::get<0>(pinfo.param));
+      switch (std::get<1>(pinfo.param)) {
         case runtime::WaitPolicyKind::SpinYield:
           name += "_spinyield";
           break;

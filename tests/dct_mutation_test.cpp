@@ -138,8 +138,8 @@ struct RetractMutationGuard {
 // The smallest workload whose schedules contain the optimistic tier's lost
 // wakeup. Modes: R = {contains(*)} (self-commuting, striped when `striped`)
 // conflicting with W = {add(*), remove(*)}. Threads: three W lockers and one
-// R try_locker, AlwaysPark, default pre-check (its conflict-skip is what
-// lets a waiter park without touching the partition spinlock).
+// R try_locker, AlwaysPark, and the Fig. 20 pre-check (its conflict-skip is
+// what lets a waiter park without touching the partition spinlock).
 //
 // The bug needs a MASKED last release, because an unmasked unlock or any
 // later successful acquire/release would rewake the partition and rescue
@@ -175,9 +175,7 @@ dct::Workload make_retract_workload(bool striped) {
   ModeTableConfig c;
   c.abstract_values = 2;
   c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
-  c.optimistic_acquire = true;
-  c.stripe_self_commuting = striped;
-  c.counter_stripes = 4;
+  c.counter_stripes = striped ? 4 : 0;
   auto state = std::make_shared<State>(c);
   const int read = state->table.resolve_constant(0);
   const int write = state->table.resolve_constant(1);
@@ -269,8 +267,8 @@ constexpr int kOracleBypassBound = 2;  // the K of BOUNDED_BYPASS under test
 // first), plus one phase-reorder grant per same-phase peer under
 // PHASE_FAIR. BOUNDED_BYPASS additionally refills its K budget for each
 // successive queue head, so K scales by the thread count (queue depth).
-// Worst observed over the 10k-schedule budget: FIFO 8, PHASE_FAIR 8,
-// BOUNDED_BYPASS 12 — each within its bound (9 / 9 / 14).
+// Worst observed over the 10k-schedule budget: PHASE_FAIR 8,
+// BOUNDED_BYPASS 12 — each within its bound (9 / 14).
 std::uint64_t certified_bound(runtime::GrantPolicyKind policy) {
   const std::uint64_t inflight = 2 * kFloodReaders;  // 2 x (threads - 1)
   if (policy == runtime::GrantPolicyKind::BoundedBypass) {
@@ -308,7 +306,6 @@ dct::Workload make_flood_workload(runtime::GrantPolicyKind policy,
   ModeTableConfig c;
   c.abstract_values = 2;
   c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
-  c.optimistic_acquire = true;
   c.grant_policy = policy;
   c.bypass_bound = kOracleBypassBound;
   auto state = std::make_shared<State>(c);
@@ -523,18 +520,12 @@ TEST(DctPackedMaskMutation, StockPackedProtocolSurvivesSameBudgetClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFairPolicies, DctStarvationFairPolicy,
-    ::testing::Values(runtime::GrantPolicyKind::Fifo,
-                      runtime::GrantPolicyKind::PhaseFair,
+    ::testing::Values(runtime::GrantPolicyKind::PhaseFair,
                       runtime::GrantPolicyKind::BoundedBypass),
     [](const auto& pinfo) {
-      switch (pinfo.param) {
-        case runtime::GrantPolicyKind::Fifo:
-          return std::string("fifo");
-        case runtime::GrantPolicyKind::PhaseFair:
-          return std::string("phase_fair");
-        default:
-          return std::string("bounded_bypass");
-      }
+      return pinfo.param == runtime::GrantPolicyKind::PhaseFair
+                 ? std::string("phase_fair")
+                 : std::string("bounded_bypass");
     });
 
 }  // namespace

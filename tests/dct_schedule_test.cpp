@@ -206,7 +206,6 @@ TEST_P(DctSerializability, LockedHistoryPassesSerializabilityOracle) {
     c.abstract_values = 1;
     c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
     c.storage = storage;
-    c.stripe_self_commuting = storage == StorageKind::Striped;
     c.counter_stripes = 4;
     auto state = std::make_shared<State>(c);
     auto recorder = std::make_shared<HistoryRecorder>();

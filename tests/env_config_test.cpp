@@ -121,10 +121,6 @@ TEST(GrantPolicyEnv, ParsesEveryRecognizedNameAndShorthand) {
   const std::string err = captured_stderr([] {
     EXPECT_EQ(runtime::grant_policy_from_env_text("free"),
               GrantPolicyKind::Free);
-    EXPECT_EQ(runtime::grant_policy_from_env_text("fifo"),
-              GrantPolicyKind::Fifo);
-    EXPECT_EQ(runtime::grant_policy_from_env_text("ticket"),
-              GrantPolicyKind::Fifo);
     EXPECT_EQ(runtime::grant_policy_from_env_text("phase-fair"),
               GrantPolicyKind::PhaseFair);
     EXPECT_EQ(runtime::grant_policy_from_env_text("pf"),
@@ -141,13 +137,18 @@ TEST(GrantPolicyEnv, ParsesEveryRecognizedNameAndShorthand) {
 }
 
 TEST(GrantPolicyEnv, TypoWarnsAndFallsBackToFree) {
-  const std::string err = captured_stderr([] {
-    EXPECT_EQ(runtime::grant_policy_from_env_text("fifoo"),
-              runtime::GrantPolicyKind::Free);
-  });
-  EXPECT_NE(err.find("SEMLOCK_GRANT_POLICY=\"fifoo\""), std::string::npos)
-      << err;
-  EXPECT_NE(err.find("free"), std::string::npos) << err;
+  // "fifo"/"ticket" (a removed policy) warn and fall back like any typo.
+  for (const char* bad : {"fifoo", "fifo", "ticket"}) {
+    const std::string err = captured_stderr([bad] {
+      EXPECT_EQ(runtime::grant_policy_from_env_text(bad),
+                runtime::GrantPolicyKind::Free)
+          << "value: " << bad;
+    });
+    EXPECT_NE(err.find("SEMLOCK_GRANT_POLICY=\"" + std::string(bad) + "\""),
+              std::string::npos)
+        << "value: " << bad << "\nstderr: " << err;
+    EXPECT_NE(err.find("free"), std::string::npos) << err;
+  }
 }
 
 TEST(GrantPolicyEnv, EmptyWarnsAndFallsBack) {
@@ -161,8 +162,8 @@ TEST(GrantPolicyEnv, EmptyWarnsAndFallsBack) {
 TEST(GrantPolicyEnv, NamesRoundTripThroughParse) {
   using runtime::GrantPolicyKind;
   for (const GrantPolicyKind kind :
-       {GrantPolicyKind::Free, GrantPolicyKind::Fifo,
-        GrantPolicyKind::PhaseFair, GrantPolicyKind::BoundedBypass}) {
+       {GrantPolicyKind::Free, GrantPolicyKind::PhaseFair,
+        GrantPolicyKind::BoundedBypass}) {
     const auto parsed =
         runtime::parse_grant_policy(runtime::grant_policy_name(kind));
     ASSERT_TRUE(parsed.has_value()) << runtime::grant_policy_name(kind);
@@ -178,14 +179,16 @@ TEST(GrantPolicyEnv, ScopedOverrideFlowsIntoConfigDefaults) {
   const runtime::GrantPolicyKind ambient = runtime::default_grant_policy();
   ASSERT_EQ(ModeTableConfig{}.grant_policy, ambient);
   {
-    runtime::ScopedGrantPolicy outer(runtime::GrantPolicyKind::Fifo);
-    EXPECT_EQ(ModeTableConfig{}.grant_policy, runtime::GrantPolicyKind::Fifo);
+    runtime::ScopedGrantPolicy outer(runtime::GrantPolicyKind::BoundedBypass);
+    EXPECT_EQ(ModeTableConfig{}.grant_policy,
+              runtime::GrantPolicyKind::BoundedBypass);
     {
       runtime::ScopedGrantPolicy inner(runtime::GrantPolicyKind::PhaseFair);
       EXPECT_EQ(ModeTableConfig{}.grant_policy,
                 runtime::GrantPolicyKind::PhaseFair);
     }
-    EXPECT_EQ(ModeTableConfig{}.grant_policy, runtime::GrantPolicyKind::Fifo);
+    EXPECT_EQ(ModeTableConfig{}.grant_policy,
+              runtime::GrantPolicyKind::BoundedBypass);
   }
   EXPECT_EQ(ModeTableConfig{}.grant_policy, ambient);
 }
@@ -252,54 +255,26 @@ TEST(WatchdogEnv, MalformedValuesWarnAndDisable) {
   }
 }
 
-TEST(OptimisticEnv, ParsesZeroAndOne) {
-  const std::string err = captured_stderr([] {
-    EXPECT_TRUE(optimistic_from_env_text("1"));
-    EXPECT_FALSE(optimistic_from_env_text("0"));
-    // Unset is the default (on), silently.
-    EXPECT_TRUE(optimistic_from_env_text(nullptr));
-  });
-  EXPECT_TRUE(err.empty()) << err;
-}
-
-TEST(OptimisticEnv, MalformedValuesWarnAndStayOn) {
-  for (const char* bad : {"garbage", "2", "-1", "1x", "yes", ""}) {
-    const std::string err = captured_stderr(
-        [bad] { EXPECT_TRUE(optimistic_from_env_text(bad)); });
-    EXPECT_NE(err.find("SEMLOCK_OPTIMISTIC=\"" + std::string(bad) + "\""),
-              std::string::npos)
-        << "value: " << bad << "\nstderr: " << err;
-    EXPECT_NE(err.find("optimistic acquisition on"), std::string::npos) << err;
-  }
-}
-
 TEST(StripesEnv, ParsesCountZeroDisablesUnsetIsAuto) {
   const std::string err = captured_stderr([] {
-    const auto fixed = stripes_from_env_text("16");
-    EXPECT_TRUE(fixed.enabled);
-    EXPECT_EQ(fixed.stripes, 16);
-
-    const auto off = stripes_from_env_text("0");
-    EXPECT_FALSE(off.enabled);
-
-    // Unset: silently auto-sized, on, at least one stripe, within the cap.
-    const auto auto_choice = stripes_from_env_text(nullptr);
-    EXPECT_TRUE(auto_choice.enabled);
-    EXPECT_GE(auto_choice.stripes, 1);
-    EXPECT_LE(auto_choice.stripes,
+    EXPECT_EQ(stripes_from_env_text("16"), 16);
+    // 0 turns striping off: counter_stripes == 0.
+    EXPECT_EQ(stripes_from_env_text("0"), 0);
+    // Unset: silently auto-sized, at least one stripe, within the cap.
+    const int auto_stripes = stripes_from_env_text(nullptr);
+    EXPECT_GE(auto_stripes, 1);
+    EXPECT_LE(auto_stripes,
               static_cast<int>(util::StripedCounterBank::kMaxStripes));
   });
   EXPECT_TRUE(err.empty()) << err;
 }
 
 TEST(StripesEnv, MalformedValuesWarnAndFallBackToAuto) {
-  const auto auto_choice = stripes_from_env_text(nullptr);
+  const int auto_stripes = stripes_from_env_text(nullptr);
   for (const char* bad : {"garbage", "-1", "8x", "", "1025",
                           "99999999999999999999999999"}) {
     const std::string err = captured_stderr([&] {
-      const auto choice = stripes_from_env_text(bad);
-      EXPECT_TRUE(choice.enabled) << "value: " << bad;
-      EXPECT_EQ(choice.stripes, auto_choice.stripes) << "value: " << bad;
+      EXPECT_EQ(stripes_from_env_text(bad), auto_stripes) << "value: " << bad;
     });
     EXPECT_NE(err.find("SEMLOCK_STRIPES=\"" + std::string(bad) + "\""),
               std::string::npos)
@@ -314,12 +289,10 @@ TEST(FastPathEnv, ConfigDefaultsFollowProcessEnvCache) {
   // pure parsers' view of an unset/current environment and be internally
   // consistent.
   const ModeTableConfig cfg;
-  EXPECT_EQ(cfg.optimistic_acquire, default_optimistic_acquire());
-  EXPECT_EQ(cfg.stripe_self_commuting, default_stripe_self_commuting());
   EXPECT_EQ(cfg.counter_stripes, default_counter_stripes());
-  EXPECT_GE(cfg.counter_stripes, 1);
+  EXPECT_EQ(cfg.counter_stripes,
+            stripes_from_env_text(std::getenv("SEMLOCK_STRIPES")));
   EXPECT_EQ(cfg.storage, default_storage());
-  EXPECT_EQ(cfg.elide_locks, default_elide_locks());
 }
 
 TEST(StorageEnv, ParsesEveryRecognizedName) {
@@ -352,27 +325,6 @@ TEST(StorageEnv, NamesRoundTripThroughParse) {
     const auto parsed = parse_storage_kind(storage_kind_name(kind));
     ASSERT_TRUE(parsed.has_value()) << storage_kind_name(kind);
     EXPECT_EQ(*parsed, kind);
-  }
-}
-
-TEST(ElisionEnv, AcceptsExactlyZeroAndOne) {
-  const std::string err = captured_stderr([] {
-    EXPECT_TRUE(elision_from_env_text("1"));
-    EXPECT_FALSE(elision_from_env_text("0"));
-    // Unset: elision off, silently — it is strictly opt-in.
-    EXPECT_FALSE(elision_from_env_text(nullptr));
-  });
-  EXPECT_TRUE(err.empty()) << err;
-}
-
-TEST(ElisionEnv, MalformedValuesWarnAndStayOff) {
-  for (const char* bad : {"true", "yes", "2", "-1", "01", "1x", ""}) {
-    const std::string err = captured_stderr(
-        [bad] { EXPECT_FALSE(elision_from_env_text(bad)); });
-    EXPECT_NE(err.find("SEMLOCK_ELISION=\"" + std::string(bad) + "\""),
-              std::string::npos)
-        << "value: " << bad << "\nstderr: " << err;
-    EXPECT_NE(err.find("elision off"), std::string::npos) << err;
   }
 }
 

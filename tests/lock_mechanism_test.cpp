@@ -172,30 +172,6 @@ TEST(LockMechanism, ReadModeParallelWriteModeExclusive) {
   EXPECT_FALSE(violation.load());
 }
 
-TEST(LockMechanism, FastPathDisabledStillCorrect) {
-  ModeTableConfig c;
-  c.abstract_values = 2;
-  c.fast_path_precheck = false;
-  const auto t = ModeTable::compile(
-      commute::set_spec(),
-      {SymbolicSet({op("size"), op("clear")})}, c);
-  LockMechanism m(t);
-  const int mode = t.resolve_constant(0);
-  long counter = 0;
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < 3000; ++k) {
-        m.lock(mode);
-        ++counter;
-        m.unlock(mode);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, 4 * 3000);
-}
-
 // Regression: releasing one of several holders of a mode must not wake the
 // partition — only the release that drops the counter to zero can satisfy a
 // waiter's conflict check, so earlier wakeups just stampede waiters into
@@ -380,15 +356,13 @@ TEST(AcquireStatsTest, CountsAcquisitions) {
 
 // {contains(*)} self-commutes (striped when striping is on); it conflicts
 // with {add(*),remove(*)}, which is self-conflicting (always flat).
-ModeTable make_readwrite_table(bool optimistic, bool striped, int stripes) {
+ModeTable make_readwrite_table(bool striped, int stripes) {
   ModeTableConfig c;
   c.abstract_values = 4;
-  c.optimistic_acquire = optimistic;
   // Pinned, not inherited: these tests assert representation-specific
   // behavior (stripe selection, retract accounting), so a SEMLOCK_STORAGE
   // override must not swap the storage out from under them.
   c.storage = striped ? StorageKind::Striped : StorageKind::Flat;
-  c.stripe_self_commuting = striped;
   c.counter_stripes = stripes;
   return ModeTable::compile(
       commute::set_spec(),
@@ -398,7 +372,7 @@ ModeTable make_readwrite_table(bool optimistic, bool striped, int stripes) {
 }
 
 TEST(StripedHolders, ModeSelectionStripesOnlySelfCommuting) {
-  const auto t = make_readwrite_table(true, true, 8);
+  const auto t = make_readwrite_table(true, 8);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   const int write = t.resolve_constant(1);
@@ -408,7 +382,7 @@ TEST(StripedHolders, ModeSelectionStripesOnlySelfCommuting) {
 }
 
 TEST(StripedHolders, ExactAtQuiescenceSameThread) {
-  const auto t = make_readwrite_table(true, true, 8);
+  const auto t = make_readwrite_table(true, 8);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   for (int i = 0; i < 10; ++i) m.lock(read);
@@ -421,7 +395,7 @@ TEST(StripedHolders, ExactAtQuiescenceCrossThreadRelease) {
   // A hold acquired on one thread and released on another decrements a
   // different stripe than it incremented; the per-stripe values wrap, but
   // the modular stripe sum must stay exact (util/striped_counter.h).
-  const auto t = make_readwrite_table(true, true, 8);
+  const auto t = make_readwrite_table(true, 8);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   constexpr int kHolds = 5;
@@ -438,7 +412,7 @@ TEST(StripedHolders, ExactAtQuiescenceCrossThreadRelease) {
 }
 
 TEST(StripedHolders, ExactAtQuiescenceAfterConcurrentChurn) {
-  const auto t = make_readwrite_table(true, true, 8);
+  const auto t = make_readwrite_table(true, 8);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   constexpr int kThreads = 4;
@@ -457,9 +431,8 @@ TEST(StripedHolders, ExactAtQuiescenceAfterConcurrentChurn) {
 }
 
 TEST(OptimisticAcquire, UncontendedLockIsAnOptimisticHit) {
-  const auto t = make_readwrite_table(true, true, 8);
+  const auto t = make_readwrite_table(true, 8);
   LockMechanism m(t);
-  EXPECT_TRUE(m.optimistic());
   auto& stats = local_acquire_stats();
   stats.reset();
   const int read = t.resolve_constant(0);
@@ -470,10 +443,10 @@ TEST(OptimisticAcquire, UncontendedLockIsAnOptimisticHit) {
 }
 
 TEST(OptimisticAcquire, PrecheckRefusesWithoutAnnouncing) {
-  // With the Fig. 20 pre-check on, a visibly-held conflict is refused
-  // before the optimistic tier announces — no transient increment, no
-  // retract to account.
-  const auto t = make_readwrite_table(true, true, 8);
+  // The Fig. 20 pre-check refuses a visibly-held conflict before the
+  // optimistic tier announces — no transient increment, no retract to
+  // account.
+  const auto t = make_readwrite_table(true, 8);
   LockMechanism m(t);
   auto& stats = local_acquire_stats();
   const int read = t.resolve_constant(0);
@@ -486,43 +459,12 @@ TEST(OptimisticAcquire, PrecheckRefusesWithoutAnnouncing) {
   m.unlock(write);
 }
 
-TEST(OptimisticAcquire, RefusedTryLockRetracts) {
-  // Pre-check disabled: try_lock announces blind, fails validation, and
-  // must retract — once in the lock-free attempt and once in the arbitrated
-  // fallback — leaving no residue on the read counter.
-  ModeTableConfig c;
-  c.abstract_values = 4;
-  c.optimistic_acquire = true;
-  c.storage = StorageKind::Striped;  // retract accounting is a flat/striped
-  c.stripe_self_commuting = true;    // notion; packed fuses check+claim
-  c.counter_stripes = 8;
-  c.fast_path_precheck = false;
-  const auto t = ModeTable::compile(
-      commute::set_spec(),
-      {SymbolicSet({op("contains", {star()})}),
-       SymbolicSet({op("add", {star()}), op("remove", {star()})})},
-      c);
-  LockMechanism m(t);
-  auto& stats = local_acquire_stats();
-  const int read = t.resolve_constant(0);
-  const int write = t.resolve_constant(1);
-  m.lock(write);
-  stats.reset();
-  EXPECT_FALSE(m.try_lock(read));
-  EXPECT_EQ(stats.retracts, 2u);
-  EXPECT_EQ(stats.optimistic_hits, 0u);
-  EXPECT_EQ(m.holders(read), 0u);
-  m.unlock(write);
-  EXPECT_TRUE(m.try_lock(read));
-  m.unlock(read);
-}
-
 TEST(OptimisticAcquire, MutualExclusionUnderChurn) {
-  // Conflicting read/write churn with the optimistic tier on, both counter
+  // Conflicting read/write churn through the optimistic tier, both counter
   // representations: a writer must never observe a reader's hold and vice
   // versa. Checked via an invariant variable protected by the modes.
   for (const bool striped : {false, true}) {
-    const auto t = make_readwrite_table(true, striped, 4);
+    const auto t = make_readwrite_table(striped, 4);
     LockMechanism m(t);
     const int read = t.resolve_constant(0);
     const int write = t.resolve_constant(1);
@@ -573,11 +515,11 @@ ModeTable make_grant_table(runtime::GrantPolicyKind policy, int bound = 2) {
 }
 
 TEST(GrantPolicy, TryLockRefusesUnderRaisedBarrierAndBarrierReopens) {
-  // Under FIFO, a queued writer raises the partition barrier: a reader
+  // Under phase-fair, a queued writer raises the partition barrier: a reader
   // try_lock — which commutes with the held read mode and would succeed
   // under Free — must refuse rather than bypass the waiter, and must
   // succeed again once the queue drains.
-  const auto t = make_grant_table(runtime::GrantPolicyKind::Fifo);
+  const auto t = make_grant_table(runtime::GrantPolicyKind::PhaseFair);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   const int write = t.resolve_constant(1);
@@ -604,7 +546,7 @@ TEST(GrantPolicy, TryLockRefusesUnderRaisedBarrierAndBarrierReopens) {
     m.unlock(read);
     std::this_thread::yield();
   }
-  EXPECT_TRUE(barred) << "queued writer never raised the FIFO barrier";
+  EXPECT_TRUE(barred) << "queued writer never raised the phase-fair barrier";
 
   m.unlock(read);
   writer.join();
@@ -621,7 +563,7 @@ TEST(GrantPolicy, ChurnDrainsToQuiescenceUnderEveryPolicy) {
   // ticket/phase/barrier machinery must preserve mutual exclusion and leave
   // zero holders and an open fast path at quiescence.
   for (const runtime::GrantPolicyKind policy :
-       {runtime::GrantPolicyKind::Fifo, runtime::GrantPolicyKind::PhaseFair,
+       {runtime::GrantPolicyKind::PhaseFair,
         runtime::GrantPolicyKind::BoundedBypass}) {
     const auto t = make_grant_table(policy, /*bound=*/2);
     LockMechanism m(t);

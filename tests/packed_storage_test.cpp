@@ -187,6 +187,7 @@ TEST(PackedStorageTest, SaturationReleaseWakesBlockedWaiter) {
   ModeTableConfig c;
   c.storage = StorageKind::Packed;
   c.wait_policy = runtime::WaitPolicyKind::FutexWord;
+  c.grant_policy = runtime::GrantPolicyKind::Free;
   const auto t = make_two_mode_table(c);
   const PackedLayout* l = t.packed_layout();
   ASSERT_NE(l, nullptr);
@@ -214,6 +215,7 @@ TEST(FutexWordPolicy, SleepsOnTheWordWithNoParkingLot) {
   ModeTableConfig c;
   c.storage = StorageKind::Packed;
   c.wait_policy = runtime::WaitPolicyKind::FutexWord;
+  c.grant_policy = runtime::GrantPolicyKind::Free;  // the word needs Free
   const auto t = make_two_mode_table(c);
   LockMechanism m(t);
   ASSERT_EQ(m.storage(), StorageKind::Packed);
@@ -266,15 +268,29 @@ TEST(FutexWordPolicy, MutualExclusionStressOnTheWord) {
 TEST(FutexWordPolicy, DegradesToSpinThenParkOnUnpackedStorage) {
   // The word to sleep on only exists under Packed: a FutexWord request on
   // Flat (explicit or via fallback) must resolve to SpinThenPark and keep
-  // the ParkingLot.
-  ModeTableConfig c;
-  c.storage = StorageKind::Flat;
-  c.wait_policy = runtime::WaitPolicyKind::FutexWord;
-  const auto t = make_two_mode_table(c);
-  LockMechanism m(t);
-  EXPECT_EQ(m.storage(), StorageKind::Flat);
-  EXPECT_EQ(m.wait_policy(), runtime::WaitPolicyKind::SpinThenPark);
-  EXPECT_TRUE(m.has_parking_lot());
+  // the ParkingLot. So must a packed word under a ticketed grant policy:
+  // its cursor lives outside the word, so a waiter sleeping on the word
+  // could miss its handoff (docs/RUNTIME_WAITING.md §6).
+  struct Case {
+    StorageKind storage;
+    runtime::GrantPolicyKind grant;
+  };
+  for (const Case k : {Case{StorageKind::Flat, runtime::GrantPolicyKind::Free},
+                       Case{StorageKind::Packed,
+                            runtime::GrantPolicyKind::PhaseFair},
+                       Case{StorageKind::Packed,
+                            runtime::GrantPolicyKind::BoundedBypass}}) {
+    ModeTableConfig c;
+    c.storage = k.storage;
+    c.grant_policy = k.grant;
+    c.wait_policy = runtime::WaitPolicyKind::FutexWord;
+    const auto t = make_two_mode_table(c);
+    LockMechanism m(t);
+    const char* name = runtime::grant_policy_name(k.grant);
+    EXPECT_EQ(m.storage(), k.storage) << name;
+    EXPECT_EQ(m.wait_policy(), runtime::WaitPolicyKind::SpinThenPark) << name;
+    EXPECT_TRUE(m.has_parking_lot()) << name;
+  }
 }
 
 TEST(PackedStorageTest, GrantBarrierBitsPreserveFairnessMachinery) {
@@ -282,7 +298,7 @@ TEST(PackedStorageTest, GrantBarrierBitsPreserveFairnessMachinery) {
   // into the word's spare bits: every fair policy must still exclude,
   // drain, and leave the fast path open.
   for (const runtime::GrantPolicyKind policy :
-       {runtime::GrantPolicyKind::Fifo, runtime::GrantPolicyKind::PhaseFair,
+       {runtime::GrantPolicyKind::PhaseFair,
         runtime::GrantPolicyKind::BoundedBypass}) {
     ModeTableConfig c;
     c.storage = StorageKind::Packed;
@@ -339,6 +355,7 @@ TEST(Footprint, PackedAtLeast4xSmallerThanFlatPadded) {
   packed_cfg.storage = StorageKind::Packed;
   packed_cfg.pad_counters = false;
   packed_cfg.wait_policy = runtime::WaitPolicyKind::FutexWord;
+  packed_cfg.grant_policy = runtime::GrantPolicyKind::Free;
   const auto make = [](const ModeTableConfig& c) {
     return ModeTable::compile(
         commute::set_spec(),
@@ -384,48 +401,13 @@ TEST(Footprint, AccountsForEveryStorageKind) {
     ModeTableConfig cf = c;
     cf.storage = StorageKind::Packed;
     cf.wait_policy = runtime::WaitPolicyKind::FutexWord;
+    cf.grant_policy = runtime::GrantPolicyKind::Free;
     const auto t = make_two_mode_table(cf);
     packed = LockMechanism(t).footprint_bytes();
   }
   EXPECT_GE(flat, sizeof(LockMechanism));
   EXPECT_GT(padded, flat);
   EXPECT_GT(flat, packed);
-}
-
-TEST(Elision, DisabledByDefaultAndHarmlessWhenRequested) {
-  // Without SEMLOCK_ELISION=1 the tier is off; when requested via config it
-  // may still be off (no TSX/TME compiled or no hardware support) but the
-  // mechanism must stay correct either way.
-  ModeTableConfig c;
-  c.storage = StorageKind::Packed;
-  {
-    // Pinned off (a SEMLOCK_ELISION=1 environment flips the config
-    // default): with the knob clear the tier must be off even on RTM
-    // hardware with the intrinsics compiled in.
-    ModeTableConfig off = c;
-    off.elide_locks = false;
-    const auto t = make_two_mode_table(off);
-    LockMechanism m(t);
-    EXPECT_FALSE(m.elision_enabled());
-  }
-  c.elide_locks = true;
-  const auto t = make_two_mode_table(c);
-  LockMechanism m(t);  // elision_enabled() is hardware-dependent: don't assert
-  const int clear_mode = t.resolve_constant(1);
-  long counter = 0;
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < 2000; ++k) {
-        m.lock(clear_mode);
-        ++counter;
-        m.unlock(clear_mode);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, 2 * 2000);
-  EXPECT_EQ(m.holders(clear_mode), 0u);
 }
 
 }  // namespace

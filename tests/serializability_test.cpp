@@ -27,7 +27,6 @@ class Serializability : public ::testing::TestWithParam<StorageKind> {
     SynthesisOptions opts;
     opts.mode_config.abstract_values = 4;
     opts.mode_config.storage = GetParam();
-    opts.mode_config.stripe_self_commuting = GetParam() == StorageKind::Striped;
     opts.mode_config.counter_stripes = 4;
     return opts;
   }
