@@ -1,22 +1,20 @@
-// Span-recorder overhead (ISSUE 10): what does the causal-tracing layer
-// cost when compiled in, across its three runtime states?
+// Tracing overhead (ISSUE 10): what does the observability layer cost when
+// compiled in, switched off and switched on?
 //
 //   off_a / off_b — tracing fully disabled (the shipped default): two
-//       IDENTICAL legs, interleaved round-robin with the others. Their
+//       IDENTICAL legs, interleaved round-robin with the other. Their
 //       disagreement is the measurement noise floor, and CI's bench-smoke
 //       asserts the best-of-rounds |off_a - off_b| / off_a < 3% — the
 //       compiled-in-but-off configuration must be indistinguishable from
-//       itself run twice, i.e. the added span gates cost less than the
-//       noise they hide in.
-//   spans_off — event tracing ON, SEMLOCK_SPANS off: the marginal cost of
-//       the span gates when the rest of the obs layer is already paying.
-//   spans_on — everything on: the full recording cost (informational; the
-//       spans-on user has opted into paying for causality).
+//       itself run twice, i.e. the trace gates cost less than the noise
+//       they hide in.
+//   on — tracing on (events and spans): the full recording cost
+//       (informational; a traced run has opted into paying for it).
 //
 // The measured op is one Transaction opening and releasing a self-commuting
-// mode — the exact shape that crosses every new gate added by the span
-// layer (txn exec/commit clocks, lock-path span checks) without ever
-// blocking, so the numbers are gate cost, not contention.
+// mode — the exact shape that crosses every trace gate (txn exec/commit
+// clocks, lock-path event and span checks) without ever blocking, so the
+// numbers are gate and recording cost, not contention.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -27,7 +25,6 @@
 
 #include "bench/bench_common.h"
 #include "commute/builtin_specs.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "semlock/semantic_lock.h"
 #include "semlock/transaction.h"
@@ -76,9 +73,8 @@ int main(int argc, char** argv) {
     if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
   }
 
-  print_figure_header(
-      "Trace overhead",
-      "span-recorder cost: compiled-in-but-off vs events-only vs full");
+  print_figure_header("Trace overhead",
+                      "tracing cost: compiled-in-but-off vs on");
 
   // The off legs measure a ~70ns op's noise floor, so each leg must be long
   // enough that a scheduler hiccup cannot move its whole mean: the smoke
@@ -87,7 +83,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(200'000 * scale_factor()), 100'000);
   constexpr int kRounds = 15;
 
-  // Separate instances so the on-legs' obs state never touches the
+  // Separate instances so the on leg's obs state never touches the
   // off-legs' lock. The untraced table is compiled before any trace enable
   // so its trace_events default stays off.
   const ModeTable untraced = make_table(false);
@@ -100,7 +96,7 @@ int main(int argc, char** argv) {
   const int mode_on = traced.resolve(0, vals);
 
   util::SeriesTable table("round", "ns/op");
-  table.set_series({"off_a", "off_b", "spans_off", "spans_on"});
+  table.set_series({"off_a", "off_b", "on"});
 
   std::vector<double> off_a, off_b;
   // Warmup: fault in rings, registries, and the branch predictors on every
@@ -115,7 +111,7 @@ int main(int argc, char** argv) {
 
   for (int round = 0; round < kRounds; ++round) {
     // Alternate which off leg runs first: the first leg of a round starts
-    // with the caches the previous round's spans-on leg left behind, and
+    // with the caches the previous round's traced leg left behind, and
     // that position penalty must not land on the same leg every time.
     double a, b;
     if (round % 2 == 0) {
@@ -125,21 +121,16 @@ int main(int argc, char** argv) {
       b = run_leg(lock_off_b, mode_off, ops);
       a = run_leg(lock_off_a, mode_off, ops);
     }
-    double ev_only, full;
+    double on;
     {
       obs::ScopedTraceEnable trace_on;
-      obs::set_spans_enabled(false);
-      ev_only = run_leg(lock_on, mode_on, ops);
-      obs::set_spans_enabled(true);
-      full = run_leg(lock_on, mode_on, ops);
+      on = run_leg(lock_on, mode_on, ops);
     }
     off_a.push_back(a);
     off_b.push_back(b);
-    table.add_row(round, {a, b, ev_only, full});
-    std::printf(
-        "round %d: off_a=%.2f ns/op  off_b=%.2f  spans_off=%.2f  "
-        "spans_on=%.2f\n",
-        round, a, b, ev_only, full);
+    table.add_row(round, {a, b, on});
+    std::printf("round %d: off_a=%.2f ns/op  off_b=%.2f  on=%.2f\n", round,
+                a, b, on);
   }
 
   // The CI-asserted delta compares the MINIMUM across rounds: scheduler

@@ -244,10 +244,13 @@ class IntruderTwoPL final : public IntruderBase {
   bool process(const Packet& p) override {
     Assembly* hint = nullptr;
     {
+      // Declared before the transaction so it is destroyed after it: once
+      // the flow completes, the map's copy is erased and `e` holds the last
+      // reference to the assembly lock the transaction still has to release.
+      Entry e;
       baseline::TwoPLTxn txn;
       txn.acquire(&map_ilock_);  // order: map < assembly < queue
       auto it = fragmented_.find(p.flow_id);
-      Entry e;
       if (it == fragmented_.end()) {
         e.ptr = new_assembly(p.num_fragments);
         e.lock = std::make_shared<baseline::InstanceLock>();

@@ -186,8 +186,8 @@ std::string critical_path_report(const TraceDump& dump) {
   std::string out = "critical-path report\n";
   char buf[256];
   if (stats.txns == 0) {
-    out += "  no transactions with exec spans in this dump (span recording "
-           "off, or a pre-v5 dump)\n";
+    out += "  no transactions with exec spans in this dump (the traced run "
+           "closed no Transaction)\n";
     return out;
   }
   std::snprintf(buf, sizeof(buf),

@@ -1,4 +1,4 @@
-// Dump I/O and the human-facing exporters. Format v3 is documented in
+// Dump I/O and the human-facing exporters. Format v5 is documented in
 // export.h; everything here is plain C stdio so the exporters work in the
 // stripped-down CLI as well as the runtime's exit path.
 #include "obs/export.h"
@@ -16,12 +16,8 @@ namespace semlock::obs {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'L', 'T', 'R', 'A', 'C', 'E', '1'};
-// v3 appended max_wait_ns/diverted/handoffs to the AcquireStats block; v4
-// appended the hold-time profiler block at the end of the metrics section;
-// v5 appends the span sections (obs/span.h) after the last thread section.
-// The loader still accepts v3/v4 (hold data and spans read back empty).
+// The only version written and the only one loaded.
 constexpr std::uint32_t kVersion = 5;
-constexpr std::uint32_t kOldestSupportedVersion = 3;
 
 // --- little binary writer/reader over stdio ---------------------------------
 
@@ -40,6 +36,13 @@ struct Writer {
   }
   void bytes(const void* p, std::size_t n) {
     if (ok && n > 0) ok = std::fwrite(p, 1, n, f) == n;
+  }
+  // One ring record in its word form (obs/ring.h).
+  template <class Record>
+  void record(const Record& rec) {
+    std::uint64_t w[Record::kWords];
+    rec.to_words(w);
+    for (const std::uint64_t word : w) u64(word);
   }
 };
 
@@ -64,6 +67,12 @@ struct Reader {
   }
   void bytes(void* p, std::size_t n) {
     if (ok && n > 0) ok = std::fread(p, 1, n, f) == n;
+  }
+  template <class Record>
+  Record record() {
+    std::uint64_t w[Record::kWords];
+    for (std::uint64_t& word : w) word = u64();
+    return Record::from_words(w);
   }
 };
 
@@ -126,7 +135,7 @@ void write_metrics(Writer& w, const MetricsSnapshot& m) {
     w.u64(s.instance);
     w.i32(s.mode);
   }
-  // v4: the hold-time profiler block.
+  // The hold-time profiler block.
   for (std::size_t i = 0; i < util::Log2Histogram::kBuckets; ++i) {
     w.u64(m.hold_hist.bucket(i));
   }
@@ -143,7 +152,7 @@ void write_metrics(Writer& w, const MetricsSnapshot& m) {
   }
 }
 
-bool read_metrics(Reader& r, MetricsSnapshot& m, std::uint32_t version) {
+bool read_metrics(Reader& r, MetricsSnapshot& m) {
   AcquireStats& a = m.acquire_totals;
   a.acquisitions = r.u64();
   a.contended = r.u64();
@@ -187,22 +196,20 @@ bool read_metrics(Reader& r, MetricsSnapshot& m, std::uint32_t version) {
     s.instance = r.u64();
     s.mode = r.i32();
   }
-  if (version >= 4) {
-    for (std::uint64_t& b : buckets) b = r.u64();
-    const std::uint64_t hold_total = r.u64();
-    m.hold_hist.load(buckets, hold_total);
-    m.holds_paired = r.u64();
-    m.holds_unmatched = r.u64();
-    const std::uint32_t holds = r.u32();
-    if (!r.ok || holds > (1u << 16)) return false;
-    m.top_holds.resize(holds);
-    for (HoldSample& s : m.top_holds) {
-      s.hold_ns = r.u64();
-      s.instance = r.u64();
-      s.mode = r.i32();
-      s.txn = r.u64();
-      s.site = r.i32();
-    }
+  for (std::uint64_t& b : buckets) b = r.u64();
+  const std::uint64_t hold_total = r.u64();
+  m.hold_hist.load(buckets, hold_total);
+  m.holds_paired = r.u64();
+  m.holds_unmatched = r.u64();
+  const std::uint32_t holds = r.u32();
+  if (!r.ok || holds > (1u << 16)) return false;
+  m.top_holds.resize(holds);
+  for (HoldSample& s : m.top_holds) {
+    s.hold_ns = r.u64();
+    s.instance = r.u64();
+    s.mode = r.i32();
+    s.txn = r.u64();
+    s.site = r.i32();
   }
   return r.ok;
 }
@@ -225,30 +232,15 @@ bool write_dump_file(const TraceDump& dump, const std::string& path,
     w.u32(t.tid);
     w.u32(t.live ? 1 : 0);
     w.u64(t.events.size());
-    for (const Event& e : t.events) {
-      w.u64(e.ts_ns);
-      w.u64(e.instance);
-      w.u64(e.txn);
-      w.u64(pack_type_mode(e.type, e.mode));
-    }
+    for (const Event& e : t.events) w.record(e);
   }
-  // v5: span sections, same per-thread shape with kSpanWords-wide records.
+  // Span sections: the same per-thread shape with Span-wide records.
   w.u32(static_cast<std::uint32_t>(dump.spans.size()));
   for (const ThreadSpans& t : dump.spans) {
     w.u32(t.tid);
     w.u32(t.live ? 1 : 0);
     w.u64(t.spans.size());
-    for (const Span& s : t.spans) {
-      w.u64(s.start_ns);
-      w.u64(s.end_ns);
-      w.u64(s.txn);
-      w.u64(s.instance);
-      w.u64(span_pack_meta(s));
-      w.u64(s.blocker);
-      w.u64((static_cast<std::uint64_t>(s.tid) << 32) |
-            static_cast<std::uint32_t>(s.blocker_site));
-      w.u64(s.capture_ns);
-    }
+    for (const Span& s : t.spans) w.record(s);
   }
   const bool ok = w.ok && std::fclose(f) == 0;
   if (!ok && error != nullptr) *error = "short write to " + path;
@@ -271,7 +263,7 @@ bool load_dump_file(const std::string& path, TraceDump& out,
     return false;
   }
   const std::uint32_t version = r.u32();
-  if (version < kOldestSupportedVersion || version > kVersion) {
+  if (version != kVersion) {
     if (error != nullptr) {
       *error = path + ": unsupported dump version " + std::to_string(version);
     }
@@ -283,7 +275,7 @@ bool load_dump_file(const std::string& path, TraceDump& out,
     return false;
   }
   out = TraceDump{};
-  if (!read_metrics(r, out.metrics, version)) {
+  if (!read_metrics(r, out.metrics)) {
     if (error != nullptr) *error = path + ": corrupt metrics section";
     return false;
   }
@@ -297,45 +289,24 @@ bool load_dump_file(const std::string& path, TraceDump& out,
       return false;
     }
     t.events.resize(static_cast<std::size_t>(count));
-    for (Event& e : t.events) {
-      e.ts_ns = r.u64();
-      e.instance = r.u64();
-      e.txn = r.u64();
-      const std::uint64_t tm = r.u64();
-      e.type = unpack_type(tm);
-      e.mode = unpack_mode(tm);
-    }
+    for (Event& e : t.events) e = r.record<Event>();
   }
-  if (version >= 5) {
-    const std::uint32_t span_threads = r.u32();
-    if (!r.ok || span_threads > (1u << 20)) {
-      if (error != nullptr) *error = path + ": corrupt span header";
+  const std::uint32_t span_threads = r.u32();
+  if (!r.ok || span_threads > (1u << 20)) {
+    if (error != nullptr) *error = path + ": corrupt span header";
+    return false;
+  }
+  out.spans.resize(span_threads);
+  for (ThreadSpans& t : out.spans) {
+    t.tid = r.u32();
+    t.live = r.u32() != 0;
+    const std::uint64_t count = r.u64();
+    if (!r.ok || count > (1ull << 28)) {
+      if (error != nullptr) *error = path + ": corrupt span section";
       return false;
     }
-    out.spans.resize(span_threads);
-    for (ThreadSpans& t : out.spans) {
-      t.tid = r.u32();
-      t.live = r.u32() != 0;
-      const std::uint64_t count = r.u64();
-      if (!r.ok || count > (1ull << 28)) {
-        if (error != nullptr) *error = path + ": corrupt span section";
-        return false;
-      }
-      t.spans.resize(static_cast<std::size_t>(count));
-      for (Span& s : t.spans) {
-        s.start_ns = r.u64();
-        s.end_ns = r.u64();
-        s.txn = r.u64();
-        s.instance = r.u64();
-        span_unpack_meta(r.u64(), s);
-        s.blocker = r.u64();
-        const std::uint64_t w6 = r.u64();
-        s.tid = static_cast<std::uint32_t>(w6 >> 32);
-        s.blocker_site =
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(w6));
-        s.capture_ns = r.u64();
-      }
-    }
+    t.spans.resize(static_cast<std::size_t>(count));
+    for (Span& s : t.spans) s = r.record<Span>();
   }
   if (!r.ok && error != nullptr) *error = path + ": truncated dump";
   return r.ok;

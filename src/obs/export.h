@@ -4,22 +4,20 @@
 // tools/semlock-trace CLI, so both ends of the format live in one place.
 //
 // Binary dump format v5 (native endianness; produced and consumed on the
-// same machine):
+// same machine). The loader accepts v5 only; any other version is refused
+// as "unsupported dump version N".
 //   char[8]  magic "SLTRACE1"
 //   u32      version (5)
 //   u32      thread count
-//   metrics section (MetricsSnapshot, see read/write below; v2 added the
-//   per-instance AttrClass tallies and the per-mode-pair attribution cells,
-//   v3 appends max_wait_ns/diverted/handoffs to the acquire totals, v4
-//   appends the hold-time profiler block — hold histogram, paired/unmatched
-//   counts, top holds — at the end of the section, so the loader still
-//   accepts v3 dumps and reads them with empty hold data)
+//   metrics section (MetricsSnapshot, see read/write in export.cpp: acquire
+//   totals, per-instance tallies, blocked-by and attribution cells, wait
+//   histogram and top waits, then the hold-time profiler block — hold
+//   histogram, paired/unmatched counts, top holds)
 //   per thread: u32 tid, u32 live, u64 event count,
-//               count * kEventWords u64 words (oldest event first)
-//   v5 appends the span sections (obs/span.h) after the last thread:
+//               count * Event::kWords u64 words (oldest event first)
 //   u32 span-thread count, then per thread: u32 tid, u32 live,
-//   u64 span count, count * kSpanWords u64 words (oldest span first).
-//   Older dumps (v3/v4) load with empty spans.
+//   u64 span count, count * Span::kWords u64 words (oldest span first).
+// A record's words are its ring words (Event/Span::to_words, obs/ring.h).
 #pragma once
 
 #include <string>
@@ -34,7 +32,7 @@ namespace semlock::obs {
 struct TraceDump {
   std::vector<ThreadTrace> threads;
   MetricsSnapshot metrics;
-  std::vector<ThreadSpans> spans;  // v5+; empty when absent from the file
+  std::vector<ThreadSpans> spans;
 };
 
 // In-process capture: ring snapshots (live + retired) plus collect_metrics().

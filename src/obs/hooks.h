@@ -16,6 +16,7 @@
 
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "runtime/wait_registry.h"
 
 // Process-level event (no owning LockMechanism): transaction epilogues,
 // harness pass marks. `type` is an EventType enumerator name.
@@ -33,14 +34,12 @@
 #define SEMLOCK_OBS_TXN_BEGIN() ::semlock::obs::txn_begin()
 #define SEMLOCK_OBS_TXN_END() ::semlock::obs::txn_end()
 
-// Span-recorder clock for the transaction exec/commit spans (obs/span.h):
-// steady-now when span recording is active (global switch AND SEMLOCK_SPANS),
-// 0 otherwise — the zero doubles as the "don't record" flag, keeping the
-// disabled cost at two relaxed loads and a branch.
-#define SEMLOCK_OBS_SPAN_CLOCK()                                       \
-  (::semlock::obs::runtime_enabled() && ::semlock::obs::spans_enabled() \
-       ? ::semlock::obs::span_now_ns()                                 \
-       : 0)
+// Span clock for the transaction exec/commit spans (obs/span.h): steady-now
+// when tracing is on, 0 otherwise — the zero doubles as the "don't record"
+// flag, keeping the disabled cost at one relaxed load and a branch.
+#define SEMLOCK_OBS_SPAN_CLOCK()                                          \
+  (::semlock::obs::runtime_enabled() ? ::semlock::runtime::steady_now_ns() \
+                                     : 0)
 
 #else  // !SEMLOCK_OBS
 

@@ -1,61 +1,8 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace semlock::obs {
-
-void TopWaits::add(const WaitSample& s) {
-  if (samples_.size() < kKeep) {
-    samples_.push_back(s);
-    return;
-  }
-  auto min_it = std::min_element(
-      samples_.begin(), samples_.end(),
-      [](const WaitSample& a, const WaitSample& b) {
-        return a.wait_ns < b.wait_ns;
-      });
-  if (s.wait_ns > min_it->wait_ns) *min_it = s;
-}
-
-void TopWaits::merge(const TopWaits& other) {
-  for (const WaitSample& s : other.samples_) add(s);
-}
-
-std::vector<WaitSample> TopWaits::sorted() const {
-  std::vector<WaitSample> out = samples_;
-  std::sort(out.begin(), out.end(),
-            [](const WaitSample& a, const WaitSample& b) {
-              return a.wait_ns > b.wait_ns;
-            });
-  return out;
-}
-
-void TopHolds::add(const HoldSample& s) {
-  if (samples_.size() < kKeep) {
-    samples_.push_back(s);
-    return;
-  }
-  auto min_it = std::min_element(
-      samples_.begin(), samples_.end(),
-      [](const HoldSample& a, const HoldSample& b) {
-        return a.hold_ns < b.hold_ns;
-      });
-  if (s.hold_ns > min_it->hold_ns) *min_it = s;
-}
-
-void TopHolds::merge(const TopHolds& other) {
-  for (const HoldSample& s : other.samples_) add(s);
-}
-
-std::vector<HoldSample> TopHolds::sorted() const {
-  std::vector<HoldSample> out = samples_;
-  std::sort(out.begin(), out.end(),
-            [](const HoldSample& a, const HoldSample& b) {
-              return a.hold_ns > b.hold_ns;
-            });
-  return out;
-}
 
 namespace {
 

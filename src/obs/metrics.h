@@ -14,6 +14,7 @@
 // live threads' plain counters are sampled best-effort.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,21 +71,6 @@ struct WaitSample {
   std::int32_t mode = -1;
 };
 
-// Bounded keep-the-largest set of wait samples ("longest waits" in the
-// text report). Small linear structure: K is tiny and insertion is rare
-// (only contended acquisitions reach it).
-class TopWaits {
- public:
-  static constexpr std::size_t kKeep = 8;
-  void add(const WaitSample& s);
-  void merge(const TopWaits& other);
-  // Descending by wait_ns.
-  std::vector<WaitSample> sorted() const;
-
- private:
-  std::vector<WaitSample> samples_;
-};
-
 // One of the longest critical-section holds observed: the grant→release
 // span of a single acquisition, with the holder's identity (txn) and lock
 // site so the offending code path is nameable from the report alone.
@@ -96,18 +82,45 @@ struct HoldSample {
   std::int32_t site = -1;    // LockSiteArgs::site of the granting lock()
 };
 
-// Keep-the-largest set of hold samples, same shape as TopWaits.
-class TopHolds {
+// Bounded keep-the-largest set of samples ranked by their `Key` field (the
+// "longest waits" and "longest holds" of the reports). Small linear
+// structure: K is tiny and insertion is rare (only contended acquisitions
+// and paired releases reach it).
+template <class Sample, std::uint64_t Sample::*Key>
+class TopK {
  public:
   static constexpr std::size_t kKeep = 8;
-  void add(const HoldSample& s);
-  void merge(const TopHolds& other);
-  // Descending by hold_ns.
-  std::vector<HoldSample> sorted() const;
+
+  void add(const Sample& s) {
+    if (samples_.size() < kKeep) {
+      samples_.push_back(s);
+      return;
+    }
+    auto min_it = std::min_element(
+        samples_.begin(), samples_.end(),
+        [](const Sample& a, const Sample& b) { return a.*Key < b.*Key; });
+    if (s.*Key > (*min_it).*Key) *min_it = s;
+  }
+
+  void merge(const TopK& other) {
+    for (const Sample& s : other.samples_) add(s);
+  }
+
+  // Descending by Key.
+  std::vector<Sample> sorted() const {
+    std::vector<Sample> out = samples_;
+    std::sort(out.begin(), out.end(), [](const Sample& a, const Sample& b) {
+      return a.*Key > b.*Key;
+    });
+    return out;
+  }
 
  private:
-  std::vector<HoldSample> samples_;
+  std::vector<Sample> samples_;
 };
+
+using TopWaits = TopK<WaitSample, &WaitSample::wait_ns>;
+using TopHolds = TopK<HoldSample, &HoldSample::hold_ns>;
 
 struct MetricsSnapshot {
   AcquireStats acquire_totals;               // exact cross-thread sums

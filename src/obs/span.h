@@ -1,30 +1,23 @@
 // Per-transaction causal spans (ISSUE 10).
 //
-// Where the event rings (obs/ring.h) record *points* in the acquisition
-// lifecycle, a span is an *interval* with a cause attached: each one covers
-// a phase of a transaction's life — server queue wait, one contended lock
-// wait, execution, commit/unlockAll — and a lock-wait span additionally
-// carries the identity of the transaction that was blocking it (owner id,
-// lock site, holding mode, sampled from the PR 5 seqlock grant records at
-// the moment the waiter parked) plus the wait's attribution class. Together
-// the spans of one dump form the blocked-by graph the critical-path
-// analyzer (obs/critical_path.h) walks to explain tail latency.
+// Where events (obs/event.h) record *points* in the acquisition lifecycle,
+// a span is an *interval* with a cause attached: each one covers a phase of
+// a transaction's life — server queue wait, one contended lock wait,
+// execution, commit/unlockAll — and a lock-wait span additionally carries
+// the identity of the transaction that was blocking it (owner id, lock
+// site, holding mode, sampled from the PR 5 seqlock grant records at the
+// moment the waiter parked) plus the wait's attribution class. Together the
+// spans of one dump form the blocked-by graph the critical-path analyzer
+// (obs/critical_path.h) walks to explain tail latency.
 //
-// Recording mirrors trace.cpp exactly: per-thread lock-free SPSC rings with
-// overwrite-oldest semantics, registered in a process-wide leaky registry
-// and retired into it at thread exit, so dumps include threads that are
-// already gone. Span threads share the event layer's tid space
-// (obs::thread_obs_tid()) so a dump's span sections line up with its event
-// sections.
-//
-// Gating is the same three-level scheme as events, with one extra knob:
+// Spans are recorded into a second ring in the event layer's per-thread
+// state (trace.cpp): the same overwrite-oldest ring template (obs/ring.h),
+// the same registry, retired at thread exit into the same place, stamped
+// with the same tid. Gating is the event layer's:
 //   - compiled out entirely under -DSEMLOCK_OBS=OFF (this header is only
 //     included from obs TUs and #if-guarded call sites);
 //   - lock-path spans fire only for TRACED mechanisms (the cached trace_
-//     flag), process-level spans only when runtime_enabled();
-//   - SEMLOCK_SPANS=0|1 (default 1) turns the span recorder itself off
-//     while leaving event tracing untouched — the compiled-in-but-off
-//     configuration bench_trace_overhead measures.
+//     flag), process-level spans only when runtime_enabled().
 #pragma once
 
 #include <cstdint>
@@ -67,14 +60,17 @@ struct Span {
   // When the blocker identity was sampled (the last pre-park refresh) —
   // what the offline event-stream reconstruction replays against.
   std::uint64_t capture_ns = 0;
+
+  // Word form for the ring (obs/ring.h) and the binary dump:
+  //   w0 start_ns, w1 end_ns, w2 txn, w3 instance, w4 span_pack_meta,
+  //   w5 blocker, w6 tid<<32 | blocker_site32, w7 capture_ns
+  static constexpr std::size_t kWords = 8;
+  void to_words(std::uint64_t* w) const noexcept;
+  static Span from_words(const std::uint64_t* w) noexcept;
 };
 
-// Fixed width for the ring and the dump: 8 words per span.
-//   w0 start_ns, w1 end_ns, w2 txn, w3 instance,
-//   w4 kind<<48 | mode16<<32 | blocker_mode16<<16 | attr_class16,
-//   w5 blocker, w6 tid<<32 | blocker_site32, w7 capture_ns
-inline constexpr std::size_t kSpanWords = 8;
-
+// Word 4 of a span: kind<<48 | mode16<<32 | blocker_mode16<<16 |
+// attr_class16.
 inline std::uint64_t span_pack_meta(const Span& s) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.kind) &
                                      0xFFFFu)
@@ -95,18 +91,33 @@ inline void span_unpack_meta(std::uint64_t w, Span& s) noexcept {
   s.attr_class = static_cast<std::uint16_t>(w);
 }
 
-// --- runtime gate and knobs -------------------------------------------------
+inline void Span::to_words(std::uint64_t* w) const noexcept {
+  w[0] = start_ns;
+  w[1] = end_ns;
+  w[2] = txn;
+  w[3] = instance;
+  w[4] = span_pack_meta(*this);
+  w[5] = blocker;
+  w[6] = (static_cast<std::uint64_t>(tid) << 32) |
+         static_cast<std::uint32_t>(blocker_site);
+  w[7] = capture_ns;
+}
 
-// SEMLOCK_SPANS=0|1 (default 1): the span recorder's own switch on top of
-// the usual tracing gates. Spans are recorded iff the caller's trace gate
-// passes (mechanism trace_ flag, or runtime_enabled() for process-level
-// sites) AND this is on.
-bool spans_enabled() noexcept;
-void set_spans_enabled(bool on) noexcept;
+inline Span Span::from_words(const std::uint64_t* w) noexcept {
+  Span s;
+  s.start_ns = w[0];
+  s.end_ns = w[1];
+  s.txn = w[2];
+  s.instance = w[3];
+  span_unpack_meta(w[4], s);
+  s.blocker = w[5];
+  s.tid = static_cast<std::uint32_t>(w[6] >> 32);
+  s.blocker_site = static_cast<std::int32_t>(static_cast<std::uint32_t>(w[6]));
+  s.capture_ns = w[7];
+  return s;
+}
 
-// Testable strict parser (util/env convention: nullptr silent, malformed
-// text warns once and falls back to on).
-bool spans_enabled_from_env_text(const char* text);
+// --- knobs ------------------------------------------------------------------
 
 // Ring capacity (spans) for threads recording their first span from now on.
 inline constexpr std::uint32_t kDefaultSpanRingCapacity = 4096;
@@ -115,11 +126,9 @@ void set_span_ring_capacity(std::uint32_t spans) noexcept;
 
 // --- recording --------------------------------------------------------------
 
-// Steady-clock now, same epoch as event timestamps.
-std::uint64_t span_now_ns() noexcept;
-
-// Appends to the calling thread's span ring (creating it on first use).
-// Callers gate; this function does not re-check spans_enabled().
+// Appends to the calling thread's span ring (creating it on first use) and
+// stamps the span with the thread's obs tid. Callers gate. Timestamps come
+// from runtime::steady_now_ns(), the clock of events and waits.
 void record_span(const Span& s);
 
 // Blocker identity sampled on entry to (and refreshed at each park of) a
@@ -166,8 +175,5 @@ std::vector<ThreadSpans> snapshot_spans();
 // "txn 12" / "thread 3" / "?" — shared rendering of the owner-id space
 // (top bit set = thread sentinel) for chains, reports, and the wait graph.
 std::string format_owner(std::uint64_t owner);
-
-// Test hook: drops retired span data and the calling thread's own ring.
-void reset_spans_for_test();
 
 }  // namespace semlock::obs

@@ -1,5 +1,6 @@
-// Per-thread trace state, the process-wide registry it retires into, and
-// the metrics fold. See trace.h for the lifecycle contract.
+// Per-thread trace state (event ring, span ring, stats, metric
+// accumulators), the process-wide registry it retires into, and the metrics
+// fold. See trace.h for the lifecycle contract.
 //
 // Synchronization summary:
 //   - the registry (live-thread list, retired data, dump path) is guarded
@@ -12,7 +13,8 @@
 //     fast path; it is folded only at retirement (merge-on-exit) or read
 //     from the calling thread itself, so totals are exact once worker
 //     threads have joined and no fast-path write is ever contended;
-//   - event rings are SPSC with lock-free concurrent snapshot (ring.h).
+//   - event and span rings are SPSC with lock-free concurrent snapshot
+//     (ring.h).
 //
 // The registry itself is a leaky heap singleton: thread exit order versus
 // static destruction order is unknowable across toolchains, and a retiring
@@ -22,7 +24,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -38,6 +39,7 @@
 #include "obs/metrics.h"
 #include "obs/ring.h"
 #include "obs/span.h"
+#include "runtime/wait_registry.h"
 #include "util/env.h"
 #include "util/spinlock.h"
 
@@ -72,13 +74,7 @@ std::atomic<std::uint64_t> g_next_txn{0};
 namespace {
 
 std::atomic<std::uint32_t> g_ring_capacity{kDefaultRingEvents};
-
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+std::atomic<std::uint32_t> g_span_ring_capacity{kDefaultSpanRingCapacity};
 
 // (waiter_mode, holder_mode) packed for the per-thread blocked-by map.
 std::uint64_t pack_pair(std::int32_t waiter, std::int32_t holder) noexcept {
@@ -153,9 +149,10 @@ constexpr std::size_t kMaxOpenHolds = 4096;
 
 struct ThreadState {
   std::uint32_t tid = 0;
-  // Created lazily on the first emitted event; published with release so
-  // concurrent snapshotters see fully constructed storage.
-  std::atomic<EventRing*> ring{nullptr};
+  // Created lazily on the first emitted event / recorded span; published
+  // with release so concurrent snapshotters see fully constructed storage.
+  std::atomic<Ring<Event>*> ring{nullptr};
+  std::atomic<Ring<Span>*> span_ring{nullptr};
   AcquireStats stats;  // fast-path counters; owner-written, folded on retire
   mutable util::Spinlock metrics_lock;
   MetricsAccum metrics;
@@ -167,12 +164,51 @@ struct ThreadState {
   std::vector<OpenHold> open_holds;
   std::int32_t pending_site = -1;  // stashed by note_lock_site()
 
-  ~ThreadState() { delete ring.load(std::memory_order_relaxed); }
+  ~ThreadState() {
+    delete ring.load(std::memory_order_relaxed);
+    delete span_ring.load(std::memory_order_relaxed);
+  }
 };
 
-struct RetiredEvents {
-  std::uint32_t tid = 0;
-  std::vector<Event> events;
+// The calling thread's own ring in `slot`, created on first use.
+template <class Record>
+Ring<Record>& own_ring(std::atomic<Ring<Record>*>& slot,
+                       std::uint32_t capacity) {
+  Ring<Record>* ring = slot.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new Ring<Record>(capacity);
+    slot.store(ring, std::memory_order_release);
+  }
+  return *ring;
+}
+
+template <class Record>
+std::vector<Record> ring_snapshot(const std::atomic<Ring<Record>*>& slot) {
+  const Ring<Record>* ring = slot.load(std::memory_order_acquire);
+  return ring != nullptr ? ring->snapshot() : std::vector<Record>{};
+}
+
+// Exited threads' retained records, oldest-retired first. Past `kCap`
+// records, whole oldest-retired threads are evicted first (their records
+// are the least likely to matter in a dump), never the newest one.
+template <class Record, std::size_t kCap>
+struct RetiredLog {
+  struct Thread {
+    std::uint32_t tid = 0;
+    std::vector<Record> records;
+  };
+  std::deque<Thread> threads;
+  std::size_t count = 0;
+
+  void add(std::uint32_t tid, std::vector<Record> records) {
+    if (records.empty()) return;
+    count += records.size();
+    threads.push_back(Thread{tid, std::move(records)});
+    while (count > kCap && threads.size() > 1) {
+      count -= threads.front().records.size();
+      threads.pop_front();
+    }
+  }
 };
 
 class Registry {
@@ -189,12 +225,10 @@ class Registry {
   }
 
   void retire_thread(ThreadState* ts) {
-    // Snapshot the ring outside the registry lock: the owner is retiring,
-    // so the ring is quiescent and this is a plain read.
-    std::vector<Event> events;
-    if (EventRing* ring = ts->ring.load(std::memory_order_acquire)) {
-      events = ring->snapshot();
-    }
+    // Snapshot the rings outside the registry lock: the owner is retiring,
+    // so the rings are quiescent and this is a plain read.
+    std::vector<Event> events = ring_snapshot(ts->ring);
+    std::vector<Span> spans = ring_snapshot(ts->span_ring);
     std::lock_guard<util::Spinlock> g(lock_);
     live_.erase(std::remove(live_.begin(), live_.end(), ts), live_.end());
     retired_stats_.merge(ts->stats);
@@ -203,39 +237,16 @@ class Registry {
       retired_event_counts_[i] +=
           ts->event_counts[i].load(std::memory_order_relaxed);
     }
-    if (!events.empty()) {
-      retired_event_count_ += events.size();
-      retired_.push_back(RetiredEvents{ts->tid, std::move(events)});
-      // Cap retained post-mortem data; evict whole oldest-retired threads
-      // first (their events are the least likely to matter in a dump).
-      while (retired_event_count_ > kMaxRetiredEvents && retired_.size() > 1) {
-        retired_event_count_ -= retired_.front().events.size();
-        retired_.pop_front();
-      }
-    }
+    retired_events_.add(ts->tid, std::move(events));
+    retired_spans_.add(ts->tid, std::move(spans));
   }
 
   std::vector<ThreadTrace> snapshot_traces() {
-    std::lock_guard<util::Spinlock> g(lock_);
-    std::vector<ThreadTrace> out;
-    out.reserve(retired_.size() + live_.size());
-    for (const RetiredEvents& r : retired_) {
-      out.push_back(ThreadTrace{r.tid, false, r.events});
-    }
-    for (ThreadState* ts : live_) {
-      ThreadTrace t;
-      t.tid = ts->tid;
-      t.live = true;
-      if (EventRing* ring = ts->ring.load(std::memory_order_acquire)) {
-        t.events = ring->snapshot();
-      }
-      out.push_back(std::move(t));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const ThreadTrace& a, const ThreadTrace& b) {
-                return a.tid < b.tid;
-              });
-    return out;
+    return snapshot<ThreadTrace>(retired_events_, &ThreadState::ring);
+  }
+
+  std::vector<ThreadSpans> snapshot_spans() {
+    return snapshot<ThreadSpans>(retired_spans_, &ThreadState::span_ring);
   }
 
   std::array<std::uint64_t, kNumEventTypes> event_count_totals() {
@@ -337,13 +348,14 @@ class Registry {
 
   void reset(ThreadState* self) {
     std::lock_guard<util::Spinlock> g(lock_);
-    retired_.clear();
-    retired_event_count_ = 0;
+    retired_events_ = {};
+    retired_spans_ = {};
     retired_stats_ = AcquireStats{};
     retired_metrics_ = MetricsAccum{};
     for (std::uint64_t& c : retired_event_counts_) c = 0;
     if (self != nullptr) {
       delete self->ring.exchange(nullptr, std::memory_order_acq_rel);
+      delete self->span_ring.exchange(nullptr, std::memory_order_acq_rel);
       self->stats = AcquireStats{};
       for (std::atomic<std::uint64_t>& c : self->event_counts) {
         c.store(0, std::memory_order_relaxed);
@@ -368,13 +380,31 @@ class Registry {
  private:
   Registry() = default;
 
-  static constexpr std::size_t kMaxRetiredEvents = 1u << 18;  // 262144 events
+  // Retired threads' records plus a racy-but-consistent snapshot of every
+  // live thread's ring (empty if it never recorded), ordered by tid.
+  template <class Thread, class Log, class Record>
+  std::vector<Thread> snapshot(const Log& retired,
+                               std::atomic<Ring<Record>*> ThreadState::*ring) {
+    std::lock_guard<util::Spinlock> g(lock_);
+    std::vector<Thread> out;
+    out.reserve(retired.threads.size() + live_.size());
+    for (const auto& r : retired.threads) {
+      out.push_back(Thread{r.tid, false, r.records});
+    }
+    for (ThreadState* ts : live_) {
+      out.push_back(Thread{ts->tid, true, ring_snapshot(ts->*ring)});
+    }
+    std::sort(out.begin(), out.end(), [](const Thread& a, const Thread& b) {
+      return a.tid < b.tid;
+    });
+    return out;
+  }
 
   util::Spinlock lock_;
   std::uint32_t next_tid_ = 1;
   std::vector<ThreadState*> live_;
-  std::deque<RetiredEvents> retired_;
-  std::size_t retired_event_count_ = 0;
+  RetiredLog<Event, (1u << 18)> retired_events_;  // 262144 events
+  RetiredLog<Span, (1u << 16)> retired_spans_;    // 65536 spans
   AcquireStats retired_stats_;
   MetricsAccum retired_metrics_;
   std::uint64_t retired_event_counts_[kNumEventTypes] = {};
@@ -441,10 +471,21 @@ std::uint32_t ring_capacity() noexcept {
 }
 
 void set_ring_capacity(std::uint32_t events) noexcept {
-  g_ring_capacity.store(events < EventRing::kMinCapacity
-                            ? EventRing::kMinCapacity
+  g_ring_capacity.store(events < Ring<Event>::kMinCapacity
+                            ? Ring<Event>::kMinCapacity
                             : events,
                         std::memory_order_relaxed);
+}
+
+std::uint32_t span_ring_capacity() noexcept {
+  return g_span_ring_capacity.load(std::memory_order_relaxed);
+}
+
+void set_span_ring_capacity(std::uint32_t spans) noexcept {
+  g_span_ring_capacity.store(spans < Ring<Span>::kMinCapacity
+                                 ? Ring<Span>::kMinCapacity
+                                 : spans,
+                             std::memory_order_relaxed);
 }
 
 // --- emission ---------------------------------------------------------------
@@ -526,18 +567,14 @@ void close_hold_on_release(ThreadState& ts, const Event& e) {
 
 void emit(EventType type, const void* instance, int mode) {
   ThreadState& ts = thread_state();
-  EventRing* ring = ts.ring.load(std::memory_order_relaxed);
-  if (ring == nullptr) {
-    ring = new EventRing(ring_capacity());
-    ts.ring.store(ring, std::memory_order_release);
-  }
+  Ring<Event>& ring = own_ring(ts.ring, ring_capacity());
   Event e;
-  e.ts_ns = now_ns();
+  e.ts_ns = runtime::steady_now_ns();
   e.instance = reinterpret_cast<std::uint64_t>(instance);
   e.txn = current_txn();
   e.type = type;
   e.mode = mode;
-  ring->append(e);
+  ring.append(e);
   const auto ti = static_cast<std::size_t>(type);
   if (ti < kNumEventTypes) {
     // Owner-only writer: load+store, not an RMW (see event_count_totals).
@@ -582,6 +619,13 @@ std::uint64_t current_owner_id() noexcept {
 
 std::uint32_t thread_obs_tid() { return thread_state().tid; }
 
+void record_span(const Span& s) {
+  ThreadState& ts = thread_state();
+  Span stamped = s;
+  stamped.tid = ts.tid;
+  own_ring(ts.span_ring, span_ring_capacity()).append(stamped);
+}
+
 void record_blocked_by(const void* instance, int waiter_mode,
                        int holder_mode) {
   ThreadState& ts = thread_state();
@@ -622,6 +666,10 @@ std::vector<ThreadTrace> snapshot_traces() {
   return Registry::instance().snapshot_traces();
 }
 
+std::vector<ThreadSpans> snapshot_spans() {
+  return Registry::instance().snapshot_spans();
+}
+
 MetricsSnapshot collect_metrics() {
   return Registry::instance().collect(&thread_state());
 }
@@ -635,7 +683,7 @@ TraceDump capture() {
   TraceDump dump;
   dump.threads = Registry::instance().snapshot_traces();
   dump.metrics = Registry::instance().collect(nullptr);
-  dump.spans = snapshot_spans();
+  dump.spans = Registry::instance().snapshot_spans();
   return dump;
 }
 
@@ -756,7 +804,6 @@ void set_trace_file(const std::string& path) {
 
 void reset_for_test() {
   Registry::instance().reset(&thread_state());
-  reset_spans_for_test();
   detail::g_next_txn.store(0, std::memory_order_relaxed);
   detail::txn_tls().id = 0;
   detail::txn_tls().depth = 0;

@@ -7,10 +7,11 @@
 //     tests/benches) feeds the default of ModeTableConfig::trace_events;
 //   - each LockMechanism caches its table's trace_events flag and emits
 //     events/metrics only when it is set;
-//   - per-thread state (the SPSC event ring of ring.h, AcquireStats, the
-//     conflict/latency accumulators of metrics.h) registers itself with a
-//     process-wide registry on first use and retires into it at thread
-//     exit, so dumps and metrics include threads that are already gone.
+//   - per-thread state (the SPSC event and span rings of ring.h,
+//     AcquireStats, the conflict/latency accumulators of metrics.h)
+//     registers itself with a process-wide registry on first use and
+//     retires into it at thread exit, so dumps and metrics include threads
+//     that are already gone.
 //
 // Environment knobs (strictly parsed; malformed values warn once on stderr
 // and fall back, matching util/env convention):
@@ -146,9 +147,8 @@ inline std::uint64_t last_completed_txn() noexcept {
 // the two id spaces never collide.
 std::uint64_t current_owner_id() noexcept;
 
-// This thread's small process-unique obs tid (registering it on first use).
-// The span recorder (obs/span.h) stamps its records with it so a dump's
-// span sections share the event sections' thread numbering.
+// This thread's small process-unique obs tid (registering it on first use):
+// the tid of its event section and its span section in a dump.
 std::uint32_t thread_obs_tid();
 
 // --- emission (callers gate: LockMechanism on its cached trace_events flag,

@@ -1,57 +1,16 @@
 #include "obs/waitgraph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <map>
 #include <set>
 
 #include "obs/span.h"
 #include "runtime/wait_registry.h"
-#include "util/align.h"
 
 namespace semlock::obs {
 
 namespace {
-
-// Seqlock slot, one per concurrently-waiting thread; the WaitRegistry
-// discipline (even seq = stable, all fields atomic).
-struct alignas(util::kCacheLineSize) EdgeSlot {
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<std::uint64_t> waiter{0};  // 0 = slot idle
-  std::atomic<std::uint64_t> instance{0};
-  std::atomic<std::int32_t> mode{-1};
-  std::atomic<std::uint64_t> blocker{0};
-  std::atomic<std::int32_t> blocker_site{-1};
-  std::atomic<std::uint64_t> since_ns{0};
-  std::atomic<bool> claimed{false};
-};
-
-EdgeSlot g_slots[kWaitGraphSlots];
-
-struct ThreadSlotOwner {
-  EdgeSlot* slot = nullptr;
-  ~ThreadSlotOwner() {
-    if (slot) slot->claimed.store(false, std::memory_order_release);
-  }
-};
-
-EdgeSlot* thread_edge_slot() {
-  thread_local ThreadSlotOwner owner;
-  thread_local bool attempted = false;
-  if (!attempted) {
-    attempted = true;
-    for (int i = 0; i < kWaitGraphSlots; ++i) {
-      bool expected = false;
-      if (g_slots[i].claimed.compare_exchange_strong(
-              expected, true, std::memory_order_acq_rel)) {
-        owner.slot = &g_slots[i];
-        break;
-      }
-    }
-  }
-  return owner.slot;
-}
 
 void append_hex(std::string& out, std::uint64_t v) {
   char buf[32];
@@ -62,63 +21,14 @@ void append_hex(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-WaitEdge::~WaitEdge() {
-  if (slot_ == nullptr) return;
-  EdgeSlot* s = static_cast<EdgeSlot*>(slot_);
-  const std::uint64_t seq = s->seq.load(std::memory_order_relaxed);
-  s->seq.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s->waiter.store(0, std::memory_order_relaxed);
-  s->seq.store(seq + 2, std::memory_order_release);
-}
-
-void WaitEdge::open(const void* instance, int mode, std::uint64_t waiter,
-                    std::uint64_t since_ns) {
-  EdgeSlot* s = thread_edge_slot();
-  if (s == nullptr) return;
-  slot_ = s;
-  const std::uint64_t seq = s->seq.load(std::memory_order_relaxed);
-  s->seq.store(seq + 1, std::memory_order_relaxed);  // odd: writing
-  std::atomic_thread_fence(std::memory_order_release);
-  s->waiter.store(waiter, std::memory_order_relaxed);
-  s->instance.store(reinterpret_cast<std::uint64_t>(instance),
-                    std::memory_order_relaxed);
-  s->mode.store(mode, std::memory_order_relaxed);
-  s->blocker.store(0, std::memory_order_relaxed);
-  s->blocker_site.store(-1, std::memory_order_relaxed);
-  s->since_ns.store(since_ns, std::memory_order_relaxed);
-  s->seq.store(seq + 2, std::memory_order_release);  // even: published
-}
-
-void WaitEdge::set_blocker(std::uint64_t blocker, std::int32_t site) {
-  if (slot_ == nullptr) return;
-  EdgeSlot* s = static_cast<EdgeSlot*>(slot_);
-  const std::uint64_t seq = s->seq.load(std::memory_order_relaxed);
-  s->seq.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s->blocker.store(blocker, std::memory_order_relaxed);
-  s->blocker_site.store(site, std::memory_order_relaxed);
-  s->seq.store(seq + 2, std::memory_order_release);
-}
-
 std::vector<WaitGraphEdge> snapshot_waitgraph() {
   std::vector<WaitGraphEdge> out;
-  for (int i = 0; i < kWaitGraphSlots; ++i) {
-    const EdgeSlot& s = g_slots[i];
-    const std::uint64_t seq1 = s.seq.load(std::memory_order_acquire);
-    if (seq1 & 1) continue;
-    WaitGraphEdge e;
-    e.waiter = s.waiter.load(std::memory_order_relaxed);
-    e.instance = s.instance.load(std::memory_order_relaxed);
-    e.mode = s.mode.load(std::memory_order_relaxed);
-    e.blocker = s.blocker.load(std::memory_order_relaxed);
-    e.blocker_site = s.blocker_site.load(std::memory_order_relaxed);
-    e.since_ns = s.since_ns.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != seq1) continue;
-    if (e.waiter == 0) continue;
-    out.push_back(e);
-  }
+  runtime::WaitRegistry::instance().for_each_active(
+      [&](const runtime::WaitRegistry::ActiveWait& w) {
+        if (w.waiter == 0) return;  // untraced wait
+        out.push_back(WaitGraphEdge{w.waiter, w.mechanism, w.mode, w.blocker,
+                                    w.blocker_site, w.start_ns});
+      });
   std::sort(out.begin(), out.end(),
             [](const WaitGraphEdge& a, const WaitGraphEdge& b) {
               return a.waiter < b.waiter;

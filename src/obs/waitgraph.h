@@ -2,12 +2,12 @@
 //
 // Every traced contended wait publishes one edge — waiter owner id →
 // blocking owner id, tagged with the instance/mode and the blocker's lock
-// site — into a fixed table of seqlock slots (the WaitRegistry scheme of
-// runtime/wait_registry.h, with every field atomic so sampling is
-// data-race-free under TSan). The edge is opened on entry to the contended
-// path, its blocker refreshed at each park (the moment the PR 5 grant
-// record is sampled), and cleared on grant — so a snapshot taken from any
-// thread is the *current* blocked-by structure of the process.
+// site — in its runtime::WaitRegistry slot, the one the StallWatchdog
+// samples (runtime/wait_registry.h). The edge is published on entry to the
+// contended path, its blocker refreshed at each park (the moment the PR 5
+// grant record is sampled), and cleared on grant — so a snapshot taken from
+// any thread is the *current* blocked-by structure of the process. Untraced
+// waits publish no waiter and stay out of the graph.
 //
 // Consumers:
 //   - the admin endpoint serves snapshots as /waitgraph (JSON, with cycles
@@ -18,9 +18,9 @@
 //   - the StallWatchdog appends the full blocker chain (txn -> txn -> ...)
 //     for the stalled instance to its forensics report.
 //
-// Publication is best-effort diagnostics, like the WaitRegistry: with more
-// than kWaitGraphSlots simultaneous waiters the overflow goes unobserved,
-// and the lock mechanism never depends on the table.
+// Publication is the WaitRegistry's best-effort diagnostics: with more
+// waiters than it has slots the overflow goes unobserved, and the lock
+// mechanism never depends on the graph.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,6 @@
 #include <vector>
 
 namespace semlock::obs {
-
-inline constexpr int kWaitGraphSlots = 512;
 
 // One sampled waiter -> blocker edge.
 struct WaitGraphEdge {
@@ -41,25 +39,8 @@ struct WaitGraphEdge {
   std::uint64_t since_ns = 0;     // wait start, steady clock
 };
 
-// RAII publication of one wait's edge. Default-constructed inactive; open()
-// claims the thread's slot (null-slot safe) and publishes, set_blocker()
-// refreshes the blocker identity in place, the destructor clears the edge.
-class WaitEdge {
- public:
-  WaitEdge() = default;
-  WaitEdge(const WaitEdge&) = delete;
-  WaitEdge& operator=(const WaitEdge&) = delete;
-  ~WaitEdge();
-
-  void open(const void* instance, int mode, std::uint64_t waiter,
-            std::uint64_t since_ns);
-  void set_blocker(std::uint64_t blocker, std::int32_t site);
-
- private:
-  void* slot_ = nullptr;
-};
-
-// Consistent sample of the current edges (skipping slots caught mid-write).
+// Consistent sample of the current edges (skipping slots caught mid-write),
+// ordered by waiter.
 std::vector<WaitGraphEdge> snapshot_waitgraph();
 
 // Cycles among the sampled edges: each inner vector is one cycle's owner

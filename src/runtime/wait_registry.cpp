@@ -1,6 +1,5 @@
 #include "runtime/wait_registry.h"
 
-#include <chrono>
 #include <ctime>
 
 namespace semlock::runtime {
@@ -8,13 +7,6 @@ namespace semlock::runtime {
 WaitRegistry& WaitRegistry::instance() {
   static WaitRegistry registry;
   return registry;
-}
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 std::uint64_t thread_cpu_now_ns() {
@@ -57,7 +49,7 @@ WaitRegistry::Slot* WaitRegistry::thread_slot() {
 }
 
 WaitScope::WaitScope(const void* mechanism, int mode, int partition,
-                     std::uint64_t start_ns)
+                     std::uint64_t start_ns, std::uint64_t waiter)
     : slot_(WaitRegistry::instance().thread_slot()) {
   if (!slot_) return;
   const std::uint64_t seq = slot_->seq.load(std::memory_order_relaxed);
@@ -68,7 +60,20 @@ WaitScope::WaitScope(const void* mechanism, int mode, int partition,
   slot_->mode.store(mode, std::memory_order_relaxed);
   slot_->partition.store(partition, std::memory_order_relaxed);
   slot_->start_ns.store(start_ns, std::memory_order_relaxed);
+  slot_->waiter.store(waiter, std::memory_order_relaxed);
+  slot_->blocker.store(0, std::memory_order_relaxed);
+  slot_->blocker_site.store(-1, std::memory_order_relaxed);
   slot_->seq.store(seq + 2, std::memory_order_release);  // even: published
+}
+
+void WaitScope::set_blocker(std::uint64_t blocker, std::int32_t site) {
+  if (!slot_) return;
+  const std::uint64_t seq = slot_->seq.load(std::memory_order_relaxed);
+  slot_->seq.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  slot_->blocker.store(blocker, std::memory_order_relaxed);
+  slot_->blocker_site.store(site, std::memory_order_relaxed);
+  slot_->seq.store(seq + 2, std::memory_order_release);
 }
 
 WaitScope::~WaitScope() {

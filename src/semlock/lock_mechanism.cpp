@@ -21,7 +21,6 @@
 #include "obs/attribution.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "obs/waitgraph.h"
 // Mechanism-level trace hook: gated on this mechanism's cached
 // ModeTableConfig::trace_events flag (trace_), not the global switch, so
 // per-table overrides work and the disabled cost is one predictable branch.
@@ -656,7 +655,6 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   // every park, so the recorded blocker is whoever was actually holding at
   // the moment this waiter went to sleep.
   obs::BlockerInfo blocker;
-  const bool span_on = trace_ && obs::spans_enabled();
   const auto capture_blocker = [&](std::uint64_t now_ns) {
     for (const std::int32_t other : table_->conflicts_of(mode)) {
       if (s.holder_count(other, std::memory_order_acquire) == 0) continue;
@@ -702,7 +700,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
     }
   };
   if (trace_) {
-    if (span_on) capture_blocker(runtime::steady_now_ns());
+    capture_blocker(runtime::steady_now_ns());
     // Sample the blocked-by conflict matrix: which non-commuting modes were
     // actually held when this waiter gave up on the fast path. The walk is
     // over conflicts_of(mode) only, so commuting pairs can never appear.
@@ -729,16 +727,15 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   }
 #endif
   const std::uint64_t wait_start = runtime::steady_now_ns();
-  runtime::WaitScope watchdog_scope(this, mode, partition, wait_start);
 #if defined(SEMLOCK_OBS)
-  // Publish this wait's waiter -> blocker edge in the live wait-for graph
-  // beside the watchdog's WaitScope; refreshed with the blocker at each
-  // park, cleared by the destructor on grant.
-  obs::WaitEdge wait_edge;
-  if (span_on) {
-    wait_edge.open(this, mode, obs::current_owner_id(), wait_start);
-    wait_edge.set_blocker(blocker.owner, blocker.site);
-  }
+  // A traced wait also publishes its waiter -> blocker edge for the live
+  // wait-for graph (obs/waitgraph.h); the blocker is refreshed at each park
+  // and the edge cleared with the scope on grant.
+  runtime::WaitScope watchdog_scope(this, mode, partition, wait_start,
+                                    trace_ ? obs::current_owner_id() : 0);
+  if (trace_) watchdog_scope.set_blocker(blocker.owner, blocker.site);
+#else
+  runtime::WaitScope watchdog_scope(this, mode, partition, wait_start);
 #endif
 #if defined(SEMLOCK_DCT)
   dct::StarvationWaitScope starvation_scope(this, partition);
@@ -805,8 +802,8 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
         starvation_scope.granted();
 #endif
 #if defined(SEMLOCK_OBS)
-        if (trace_) obs::record_wait(this, mode, waited);
-        if (span_on) {
+        if (trace_) {
+          obs::record_wait(this, mode, waited);
           obs::record_lock_wait_span(this, mode, wait_start,
                                      wait_start + waited, blocker);
         }
@@ -855,9 +852,9 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           if (still_blocked) {
             LM_OBS_EVENT(kPark, mode);
 #if defined(SEMLOCK_OBS)
-            if (span_on) {
+            if (trace_) {
               capture_blocker(runtime::steady_now_ns());
-              wait_edge.set_blocker(blocker.owner, blocker.site);
+              watchdog_scope.set_blocker(blocker.owner, blocker.site);
             }
 #endif
             packed_word_wait(s, observed);
@@ -891,9 +888,9 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
         } else {
           LM_OBS_EVENT(kPark, mode);
 #if defined(SEMLOCK_OBS)
-          if (span_on) {
+          if (trace_) {
             capture_blocker(runtime::steady_now_ns());
-            wait_edge.set_blocker(blocker.owner, blocker.site);
+            watchdog_scope.set_blocker(blocker.owner, blocker.site);
           }
 #endif
           parking_->park(partition, gen);

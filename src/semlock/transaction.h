@@ -38,14 +38,14 @@ class Transaction {
     // Exec span ends where the epilogue begins; the commit span covers
     // unlock_all. Recorded before TXN_END so the spans carry this txn's id.
     const std::uint64_t commit_start_ns =
-        exec_start_ns_ != 0 ? ::semlock::obs::span_now_ns() : 0;
+        exec_start_ns_ != 0 ? ::semlock::runtime::steady_now_ns() : 0;
     const int released = static_cast<int>(size_);
 #endif
     unlock_all();
 #if defined(SEMLOCK_OBS)
     if (exec_start_ns_ != 0) {
       ::semlock::obs::record_txn_spans(exec_start_ns_, commit_start_ns,
-                                       ::semlock::obs::span_now_ns(),
+                                       ::semlock::runtime::steady_now_ns(),
                                        released);
     }
 #endif

@@ -103,9 +103,7 @@ std::string metrics_body() {
   b.help("semlock_server_queue_depth", "Current queue depth, by shard");
   b.type("semlock_server_queue_depth", "gauge");
   for (std::size_t q = 0; q < s.queue_depths.size(); ++q) {
-    char shard[16];
-    std::snprintf(shard, sizeof(shard), "%zu", q);
-    b.value_u64("semlock_server_queue_depth", {{"shard", shard}},
+    b.value_u64("semlock_server_queue_depth", {{"shard", std::to_string(q)}},
                 s.queue_depths[q]);
   }
 

@@ -130,8 +130,7 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
           // shift by the run epoch; the transaction id the request executed
           // as is picked up after the fact via last_completed_txn (the
           // backend opens/closes the Transaction internally).
-          const bool span_on =
-              obs::runtime_enabled() && obs::spans_enabled();
+          const bool span_on = obs::runtime_enabled();
           const std::uint64_t txn_before =
               span_on ? obs::last_completed_txn() : 0;
 #endif

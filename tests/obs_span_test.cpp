@@ -1,7 +1,8 @@
-// Causal transaction tracing (ISSUE 10): the per-thread span recorder and
-// its SEMLOCK_SPANS gate, blocker-identity capture on contended waits, the
-// live wait-for graph (snapshot / cycles / JSON / DOT / chain), the v5 dump
-// round-trip with v4 back-compat, the tail critical-path analyzer, the
+// Causal transaction tracing (ISSUE 10): the per-thread span ring and its
+// trace gate, blocker-identity capture on contended waits, the live
+// wait-for graph (snapshot / cycles / JSON / DOT / chain) and the
+// WaitRegistry slot it shares with the watchdog, the v5 dump round-trip and
+// the refusal of every other version, the tail critical-path analyzer, the
 // offline blocker reconstruction, and the Chrome flow events binding a
 // waiter's parked slice to the release that woke it. Only built with
 // SEMLOCK_OBS (the default).
@@ -22,6 +23,7 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "obs/waitgraph.h"
+#include "runtime/wait_registry.h"
 #include "semlock/semantic_lock.h"
 #include "semlock/transaction.h"
 
@@ -34,11 +36,11 @@ using commute::Value;
 using obs::Span;
 using obs::SpanKind;
 
-ModeTable make_traced_table() {
+ModeTable make_table(bool traced = true) {
   ModeTableConfig c;
   c.abstract_values = 4;
   c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
-  c.trace_events = true;
+  c.trace_events = traced;
   return ModeTable::compile(
       commute::set_spec(),
       {SymbolicSet({op("add", {commute::var("v")}),
@@ -78,8 +80,8 @@ TEST(Span, KindNamesAreStable) {
 
 TEST(Span, RingWrapsOverwritingOldest) {
   obs::set_span_ring_capacity(64);
-  obs::reset_spans_for_test();  // drop this thread's ring so the new
-                                // capacity applies to the next record
+  obs::reset_for_test();  // drop this thread's rings so the new capacity
+                          // applies to the next record
   constexpr int kTotal = 200;
   for (int i = 0; i < kTotal; ++i) {
     Span s;
@@ -96,29 +98,17 @@ TEST(Span, RingWrapsOverwritingOldest) {
   EXPECT_EQ(got.front().start_ns, static_cast<std::uint64_t>(kTotal - 63));
   EXPECT_EQ(got.back().start_ns, static_cast<std::uint64_t>(kTotal - 1));
   obs::set_span_ring_capacity(obs::kDefaultSpanRingCapacity);
-  obs::reset_spans_for_test();
-}
-
-TEST(Span, EnvTextParserIsStrictAndDefaultsOn) {
-  EXPECT_TRUE(obs::spans_enabled_from_env_text(nullptr));
-  EXPECT_FALSE(obs::spans_enabled_from_env_text("0"));
-  EXPECT_TRUE(obs::spans_enabled_from_env_text("1"));
-  // Malformed text falls back to on (warn-once is a side channel).
-  EXPECT_TRUE(obs::spans_enabled_from_env_text("2"));
-  EXPECT_TRUE(obs::spans_enabled_from_env_text("yes"));
-  EXPECT_TRUE(obs::spans_enabled_from_env_text(""));
+  obs::reset_for_test();
 }
 
 TEST(Span, TransactionRecordsExecAndCommitOnlyWhenEnabled) {
   obs::reset_for_test();
-  obs::ScopedTraceEnable trace_on;
-
-  obs::set_spans_enabled(false);
+  obs::set_runtime_enabled(false);
   { Transaction txn; }
   EXPECT_TRUE(all_spans().empty());
 
-  obs::set_spans_enabled(true);
-  const auto t = make_traced_table();
+  obs::ScopedTraceEnable trace_on;
+  const auto t = make_table();
   SemanticLock lk(t);
   std::uint64_t txn_id = 0;
   {
@@ -170,7 +160,7 @@ TEST(Span, FormatOwnerRendersBothIdSpaces) {
 TEST(Span, ContendedWaitCapturesBlockerIdentityAndWaitGraphEdge) {
   obs::reset_for_test();
   obs::set_attribution_enabled(true);
-  const auto t = make_traced_table();
+  const auto t = make_table();
   SemanticLock lk(t);
   const Value v0[1] = {0};
   const int held = t.resolve(0, v0);
@@ -250,6 +240,92 @@ TEST(Span, ContendedWaitCapturesBlockerIdentityAndWaitGraphEdge) {
   obs::set_attribution_enabled(false);
 }
 
+// The wait-for graph has no table of its own: a traced wait's edge lives in
+// the WaitRegistry slot the watchdog samples, and an untraced wait's slot
+// carries no waiter, so it stays out of the graph.
+TEST(WaitGraph, SharesTheWatchdogSlot) {
+  obs::reset_for_test();
+  const auto traced_table = make_table(true);
+  const auto untraced_table = make_table(false);
+  SemanticLock traced(traced_table);
+  SemanticLock untraced(untraced_table);
+  const Value v0[1] = {0};
+  const int held = traced_table.resolve(0, v0);
+  const int starved = traced_table.resolve_constant(1);
+  ASSERT_FALSE(traced_table.commutes(held, starved));
+  const std::uintptr_t traced_id =
+      reinterpret_cast<std::uintptr_t>(&traced.mechanism());
+  const std::uintptr_t untraced_id =
+      reinterpret_cast<std::uintptr_t>(&untraced.mechanism());
+
+  // Registry waits and graph edges on the two mechanisms.
+  auto registry_waits = [&] {
+    std::vector<runtime::WaitRegistry::ActiveWait> out;
+    runtime::WaitRegistry::instance().for_each_active(
+        [&](const runtime::WaitRegistry::ActiveWait& w) {
+          if (w.mechanism == traced_id || w.mechanism == untraced_id) {
+            out.push_back(w);
+          }
+        });
+    return out;
+  };
+  auto graph_edges = [&] {
+    std::vector<obs::WaitGraphEdge> out;
+    for (const obs::WaitGraphEdge& e : obs::snapshot_waitgraph()) {
+      if (e.instance == traced_id || e.instance == untraced_id) {
+        out.push_back(e);
+      }
+    }
+    return out;
+  };
+
+  Transaction holder;
+  holder.lv_mode(&traced, held);
+  holder.lv_mode(&untraced, held);
+  std::thread traced_waiter([&] {
+    Transaction txn;
+    txn.lv_mode(&traced, starved);
+  });
+  std::thread untraced_waiter([&] {
+    Transaction txn;
+    txn.lv_mode(&untraced, starved);
+  });
+
+  std::vector<runtime::WaitRegistry::ActiveWait> waits;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    waits = registry_waits();
+    if (waits.size() == 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(waits.size(), 2u);
+  const std::vector<obs::WaitGraphEdge> edges = graph_edges();
+  ASSERT_EQ(edges.size(), 1u);
+  const obs::WaitGraphEdge& edge = edges.front();
+  EXPECT_EQ(edge.instance, traced_id);
+  bool saw_traced = false;
+  for (const runtime::WaitRegistry::ActiveWait& w : waits) {
+    EXPECT_EQ(w.mode, starved);
+    if (w.mechanism != traced_id) {
+      EXPECT_EQ(w.waiter, 0u);  // untraced: in the registry only
+      continue;
+    }
+    saw_traced = true;
+    EXPECT_EQ(edge.mode, w.mode);
+    EXPECT_EQ(edge.since_ns, w.start_ns);
+    EXPECT_EQ(edge.waiter, w.waiter);
+    EXPECT_NE(w.waiter, 0u);
+  }
+  EXPECT_TRUE(saw_traced);
+
+  holder.unlock_all();
+  traced_waiter.join();
+  untraced_waiter.join();
+  EXPECT_TRUE(registry_waits().empty());
+  EXPECT_TRUE(graph_edges().empty());
+}
+
 TEST(WaitGraph, CycleDetectionFindsTheLoopAndSkipsTheTail) {
   // Synthetic functional graph: 7 -> 3 -> 5 -> 3-cycle start... actually
   // A(3) -> B(5) -> C(9) -> A(3) plus the acyclic feeder D(7) -> A(3).
@@ -324,9 +400,10 @@ TEST(SpanDump, V5RoundTripsSpansThroughFile) {
 
 // A v5 dump with no span sections is byte-identical to a v4 dump plus a
 // trailing zero span-thread count — so rewriting the version field and
-// truncating those 4 bytes manufactures a genuine v4 file, which must still
-// load (with empty spans). A version from the future must not.
-TEST(SpanDump, V4FilesStillLoadAndFutureVersionsAreRejected) {
+// truncating those 4 bytes manufactures a genuine v4 file. Only the version
+// every writer emits loads: the v4 file and a version from the future are
+// both refused by name.
+TEST(SpanDump, OnlyTheCurrentVersionLoads) {
   obs::reset_for_test();
   obs::TraceDump dump;
   obs::ThreadTrace tt;
@@ -342,6 +419,10 @@ TEST(SpanDump, V4FilesStillLoadAndFutureVersionsAreRejected) {
   const std::string path = testing::TempDir() + "/semlock_span_v4.bin";
   std::string error;
   ASSERT_TRUE(obs::write_dump_file(dump, path, &error)) << error;
+  obs::TraceDump v5;
+  ASSERT_TRUE(obs::load_dump_file(path, v5, &error)) << error;
+  ASSERT_EQ(v5.threads.size(), 1u);
+  EXPECT_EQ(v5.threads[0].events.size(), 1u);
 
   // Read the v5 bytes back.
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -367,15 +448,15 @@ TEST(SpanDump, V4FilesStillLoadAndFutureVersionsAreRejected) {
 
   write_variant(4, true);
   obs::TraceDump v4;
-  ASSERT_TRUE(obs::load_dump_file(path, v4, &error)) << error;
-  EXPECT_TRUE(v4.spans.empty());
-  ASSERT_EQ(v4.threads.size(), 1u);
-  EXPECT_EQ(v4.threads[0].events.size(), 1u);
+  EXPECT_FALSE(obs::load_dump_file(path, v4, &error));
+  EXPECT_NE(error.find("unsupported dump version 4"), std::string::npos)
+      << error;
 
   write_variant(6, false);
   obs::TraceDump v6;
   EXPECT_FALSE(obs::load_dump_file(path, v6, &error));
-  EXPECT_NE(error.find("unsupported dump version"), std::string::npos);
+  EXPECT_NE(error.find("unsupported dump version 6"), std::string::npos)
+      << error;
   std::remove(path.c_str());
 }
 

@@ -75,7 +75,7 @@ TEST(EventRing, PackRoundTrip) {
 }
 
 TEST(EventRing, RetainsEverythingBelowCapacity) {
-  obs::EventRing ring(64);
+  obs::Ring<Event> ring(64);
   EXPECT_EQ(ring.capacity(), 64u);
   for (int i = 0; i < 10; ++i) {
     Event e;
@@ -94,7 +94,7 @@ TEST(EventRing, RetainsEverythingBelowCapacity) {
 }
 
 TEST(EventRing, WraparoundOverwritesOldest) {
-  obs::EventRing ring(64);
+  obs::Ring<Event> ring(64);
   constexpr int kTotal = 200;
   for (int i = 0; i < kTotal; ++i) {
     Event e;
@@ -117,10 +117,10 @@ TEST(EventRing, WraparoundOverwritesOldest) {
 }
 
 TEST(EventRing, CapacityRoundsUpToPowerOfTwo) {
-  obs::EventRing ring(100);
+  obs::Ring<Event> ring(100);
   EXPECT_EQ(ring.capacity(), 128u);
-  obs::EventRing tiny(1);  // clamped to the minimum
-  EXPECT_EQ(tiny.capacity(), obs::EventRing::kMinCapacity);
+  obs::Ring<Event> tiny(1);  // clamped to the minimum
+  EXPECT_EQ(tiny.capacity(), obs::Ring<Event>::kMinCapacity);
 }
 
 TEST(ObsTrace, MechanismEmitsWhenTableTraced) {

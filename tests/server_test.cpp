@@ -65,7 +65,9 @@ TEST(TrafficGen, ScheduleIsDeterministicSortedAndDenselyNumbered) {
   EXPECT_TRUE(streams_equal(s1, s2));
   for (std::size_t i = 0; i < s1.size(); ++i) {
     EXPECT_EQ(s1[i].id, i);
-    if (i > 0) EXPECT_GE(s1[i].arrival_ns, s1[i - 1].arrival_ns);
+    if (i > 0) {
+      EXPECT_GE(s1[i].arrival_ns, s1[i - 1].arrival_ns);
+    }
     EXPECT_LT(s1[i].arrival_ns, cfg.duration_ms * 1000000ull);
   }
 

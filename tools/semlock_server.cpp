@@ -4,8 +4,8 @@
 // All configuration comes from the SEMLOCK_SERVER_* environment knobs
 // (src/server/config.h; strict parsing, loud fallbacks). Typical runs:
 //
-//   SEMLOCK_SERVER_MODE=semantic SEMLOCK_SERVER_RATE=20000 \
-//     SEMLOCK_SERVER_DURATION_MS=1000 build/tools/semlock-server
+//   export SEMLOCK_SERVER_MODE=semantic SEMLOCK_SERVER_RATE=20000
+//   SEMLOCK_SERVER_DURATION_MS=1000 build/tools/semlock-server
 //
 //   SEMLOCK_SERVER_MODE=occ SEMLOCK_SERVER_CHECKED=1 build/tools/semlock-server
 //     (records every committed operation and runs the conflict-
