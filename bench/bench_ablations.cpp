@@ -8,7 +8,6 @@
 //      instance-exclusive locking; larger n approaches per-key striping.
 //   3. Symbolic-set refinement (Section 4) vs generic lock(+) (Section 3):
 //      lock(+) makes every transaction conflict (the 2PL shape).
-//   4. Counter cache-line padding (ModeTableConfig::pad_counters).
 #include <memory>
 
 #include "adt/striped_hash_map.h"
@@ -137,22 +136,6 @@ int main() {
                  run_variant(cfg, false, threads, ops)});
     }
     std::printf("--- Ablation 3: symbolic-set refinement\n");
-    print_results(t);
-  }
-
-  {
-    semlock::util::SeriesTable t("threads", "ops/ms");
-    t.set_series({"packed counters", "padded counters"});
-    for (const std::size_t threads : default_threads()) {
-      ModeTableConfig packed;
-      packed.abstract_values = 64;
-      ModeTableConfig padded = packed;
-      padded.pad_counters = true;
-      t.add_row(static_cast<double>(threads),
-                {run_variant(packed, true, threads, ops),
-                 run_variant(padded, true, threads, ops)});
-    }
-    std::printf("--- Ablation 4: counter cache-line padding\n");
     print_results(t);
   }
   return 0;

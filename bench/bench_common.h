@@ -110,7 +110,7 @@ inline runtime::WaitPolicyKind wait_policy_from_args(
     if (!parsed) {
       std::fprintf(stderr,
                    "unknown wait policy '%s' (valid: spin-yield, "
-                   "spin-then-park, always-park, futex-word)\n",
+                   "spin-then-park, futex-word)\n",
                    std::string(arg.substr(kPrefix.size())).c_str());
       std::exit(2);
     }

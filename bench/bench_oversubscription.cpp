@@ -2,7 +2,9 @@
 //
 // The regime the runtime waiting subsystem exists for: more runnable
 // threads than hardware contexts (1x / 2x / 4x hardware concurrency). Two
-// scenarios, each swept over all three wait policies:
+// scenarios, each swept over three ways to wait: spin-yield,
+// spin-then-park, and park-now (spin-then-park with park_spin_limit = 0,
+// which parks on the first failed attempt):
 //
 //   compute       — holders compute for the whole critical section. Shows
 //                   the policies' bookkeeping cost and wakeup latency
@@ -28,7 +30,8 @@
 // conflicts with everything — i.e. mostly-commuting traffic with a global
 // conflict mixed in, the shape Figs. 21-25 share.
 //
-// `--wait-policy=NAME` restricts the sweep to one policy;
+// `--wait-policy=NAME` restricts the sweep to one policy at its default
+// spin budget;
 // SEMLOCK_WATCHDOG_MS enables the stall watchdog during the run.
 #include <algorithm>
 #include <atomic>
@@ -94,10 +97,18 @@ double process_cpu_seconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-ModeTable make_table(WaitPolicyKind policy) {
+// One column of the sweep. park_now zeroes the spin budget.
+struct WaitColumn {
+  const char* name;
+  WaitPolicyKind policy;
+  bool park_now;
+};
+
+ModeTable make_table(const WaitColumn& column) {
   ModeTableConfig cfg;
   cfg.abstract_values = kStripes;
-  cfg.wait_policy = policy;
+  cfg.wait_policy = column.policy;
+  if (column.park_now) cfg.park_spin_limit = 0;
   return ModeTable::compile(
       commute::set_spec(),
       {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),
@@ -198,12 +209,15 @@ int main(int argc, char** argv) {
     if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
   }
 
-  std::vector<WaitPolicyKind> policies{WaitPolicyKind::SpinYield,
-                                       WaitPolicyKind::SpinThenPark,
-                                       WaitPolicyKind::AlwaysPark};
+  std::vector<WaitColumn> columns{
+      {"spin-yield", WaitPolicyKind::SpinYield, false},
+      {"spin-then-park", WaitPolicyKind::SpinThenPark, false},
+      {"park-now", WaitPolicyKind::SpinThenPark, true},
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).rfind("--wait-policy=", 0) == 0) {
-      policies = {wait_policy_from_args(argc, argv)};
+      const WaitPolicyKind policy = wait_policy_from_args(argc, argv);
+      columns = {{runtime::wait_policy_name(policy), policy, false}};
     }
   }
 
@@ -224,10 +238,8 @@ int main(int argc, char** argv) {
   };
 
   std::vector<std::string> series;
-  series.reserve(policies.size());
-  for (const auto policy : policies) {
-    series.emplace_back(runtime::wait_policy_name(policy));
-  }
+  series.reserve(columns.size());
+  for (const WaitColumn& column : columns) series.push_back(column.name);
 
   // Keep the tables alive until write_bench_json reads them.
   std::vector<std::unique_ptr<util::SeriesTable>> tables;
@@ -247,8 +259,8 @@ int main(int argc, char** argv) {
     for (const std::size_t multiplier : {1u, 2u, 4u}) {
       const std::size_t threads = multiplier * hw;
       std::vector<double> tp_row, cpu_row, park_row, wcpu_row, wwall_row;
-      for (const auto policy : policies) {
-        const auto table = make_table(policy);
+      for (const WaitColumn& column : columns) {
+        const auto table = make_table(column);
         const Cell cell = run_cell(table, scenario, threads, kTimedPasses);
         tp_row.push_back(cell.ops_per_ms);
         cpu_row.push_back(cell.cpu_us_per_op);

@@ -33,8 +33,6 @@ const char* wait_policy_name(WaitPolicyKind kind) {
       return "spin-yield";
     case WaitPolicyKind::SpinThenPark:
       return "spin-then-park";
-    case WaitPolicyKind::AlwaysPark:
-      return "always-park";
     case WaitPolicyKind::FutexWord:
       return "futex-word";
   }
@@ -48,9 +46,6 @@ std::optional<WaitPolicyKind> parse_wait_policy(std::string_view text) {
   if (text == "spin-then-park" || text == "adaptive" ||
       text == "spinthenpark") {
     return WaitPolicyKind::SpinThenPark;
-  }
-  if (text == "always-park" || text == "park" || text == "alwayspark") {
-    return WaitPolicyKind::AlwaysPark;
   }
   if (text == "futex-word" || text == "futex" || text == "futexword") {
     return WaitPolicyKind::FutexWord;

@@ -12,15 +12,15 @@
 //   SpinThenPark — bounded adaptive spin (cheap when the conflicting holder
 //                  leaves quickly), then futex-style parking on the
 //                  partition's ParkingLot. The production default candidate.
-//   AlwaysPark   — park immediately on the first failed attempt. Best CPU
-//                  economy under heavy oversubscription; used by the
-//                  no-lost-wakeup stress tests because it maximizes the
-//                  park/notify interleavings.
+//                  With ModeTableConfig::park_spin_limit = 0 it parks on the
+//                  first failed attempt: best CPU economy under heavy
+//                  oversubscription, and what the no-lost-wakeup stress tests
+//                  use because it maximizes the park/notify interleavings.
 //   FutexWord    — bounded spin, then sleep DIRECTLY on the packed lock
 //                  word via C++20 std::atomic::wait/notify, bypassing the
 //                  external ParkingLot (docs/FAST_PATH.md §7). Only the
 //                  Packed storage policy has a single word to sleep on;
-//                  mechanisms with flat/striped storage silently degrade
+//                  mechanisms with striped storage silently degrade
 //                  this policy to SpinThenPark.
 //
 // Selection is per ModeTable (ModeTableConfig::wait_policy). The process-wide
@@ -40,22 +40,21 @@ namespace semlock::runtime {
 enum class WaitPolicyKind {
   SpinYield,
   SpinThenPark,
-  AlwaysPark,
   FutexWord,
 };
 
-// Short stable name ("spin-yield", "spin-then-park", "always-park",
-// "futex-word") used by benchmark tables, JSON output, and the environment
-// knob.
+// Short stable name ("spin-yield", "spin-then-park", "futex-word") used by
+// benchmark tables, JSON output, and the environment knob.
 const char* wait_policy_name(WaitPolicyKind kind);
 
-// Accepts the canonical names plus the shorthands "spin", "adaptive",
-// "park" and "futex". Returns nullopt for anything else.
+// Accepts the canonical names plus the shorthands "spin", "adaptive" and
+// "futex". Returns nullopt for anything else.
 std::optional<WaitPolicyKind> parse_wait_policy(std::string_view text);
 
 // Resolves SEMLOCK_WAIT_POLICY text: recognized names parse as above;
-// anything else (typos, empty) warns once on stderr and falls back to
-// SpinYield. Split out from the cached env lookup for testability.
+// anything else (typos, empty, the removed "always-park") warns once on
+// stderr and falls back to SpinYield. Split out from the cached env lookup
+// for testability.
 WaitPolicyKind wait_policy_from_env_text(const char* text);
 
 // Process-wide default policy: the ambient override if one is installed,
@@ -106,8 +105,6 @@ class WaitState {
           return false;
         }
         return true;
-      case WaitPolicyKind::AlwaysPark:
-        return true;
     }
     return false;  // unreachable
   }
@@ -123,8 +120,6 @@ class WaitState {
       case WaitPolicyKind::SpinThenPark:
       case WaitPolicyKind::FutexWord:
         return spins_left_ == 0 || backoff_.yielding();
-      case WaitPolicyKind::AlwaysPark:
-        return true;
     }
     return true;  // unreachable
   }

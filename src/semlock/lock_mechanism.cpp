@@ -54,9 +54,11 @@
                                                        : -1);        \
   } while (0)
 #else
-#define LM_OBS_EVENT(type, mode) ((void)0)
-#define LM_ATTR_GRANT(mode, args) ((void)0)
-#define LM_OBS_SITE(args) ((void)0)
+// The hooks still consume their operands, so parameters that only feed them
+// do not trip -Wunused-parameter in an obs-less build.
+#define LM_OBS_EVENT(type, mode) ((void)(mode))
+#define LM_ATTR_GRANT(mode, args) ((void)(mode), (void)(args))
+#define LM_OBS_SITE(args) ((void)(args))
 #endif
 
 namespace semlock {
@@ -140,26 +142,21 @@ AcquireStats& local_acquire_stats() {
 
 LockMechanism::StorageVariant LockMechanism::make_storage(
     const ModeTable& table, StorageKind kind) {
-  switch (kind) {
-    case StorageKind::Flat:
-      return StorageVariant(std::in_place_type<FlatStorage>, table);
-    case StorageKind::Striped:
-      return StorageVariant(std::in_place_type<StripedStorage>, table);
-    case StorageKind::Packed:
-      return StorageVariant(std::in_place_type<PackedStorage>,
-                            *table.packed_layout());
+  if (kind == StorageKind::Packed) {
+    return StorageVariant(std::in_place_type<PackedStorage>,
+                          *table.packed_layout());
   }
-  return StorageVariant(std::in_place_type<FlatStorage>, table);
+  return StorageVariant(std::in_place_type<StripedStorage>, table);
 }
 
 LockMechanism::LockMechanism(const ModeTable& table)
     : table_(&table),
       // A Packed request over a table with no packed layout (> 8 canonical
-      // modes, too many partitions, ...) silently becomes Flat; storage()
-      // reports the representation actually in use.
+      // modes) silently becomes Striped; storage() reports the
+      // representation actually in use.
       storage_kind_(table.config().storage == StorageKind::Packed &&
                             table.packed_layout() == nullptr
-                        ? StorageKind::Flat
+                        ? StorageKind::Striped
                         : table.config().storage),
       storage_(make_storage(table, storage_kind_)),
       partition_locks_(
@@ -310,22 +307,11 @@ bool LockMechanism::announce_validate(Storage& s, int mode, int partition,
   return false;
 }
 
-LockMechanism::Attempt LockMechanism::packed_try_acquire(
-    PackedStorage& s, int mode, int partition, AcquireStats& stats,
-    bool doorway) {
+LockMechanism::Attempt LockMechanism::packed_try_acquire(PackedStorage& s,
+                                                         int mode) {
   const PackedLayout& layout = s.layout();
   std::atomic<std::uint64_t>& word = s.word();
   const auto mi = static_cast<std::size_t>(mode);
-  const auto pi = static_cast<std::size_t>(partition);
-  // Whether the folded grant-barrier bits still gate this attempt. The
-  // ticketed arbitrated tier (doorway=false) ignores them, exactly as the
-  // flat arbitrated tier never consults fast_path_admitted.
-  bool barrier_passed = grant_slots_ == nullptr || !doorway;
-#if defined(SEMLOCK_DCT)
-  // Test-only mutation: ignore the barrier — the bypass tiers behave as
-  // under Free and the no-starvation oracle must notice.
-  if (dct::mutation_drop_barrier_check()) barrier_passed = true;
-#endif
   std::uint64_t w = word.load(std::memory_order_seq_cst);
   for (int attempt = 0;; ++attempt) {
     SEMLOCK_DCT_POINT("word.check", &word);
@@ -343,45 +329,6 @@ LockMechanism::Attempt LockMechanism::packed_try_acquire(
       // tier until a release drops the field below field_max (releases from
       // saturation replay the wakeup; see unlock_impl).
       return Attempt::Blocked;
-    }
-    if (!barrier_passed) {
-      SEMLOCK_DCT_POINT("grant.barrier", &word);
-      if ((w & layout.closed_bit[pi]) != 0) {
-        ++stats.diverted;
-        LM_OBS_EVENT(kBarrierDivert, mode);
-        return Attempt::Blocked;
-      }
-      if ((w & layout.counting_bit[pi]) != 0) {
-        // BoundedBypass counting: charge the budget once per attempt
-        // series; the admission that exhausts it closes the barrier for
-        // everyone after. A straggler that loaded a stale counting bit can
-        // only over-count — the bound holds. The budget itself stays in the
-        // external GrantSlot (it does not fit the word); only the 0/1/2
-        // barrier STATE is folded into the bits.
-        GrantSlot& slot = grant_slots_[pi];
-        const std::uint32_t before =
-            slot.bypasses.fetch_add(1, std::memory_order_acq_rel);
-        if (before + 1 >= bypass_bound_) {
-          std::uint64_t cur = word.load(std::memory_order_relaxed);
-          while ((cur & layout.counting_bit[pi]) != 0 &&
-                 !word.compare_exchange_weak(
-                     cur,
-                     (cur | layout.closed_bit[pi]) & ~layout.counting_bit[pi],
-                     std::memory_order_acq_rel)) {
-          }
-        }
-        if (before >= bypass_bound_) {
-          ++stats.diverted;
-          LM_OBS_EVENT(kBarrierDivert, mode);
-          return Attempt::Blocked;
-        }
-        // Admitted: like the flat doorway, a barrier that rises after this
-        // point (possibly by our own hand just above) no longer diverts us.
-        barrier_passed = true;
-        w = word.load(std::memory_order_seq_cst);
-        continue;
-      }
-      barrier_passed = true;
     }
     // The CAS fuses announce+validate: it claims the field ONLY if the word
     // it validated is still the word it saw, so there is no transient
@@ -438,26 +385,16 @@ bool LockMechanism::fast_path_admitted(int partition, AcquireStats& stats,
   return false;
 }
 
-template <class Storage>
-std::uint64_t LockMechanism::enqueue_waiter(Storage& s, int partition) {
+std::uint64_t LockMechanism::enqueue_waiter(int partition) {
   GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
   SEMLOCK_DCT_POINT("grant.enqueue", &slot.barrier);
   const std::uint64_t ticket =
       slot.next_ticket.fetch_add(1, std::memory_order_relaxed);
   ++slot.waiting;
-  // Barrier-state writes are representation-switched: flat/striped keep the
-  // PR 7 GrantSlot barrier word; packed raises the closed/counting bits in
-  // the lock word so the bypass tiers' doorway stays one load.
   switch (grant_policy_) {
     case runtime::GrantPolicyKind::PhaseFair:
       // The moment anyone queues, every bypass tier closes.
-      if constexpr (Storage::kPacked) {
-        s.word().fetch_or(s.layout().closed_bit[static_cast<std::size_t>(
-                              partition)],
-                          std::memory_order_seq_cst);
-      } else {
-        slot.barrier.store(2, std::memory_order_release);
-      }
+      slot.barrier.store(2, std::memory_order_release);
       if (slot.phase_remaining == 0) {
         // Open the first phase: just this waiter. Later arrivals queue for
         // the next phase, which grant_complete sizes when this one drains.
@@ -470,20 +407,9 @@ std::uint64_t LockMechanism::enqueue_waiter(Storage& s, int partition) {
         // First waiter arms the counting barrier with a fresh budget —
         // never demoting a barrier a concurrent exhaustion already closed.
         slot.bypasses.store(0, std::memory_order_relaxed);
-        if constexpr (Storage::kPacked) {
-          const PackedLayout& layout = s.layout();
-          const auto pi = static_cast<std::size_t>(partition);
-          std::uint64_t cur = s.word().load(std::memory_order_relaxed);
-          while ((cur & layout.closed_bit[pi]) == 0 &&
-                 !s.word().compare_exchange_weak(
-                     cur, cur | layout.counting_bit[pi],
-                     std::memory_order_acq_rel)) {
-          }
-        } else {
-          std::uint32_t expected = 0;
-          slot.barrier.compare_exchange_strong(expected, 1,
-                                               std::memory_order_acq_rel);
-        }
+        std::uint32_t expected = 0;
+        slot.barrier.compare_exchange_strong(expected, 1,
+                                             std::memory_order_acq_rel);
       }
       break;
     case runtime::GrantPolicyKind::Free:
@@ -510,10 +436,8 @@ bool LockMechanism::waiter_eligible(int partition,
   return true;
 }
 
-template <class Storage>
-bool LockMechanism::grant_complete(Storage& s, int partition) {
+bool LockMechanism::grant_complete(int partition) {
   GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
-  const auto pi = static_cast<std::size_t>(partition);
   --slot.waiting;
   slot.granted.fetch_add(1, std::memory_order_release);
   switch (grant_policy_) {
@@ -528,12 +452,7 @@ bool LockMechanism::grant_complete(Storage& s, int partition) {
               slot.next_ticket.load(std::memory_order_relaxed),
               std::memory_order_release);
         } else {
-          if constexpr (Storage::kPacked) {
-            s.word().fetch_and(~s.layout().closed_bit[pi],
-                               std::memory_order_seq_cst);
-          } else {
-            slot.barrier.store(0, std::memory_order_release);
-          }
+          slot.barrier.store(0, std::memory_order_release);
         }
       }
       break;
@@ -541,24 +460,7 @@ bool LockMechanism::grant_complete(Storage& s, int partition) {
       // The waiter the budget protected is gone: refresh the budget for the
       // next one, or reopen the fast path when the queue is empty.
       slot.bypasses.store(0, std::memory_order_relaxed);
-      if constexpr (Storage::kPacked) {
-        const PackedLayout& layout = s.layout();
-        if (slot.waiting > 0) {
-          // Re-arm counting before reopening closed; the transient
-          // closed+counting overlap can only divert conservatively.
-          s.word().fetch_or(layout.counting_bit[pi],
-                            std::memory_order_seq_cst);
-          s.word().fetch_and(~layout.closed_bit[pi],
-                             std::memory_order_seq_cst);
-        } else {
-          s.word().fetch_and(
-              ~(layout.closed_bit[pi] | layout.counting_bit[pi]),
-              std::memory_order_seq_cst);
-        }
-      } else {
-        slot.barrier.store(slot.waiting > 0 ? 1 : 0,
-                           std::memory_order_release);
-      }
+      slot.barrier.store(slot.waiting > 0 ? 1 : 0, std::memory_order_release);
       break;
     case runtime::GrantPolicyKind::Free:
       break;
@@ -596,18 +498,18 @@ LockMechanism::Attempt LockMechanism::try_acquire(Storage& s, int mode,
                                                   int partition,
                                                   AcquireStats& stats,
                                                   bool doorway) {
+  if (doorway && !fast_path_admitted(partition, stats, mode)) {
+    return Attempt::Blocked;
+  }
   if constexpr (Storage::kPacked) {
     // The CAS validates against the word it claims, so the pre-check is
     // part of the attempt itself.
-    return packed_try_acquire(s, mode, partition, stats, doorway);
+    return packed_try_acquire(s, mode);
   } else {
     // Fig. 20 pre-check: a visibly held conflict is refused before the
     // announcement, so it costs no transient increment and no retract.
     // Validation inside announce_validate is unconditional.
-    if (doorway && (!fast_path_admitted(partition, stats, mode) ||
-                    !conflicts_clear(s, mode))) {
-      return Attempt::Blocked;
-    }
+    if (doorway && !conflicts_clear(s, mode)) return Attempt::Blocked;
     return announce_validate(s, mode, partition, stats) ? Attempt::Acquired
                                                         : Attempt::Contended;
   }
@@ -748,7 +650,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   std::uint64_t ticket = kMaxTicket;
   if (grant_slots_ != nullptr) {
     internal.lock();
-    ticket = enqueue_waiter(s, partition);
+    ticket = enqueue_waiter(partition);
     internal.unlock();
   }
   runtime::WaitState wait(policy_, spin_limit_);
@@ -774,7 +676,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           Attempt::Acquired;
       bool handoff = false;
       if (acquired && ticket != kMaxTicket) {
-        handoff = grant_complete(s, partition);
+        handoff = grant_complete(partition);
       }
       internal.unlock();
       if (acquired) {
@@ -929,11 +831,9 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
     util::Spinlock& internal =
         partition_locks_[static_cast<std::size_t>(partition)];
     internal.lock();
-    // The flat/striped retry announces at once, like tier T2: this arrival
-    // already passed the doorway and the pre-check. The packed retry
-    // re-reads the barrier bits, which live in the word its CAS validates.
-    r = try_acquire(s, mode, partition, stats,
-                    /*doorway=*/Storage::kPacked);
+    // The retry acquires at once, like tier T2: this arrival already passed
+    // the doorway and the pre-check.
+    r = try_acquire(s, mode, partition, stats, /*doorway=*/false);
     internal.unlock();
     if (r == Attempt::Acquired) LM_OBS_EVENT(kAcquireGrant, mode);
   }

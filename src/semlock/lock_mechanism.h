@@ -3,10 +3,10 @@
 // Per ADT instance, the mechanism tracks, per (canonical) locking mode, the
 // number of transactions currently holding that mode. HOW those counts are
 // represented is a storage policy (semlock/storage_policy.h) chosen per
-// mode table: Flat (one atomic per mode, the paper's layout), Striped
-// (PR 3's banks for self-commuting modes), or Packed (the whole table in
-// one 64-bit word with compiled conflict masks). Acquisition runs through
-// three tiers (docs/FAST_PATH.md):
+// mode table: Striped (one atomic per mode, the paper's layout, plus striped
+// banks for self-commuting modes when counter_stripes > 0) or Packed (the
+// whole table in one 64-bit word with compiled conflict masks). Acquisition
+// runs through three tiers (docs/FAST_PATH.md):
 //
 //   T1 (optimistic): the Fig. 20 pre-check (skip a visibly held conflict
 //      without writing anything), then announce by incrementing C_l,
@@ -41,9 +41,9 @@
 // queued (PhaseFair) or exhausted its bypass budget (BoundedBypass),
 // new arrivals — including T1 — divert to the wait path and grants hand off
 // through a ticket cursor, bounding how long a commuting flood can starve a
-// conflicting waiter (docs/RUNTIME_WAITING.md §5). With Packed storage the
-// barrier state lives in spare bits of the lock word itself, so the T1
-// doorway check stays one load.
+// conflicting waiter (docs/RUNTIME_WAITING.md §5). The barrier lives only in
+// the partition's GrantSlot, and both storages pass the same doorway check
+// (fast_path_admitted) before they acquire.
 #pragma once
 
 #include <atomic>
@@ -60,7 +60,6 @@
 #include "runtime/wait_policy.h"
 #include "semlock/acquire_stats.h"
 #include "semlock/mode_table.h"
-#include "semlock/storage_flat.h"
 #include "semlock/storage_packed.h"
 #include "semlock/storage_policy.h"
 #include "semlock/storage_striped.h"
@@ -169,7 +168,7 @@ class LockMechanism {
 
   // The counter representation actually in use: the config's storage kind,
   // except that a Packed request over a table with no packed layout (> 8
-  // canonical modes) falls back to Flat.
+  // canonical modes) falls back to Striped.
   StorageKind storage() const { return storage_kind_; }
 
   // Total per-instance memory of this mechanism: the object itself plus
@@ -204,13 +203,12 @@ class LockMechanism {
   // The barrier word is the one field the lock-free tiers read: 0 = open
   // (commuting arrivals may acquire without queueing), 1 = BoundedBypass
   // counting (arrivals charge `bypasses` and the K-th raises the barrier),
-  // 2 = closed (arrivals divert to the wait path). With Packed storage the
-  // barrier STATE lives in the lock word's closed/counting bits instead and
-  // this word stays 0 — the ticket and budget state here is authoritative
-  // for every storage. The ticket cursor (next_ticket/granted/phase_end) is
-  // written only under the partition's internal spinlock; waiters read it
-  // lock-free in the park re-validation, which is sound because eligibility
-  // is monotone — a ticket never becomes ineligible again before its grant.
+  // 2 = closed (arrivals divert to the wait path). It is the only copy of
+  // the barrier, for every storage. The ticket cursor
+  // (next_ticket/granted/phase_end) is written only under the partition's
+  // internal spinlock; waiters read it lock-free in the park re-validation,
+  // which is sound because eligibility is monotone — a ticket never becomes
+  // ineligible again before its grant.
   // `waiting`/`phase_remaining` are plain ints touched exclusively under the
   // internal lock.
   struct alignas(util::kCacheLineSize) GrantSlot {
@@ -229,13 +227,12 @@ class LockMechanism {
   // churn did, so an arbitrated retry may land.
   enum class Attempt { Acquired, Blocked, Contended };
 
-  using StorageVariant =
-      std::variant<FlatStorage, StripedStorage, PackedStorage>;
+  using StorageVariant = std::variant<StripedStorage, PackedStorage>;
 
   static StorageVariant make_storage(const ModeTable& table, StorageKind kind);
 
   // --- storage-generic algorithm (defined in lock_mechanism.cpp; each
-  // member template is instantiated there for the three policies, with
+  // member template is instantiated there for the two policies, with
   // `if constexpr (Storage::kPacked)` carrying the packed-word variants of
   // the protocol steps). ----------------------------------------------------
   template <class Storage>
@@ -262,7 +259,7 @@ class LockMechanism {
                             std::memory_order order) const;
 
   // One acquisition attempt of tiers T1/T2. With `doorway` the attempt
-  // honors the grant barrier and, on flat/striped storage, runs the Fig. 20
+  // honors the grant barrier and, on striped storage, runs the Fig. 20
   // pre-check before announcing. The ticketed arbitrated tier passes false:
   // its caller has pre-checked and its turn came, so its own barrier must
   // not divert it.
@@ -270,7 +267,7 @@ class LockMechanism {
   Attempt try_acquire(Storage& s, int mode, int partition, AcquireStats& stats,
                       bool doorway);
 
-  // The announce/validate/retract step, flat/striped storages only. Returns
+  // The announce/validate/retract step, striped storage only. Returns
   // true when `mode` was acquired; on failure the announcement has been
   // retracted and, if it might have parked a conflicting waiter, the
   // partition rewoken.
@@ -278,36 +275,30 @@ class LockMechanism {
   bool announce_validate(Storage& s, int mode, int partition,
                          AcquireStats& stats);
 
-  // Packed equivalent of announce_validate + fast_path_admitted: one bounded
-  // CAS-loop attempt, with the grant-barrier bits honored iff `doorway`.
+  // Packed equivalent of announce_validate: one bounded CAS-loop attempt.
   // Returns Contended on CAS churn without a visible blocker.
-  Attempt packed_try_acquire(PackedStorage& s, int mode, int partition,
-                             AcquireStats& stats, bool doorway);
+  static Attempt packed_try_acquire(PackedStorage& s, int mode);
   // Sleep on the packed word until it differs from `observed` (futex-word
   // policy; cooperative under DCT).
   static void packed_word_wait(PackedStorage& s, std::uint64_t observed);
 
-  // Doorway check for the bypass tiers (T1, try_lock) of the flat/striped
-  // storages: may this arrival acquire without a ticket? Charges
-  // stats.diverted and emits kBarrierDivert when it says no. Lock-free; an
-  // arrival that passed the check before the barrier rose may still
-  // announce (the "doorway race"), which is why the certified bypass bound
-  // is K plus an in-flight allowance, not exactly K.
-  // (Packed storage folds this check into packed_try_acquire.)
+  // Doorway check for the bypass tiers (T1, try_lock) of both storages: may
+  // this arrival acquire without a ticket? Charges stats.diverted and emits
+  // kBarrierDivert when it says no. Lock-free; an arrival that passed the
+  // check before the barrier rose may still acquire (the "doorway race"),
+  // which is why the certified bypass bound is K plus an in-flight
+  // allowance, not exactly K.
   bool fast_path_admitted(int partition, AcquireStats& stats, int mode);
-  // Takes a ticket and raises the barrier per policy (in the GrantSlot or,
-  // for Packed, in the word's barrier bits). Called once per contended
-  // acquisition, under the partition's internal lock.
-  template <class Storage>
-  std::uint64_t enqueue_waiter(Storage& s, int partition);
+  // Takes a ticket and raises the GrantSlot barrier per policy. Called once
+  // per contended acquisition, under the partition's internal lock.
+  std::uint64_t enqueue_waiter(int partition);
   // May the holder of `ticket` attempt the arbitrated grant now? Lock-free
   // and monotone (see GrantSlot).
   bool waiter_eligible(int partition, std::uint64_t ticket) const;
   // Bookkeeping after a ticketed grant, under the internal lock: advances
   // the cursor, re-arms or drops the barrier, and returns whether the caller
   // must wake the partition so the next eligible waiter re-validates.
-  template <class Storage>
-  bool grant_complete(Storage& s, int partition);
+  bool grant_complete(int partition);
   // Wake every waiter of `partition`: ParkingLot unpark, or the futex-word
   // clear-waiters-bit + notify protocol for packed words.
   template <class Storage>

@@ -357,54 +357,35 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
   }
 
   // --- Packed-word layout (packed_layout.h). ------------------------------
-  // Field widths: carve the waiters bit and two barrier bits per partition
-  // out of the top, split the rest evenly (capped at 8 bits — a mini-counter
-  // of 255 concurrent holders is already far past any real transaction
-  // count), and require at least 4 bits per field so saturation stays rare.
-  // Partitions never exceed modes, so every table with <= kMaxPackedModes
-  // modes is eligible.
+  // Field widths: carve the waiters bit out of the top and split the rest
+  // evenly, capped at 8 bits — a mini-counter of 255 concurrent holders is
+  // already far past any real transaction count. Every table with
+  // <= kMaxPackedModes modes gets at least 7 bits, so saturation stays rare.
   {
     const int m = static_cast<int>(nc);
-    const int p = table.num_partitions_;
     if (m >= 1 && m <= kMaxPackedModes) {
-      const std::uint32_t aux = 1u + 2u * static_cast<std::uint32_t>(p);
       const std::uint32_t bits =
-          std::min(8u, (64u - aux) / static_cast<std::uint32_t>(m));
-      if (bits >= 4) {
-        PackedLayout& l = table.packed_;
-        l.num_modes = m;
-        l.num_partitions = p;
-        l.bits_per_mode = bits;
-        l.field_max = (std::uint64_t{1} << bits) - 1;
-        l.waiters_bit = std::uint64_t{1} << 63;
-        for (int i = 0; i < m; ++i) {
-          const auto mi = static_cast<std::size_t>(i);
-          l.shift[mi] = static_cast<std::uint32_t>(i) * bits;
-          l.inc[mi] = std::uint64_t{1} << l.shift[mi];
-          l.field_mask[mi] = l.field_max << l.shift[mi];
-        }
-        for (int i = 0; i < p; ++i) {
-          const auto pi = static_cast<std::size_t>(i);
-          l.closed_bit[pi] = std::uint64_t{1} << (62 - 2 * i);
-          l.counting_bit[pi] = std::uint64_t{1} << (61 - 2 * i);
-        }
-        // Counter fields grow upward, barrier bits downward; they can never
-        // meet because bits was computed to leave the aux bits free.
-        assert(static_cast<std::uint32_t>(m) * bits <=
-               64u - (1u + 2u * static_cast<std::uint32_t>(p)));
-        for (int i = 0; i < m; ++i) {
-          const auto mi = static_cast<std::size_t>(i);
-          std::uint64_t conflict = 0;
-          for (const std::int32_t other : table.conflicts_[mi]) {
-            conflict |= l.field_mask[static_cast<std::size_t>(other)];
-          }
-          l.conflict_mask[mi] = conflict;
-          l.doorway_mask[mi] =
-              conflict |
-              l.closed_bit[static_cast<std::size_t>(table.partition_[mi])];
-        }
-        table.packed_ok_ = true;
+          std::min(8u, 63u / static_cast<std::uint32_t>(m));
+      PackedLayout& l = table.packed_;
+      l.num_modes = m;
+      l.bits_per_mode = bits;
+      l.field_max = (std::uint64_t{1} << bits) - 1;
+      l.waiters_bit = std::uint64_t{1} << 63;
+      for (int i = 0; i < m; ++i) {
+        const auto mi = static_cast<std::size_t>(i);
+        l.shift[mi] = static_cast<std::uint32_t>(i) * bits;
+        l.inc[mi] = std::uint64_t{1} << l.shift[mi];
+        l.field_mask[mi] = l.field_max << l.shift[mi];
       }
+      for (int i = 0; i < m; ++i) {
+        const auto mi = static_cast<std::size_t>(i);
+        std::uint64_t conflict = 0;
+        for (const std::int32_t other : table.conflicts_[mi]) {
+          conflict |= l.field_mask[static_cast<std::size_t>(other)];
+        }
+        l.conflict_mask[mi] = conflict;
+      }
+      table.packed_ok_ = true;
     }
   }
 

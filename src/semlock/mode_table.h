@@ -4,7 +4,8 @@
 //
 // One ModeTable is shared, immutably, by every ADT instance of the same
 // (ADT class, pointer equivalence class) pair — per-instance state is only
-// the counters held by SemanticLock.
+// the counters held by SemanticLock, in the striped or packed storage the
+// config selects (semlock/storage_policy.h).
 #pragma once
 
 #include <cstdint>
@@ -54,11 +55,6 @@ struct ModeTableConfig {
   // the conflict graph, each with its own internal lock. Disabling this is
   // exposed only for the ablation benchmark (a single internal lock).
   bool partition = true;
-  // Give every mode counter its own cache line. Costs memory per instance
-  // (64 B per mode instead of 4 B) but removes false sharing between
-  // commuting modes that happen to share a line — worthwhile for hot,
-  // few-mode ADTs on real multicore hardware.
-  bool pad_counters = false;
   // Safety cap on a single site's alpha-tuple resolution table.
   int max_tuple_entries = 1 << 16;
   // How a blocked acquisition waits for its conflicting holders (the
@@ -67,7 +63,8 @@ struct ModeTableConfig {
   // the historical spin-then-yield behavior.
   runtime::WaitPolicyKind wait_policy = runtime::default_wait_policy();
   // SpinThenPark only: backoff rounds spent spinning before the waiter
-  // parks on the partition's futex. Higher values favor latency over CPU.
+  // parks on the partition's futex. Higher values favor latency over CPU;
+  // 0 parks on the first failed attempt.
   int park_spin_limit = 64;
   // WHO gets the lock next once waiters exist (src/runtime/grant_policy.h):
   // Free is the historical unbounded-bypass behavior; PhaseFair and
@@ -83,13 +80,14 @@ struct ModeTableConfig {
   // cache-line-padded stripes (util/striped_counter.h) so commuting holders
   // stop ping-ponging one counter line; conflict checks and holders() sum
   // the stripes. Costs 64 B * counter_stripes per striped mode per
-  // instance. 0 turns striping off (SEMLOCK_STRIPES=0).
+  // instance. 0 turns striping off (SEMLOCK_STRIPES=0): one plain atomic
+  // counter per mode, the paper's Fig. 20 layout.
   int counter_stripes = default_counter_stripes();
   // Which counter representation mechanisms built over this table use
-  // (semlock/storage_policy.h): Flat (per-mode atomics), Striped (Flat plus
-  // the striping above — the historical default), or Packed (the whole
-  // table in one 64-bit word, falling back to Flat when the table has more
-  // than kMaxPackedModes modes). SEMLOCK_STORAGE overrides the default.
+  // (semlock/storage_policy.h): Striped (per-mode atomics plus the striping
+  // above — the default), or Packed (the whole table in one 64-bit word,
+  // falling back to Striped when the table has more than kMaxPackedModes
+  // modes). SEMLOCK_STORAGE overrides the default.
   StorageKind storage = default_storage();
   // Emit binary trace events and conflict/latency metrics from mechanisms
   // built over this table (src/obs, docs/OBSERVABILITY.md). Cached by the

@@ -6,24 +6,21 @@
 //
 //   [ mode 0 field | mode 1 field | ... | mode M-1 field |  (low bits)
 //     ...spare... |
-//     counting(P-1) closed(P-1) | ... | counting(0) closed(0) |
 //     W ]                                                     (bit 63)
 //
 // Each mode field is a `bits_per_mode`-wide holder mini-counter; a field at
 // its all-ones value (`field_max`) is SATURATED and further acquisitions of
 // that mode divert to the arbitrated/wait tier until a release drops it.
-// The per-partition closed/counting bits mirror the grant-policy barrier
-// states of GrantSlot::barrier (docs/RUNTIME_WAITING.md §5) so the T1
-// doorway check — "no conflicting holder AND my partition's barrier is
-// open" — stays a single `word & doorway_mask[m]` test on one load. Bit 63
-// (W) is the futex-word waiters-present bit: set by waiters before they
-// sleep on the word via std::atomic::wait, cleared (then notify_all) by the
-// wakeup paths, the classic futex-mutex protocol.
+// Bit 63 (W) is the futex-word waiters-present bit: set by waiters before
+// they sleep on the word via std::atomic::wait, cleared (then notify_all) by
+// the wakeup paths, the classic futex-mutex protocol. The grant barrier is
+// not in the word: every storage reads it from the mechanism's GrantSlot
+// (docs/RUNTIME_WAITING.md §5).
 //
-// Eligibility: at most kMaxPackedModes canonical modes and a field width of
-// at least 4 bits once the aux bits are carved out. Partitions never exceed
-// modes, so every table with <= 8 modes fits (8 modes x 5 bits + 1 + 16
-// aux = 57 <= 64). Ineligible tables requested as Packed fall back to Flat.
+// Eligibility: at most kMaxPackedModes canonical modes. Only W is carved out
+// of the word, so every eligible table gets fields of at least 7 bits
+// (8 modes x 7 bits + 1 = 57 <= 64). Ineligible tables requested as Packed
+// fall back to Striped.
 #pragma once
 
 #include <array>
@@ -35,7 +32,6 @@ inline constexpr int kMaxPackedModes = 8;
 
 struct PackedLayout {
   int num_modes = 0;
-  int num_partitions = 0;
   std::uint32_t bits_per_mode = 0;
   // Saturation value of one (unshifted) field: (1 << bits_per_mode) - 1.
   std::uint64_t field_max = 0;
@@ -50,14 +46,6 @@ struct PackedLayout {
   // nonzero iff some conflicting mode (possibly m itself, when
   // self-conflicting) is held. This is conflicts_clear(m) as one AND.
   std::array<std::uint64_t, kMaxPackedModes> conflict_mask{};
-  // conflict_mask[m] | closed_bit[partition_of(m)]: the bypass-tier doorway
-  // check (conflicts clear AND barrier open) as one AND.
-  std::array<std::uint64_t, kMaxPackedModes> doorway_mask{};
-  // Grant-barrier state bits, indexed by partition: closed == barrier state
-  // 2 (arrivals divert), counting == state 1 (BoundedBypass budget
-  // charging). Both clear == open.
-  std::array<std::uint64_t, kMaxPackedModes> closed_bit{};
-  std::array<std::uint64_t, kMaxPackedModes> counting_bit{};
 };
 
 }  // namespace semlock

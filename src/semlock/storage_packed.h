@@ -3,9 +3,9 @@
 // bit layout, docs/FAST_PATH.md §7 for the protocol).
 //
 // Per-instance state is exactly this word. Everything shape-dependent —
-// field shifts, the per-mode conflict masks, the folded grant-barrier bits —
-// lives in the table-owned PackedLayout, shared immutably by all instances.
-// The acquisition protocol (semlock/lock_mechanism.cpp) replaces the flat
+// field shifts and the per-mode conflict masks — lives in the table-owned
+// PackedLayout, shared immutably by all instances.
+// The acquisition protocol (semlock/lock_mechanism.cpp) replaces the striped
 // announce/validate/retract dance with a single CAS that checks and claims
 // atomically, so the packed fast path has no retract and no rewake.
 #pragma once

@@ -37,23 +37,6 @@ class ConfigMatrix : public ::testing::TestWithParam<Config> {
   }
 };
 
-TEST_P(ConfigMatrix, PaddedCountersBehaveIdentically) {
-  ModeTableConfig cfg = make_config();
-  cfg.pad_counters = true;
-  const auto table = ModeTable::compile(
-      commute::map_spec(),
-      {SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})})},
-      cfg);
-  LockMechanism mech(table);
-  const Value vals[1] = {3};
-  const int mode = table.resolve(0, vals);
-  EXPECT_TRUE(mech.try_lock(mode));
-  EXPECT_EQ(mech.holders(mode), 1u);
-  EXPECT_FALSE(mech.try_lock(mode));  // self-conflicting
-  mech.unlock(mode);
-  EXPECT_EQ(mech.holders(mode), 0u);
-}
-
 TEST_P(ConfigMatrix, KeyedExclusionHolds) {
   // {get(k),put(k,*)} modes are per-key critical sections: per-key counters
   // incremented non-atomically under the lock must never tear.
@@ -201,19 +184,30 @@ INSTANTIATE_TEST_SUITE_P(
 // the packed word itself. Kept separate from the main matrix (which varies
 // the compilation knobs) so the cross product stays small.
 
-// (storage, wait_policy)
-using FastPathConfig = std::tuple<StorageKind, runtime::WaitPolicyKind>;
+// A counter representation: a storage and its stripe count.
+struct StorageCell {
+  const char* name;
+  StorageKind storage;
+  int counter_stripes;
+};
+// A way to wait: a policy and its spin budget.
+struct WaitCell {
+  const char* name;
+  runtime::WaitPolicyKind policy;
+  int park_spin_limit;
+};
+using FastPathConfig = std::tuple<StorageCell, WaitCell>;
 
 class FastPathMatrix : public ::testing::TestWithParam<FastPathConfig> {
  protected:
   ModeTableConfig make_config() const {
-    const auto [storage, policy] = GetParam();
+    const auto [storage, wait] = GetParam();
     ModeTableConfig cfg;
     cfg.abstract_values = 8;
-    cfg.storage = storage;
-    cfg.counter_stripes = 4;
-    cfg.wait_policy = policy;
-    cfg.park_spin_limit = 4;  // reach the parked tier quickly
+    cfg.storage = storage.storage;
+    cfg.counter_stripes = storage.counter_stripes;
+    cfg.wait_policy = wait.policy;
+    cfg.park_spin_limit = wait.park_spin_limit;
     return cfg;
   }
 };
@@ -299,32 +293,22 @@ TEST_P(FastPathMatrix, KeyedExclusionHolds) {
 INSTANTIATE_TEST_SUITE_P(
     FastPathConfigs, FastPathMatrix,
     ::testing::Combine(
-        ::testing::Values(StorageKind::Flat, StorageKind::Striped,
-                          StorageKind::Packed),
-        ::testing::Values(runtime::WaitPolicyKind::SpinYield,
-                          runtime::WaitPolicyKind::SpinThenPark,
-                          runtime::WaitPolicyKind::AlwaysPark,
-                          // Degrades to SpinThenPark on flat/striped and
-                          // under a non-Free grant policy; exercises the
-                          // word sleep on packed under Free.
-                          runtime::WaitPolicyKind::FutexWord)),
+        ::testing::Values(StorageCell{"unstriped", StorageKind::Striped, 0},
+                          StorageCell{"striped", StorageKind::Striped, 4},
+                          StorageCell{"packed", StorageKind::Packed, 4}),
+        // A spin budget of 4 reaches the parked tier quickly; 0 parks on
+        // the first failed attempt.
+        ::testing::Values(
+            WaitCell{"spinyield", runtime::WaitPolicyKind::SpinYield, 4},
+            WaitCell{"spinthenpark", runtime::WaitPolicyKind::SpinThenPark, 4},
+            WaitCell{"parknow", runtime::WaitPolicyKind::SpinThenPark, 0},
+            // Degrades to SpinThenPark on striped storage and under a
+            // non-Free grant policy; exercises the word sleep on packed
+            // under Free.
+            WaitCell{"futexword", runtime::WaitPolicyKind::FutexWord, 4})),
     [](const auto& pinfo) {
-      std::string name = storage_kind_name(std::get<0>(pinfo.param));
-      switch (std::get<1>(pinfo.param)) {
-        case runtime::WaitPolicyKind::SpinYield:
-          name += "_spinyield";
-          break;
-        case runtime::WaitPolicyKind::SpinThenPark:
-          name += "_spinthenpark";
-          break;
-        case runtime::WaitPolicyKind::AlwaysPark:
-          name += "_alwayspark";
-          break;
-        case runtime::WaitPolicyKind::FutexWord:
-          name += "_futexword";
-          break;
-      }
-      return name;
+      return std::string(std::get<0>(pinfo.param).name) + "_" +
+             std::get<1>(pinfo.param).name;
     });
 
 }  // namespace

@@ -62,7 +62,8 @@ dct::ScheduleResult run_keyed_workload(std::uint64_t seed) {
   };
   ModeTableConfig c;
   c.abstract_values = 2;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.trace_events = true;
   auto state = std::make_shared<State>(c);
 
@@ -128,7 +129,8 @@ TEST(DctAttribution, CrossKeyWaitsAreNeverBlamedAsTrueConflicts) {
     phi_total += at(counts, AttrClass::kPhiCollision);
   }
   // Across the explored schedules at least one contended wait was pinned
-  // on the alpha merge (AlwaysPark + a non-self-commuting shared mode).
+  // on the alpha merge (parking at once + a non-self-commuting shared
+  // mode).
   EXPECT_GT(phi_total, 0u);
 }
 

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "commute/builtin_specs.h"
 #include "dct/explorer.h"
@@ -37,8 +38,9 @@ struct MutationGuard {
 };
 
 // The smallest workload whose schedules contain the lost-wakeup bug: two
-// threads, two acquisitions each, one self-conflicting mode, AlwaysPark so
-// every contended acquisition goes through prepare/announce/park. The bug
+// threads, two acquisitions each, one self-conflicting mode, a zero spin
+// budget so every contended acquisition goes through prepare/announce/park.
+// The bug
 // fires when a waiter parks after the holder's LAST release already ran the
 // (empty) wakeup scan — with re-validation dropped, the waiter sleeps
 // forever and the scheduler reports an exact deadlock.
@@ -54,7 +56,8 @@ dct::Workload make_contended_workload() {
   };
   ModeTableConfig c;
   c.abstract_values = 2;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   auto state = std::make_shared<State>(c);
   const int mode = state->table.resolve_constant(0);
 
@@ -138,8 +141,9 @@ struct RetractMutationGuard {
 // The smallest workload whose schedules contain the optimistic tier's lost
 // wakeup. Modes: R = {contains(*)} (self-commuting, striped when `striped`)
 // conflicting with W = {add(*), remove(*)}. Threads: three W lockers and one
-// R try_locker, AlwaysPark, and the Fig. 20 pre-check (its conflict-skip is
-// what lets a waiter park without touching the partition spinlock).
+// R try_locker, a zero spin budget, and the Fig. 20 pre-check (its
+// conflict-skip is what lets a waiter park without touching the partition
+// spinlock).
 //
 // The bug needs a MASKED last release, because an unmasked unlock or any
 // later successful acquire/release would rewake the partition and rescue
@@ -174,7 +178,8 @@ dct::Workload make_retract_workload(bool striped) {
   };
   ModeTableConfig c;
   c.abstract_values = 2;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.counter_stripes = striped ? 4 : 0;
   auto state = std::make_shared<State>(c);
   const int read = state->table.resolve_constant(0);
@@ -242,7 +247,7 @@ INSTANTIATE_TEST_SUITE_P(BothCounterRepresentations, DctRetractMutation,
                          ::testing::Bool(),
                          [](const auto& pinfo) {
                            return pinfo.param ? std::string("striped")
-                                              : std::string("flat");
+                                              : std::string("unstriped");
                          });
 
 // --- ISSUE 7: no-starvation oracle over the grant policies -----------------
@@ -285,8 +290,10 @@ std::uint64_t certified_bound(runtime::GrantPolicyKind policy) {
 // offers 21 of them; under the fair policies the barrier must cap the
 // count at certified_bound(). A StarvationTracker is installed per schedule
 // and the check() oracle fails any schedule whose worst wait episode was
-// bypassed more than `allowed` times.
+// bypassed more than `allowed` times. The storage is pinned: both storages
+// pass the same GrantSlot doorway, and each must be certified on its own.
 dct::Workload make_flood_workload(runtime::GrantPolicyKind policy,
+                                  StorageKind storage,
                                   std::uint64_t allowed) {
   struct State {
     ModeTable table;
@@ -305,9 +312,11 @@ dct::Workload make_flood_workload(runtime::GrantPolicyKind policy,
   };
   ModeTableConfig c;
   c.abstract_values = 2;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.grant_policy = policy;
   c.bypass_bound = kOracleBypassBound;
+  c.storage = storage;
   auto state = std::make_shared<State>(c);
   const int read = state->table.resolve_constant(0);
   const int write = state->table.resolve_constant(1);
@@ -337,23 +346,28 @@ dct::Workload make_flood_workload(runtime::GrantPolicyKind policy,
   return w;
 }
 
-TEST(DctStarvation, FreePolicyStarvesTheWriterWithinBudget) {
+class DctStarvation : public ::testing::TestWithParam<StorageKind> {};
+
+TEST_P(DctStarvation, FreePolicyStarvesTheWriterWithinBudget) {
   // FREE is the documented liveness hole: the oracle must find a schedule
   // where the reader flood bypasses the waiting writer past the bound that
   // the fair policies certify.
+  const StorageKind storage = GetParam();
   const std::uint64_t allowed =
       certified_bound(runtime::GrantPolicyKind::Free);
   const dct::ExploreOptions opts = budget_options();
-  const auto factory = [allowed] {
-    return make_flood_workload(runtime::GrantPolicyKind::Free, allowed);
+  const auto factory = [storage, allowed] {
+    return make_flood_workload(runtime::GrantPolicyKind::Free, storage,
+                               allowed);
   };
   const dct::ExploreResult result = dct::explore(opts, factory);
 
   ASSERT_FALSE(result.ok)
       << "FREE survived " << kScheduleBudget
-      << " schedules without starving the writer past " << allowed;
-  std::cout << "[ detector ] FREE starvation caught after "
-            << result.schedules_run << " schedules (seed "
+      << " schedules without starving the writer past " << allowed << " on "
+      << storage_kind_name(storage);
+  std::cout << "[ detector ] FREE starvation (" << storage_kind_name(storage)
+            << ") caught after " << result.schedules_run << " schedules (seed "
             << result.failing_seed << "): " << result.oracle_failure << "\n";
   // Starvation is an oracle failure on a COMPLETED schedule — every thread
   // eventually finishes; the writer was just trampled on the way.
@@ -368,17 +382,26 @@ TEST(DctStarvation, FreePolicyStarvesTheWriterWithinBudget) {
   EXPECT_EQ(again.oracle_failure, result.oracle_failure);
 }
 
+INSTANTIATE_TEST_SUITE_P(BothStorages, DctStarvation,
+                         ::testing::Values(StorageKind::Striped,
+                                           StorageKind::Packed),
+                         [](const auto& pinfo) {
+                           return std::string(storage_kind_name(pinfo.param));
+                         });
+
 class DctStarvationFairPolicy
-    : public ::testing::TestWithParam<runtime::GrantPolicyKind> {};
+    : public ::testing::TestWithParam<
+          std::tuple<runtime::GrantPolicyKind, StorageKind>> {};
 
 TEST_P(DctStarvationFairPolicy, CertifiesBoundedBypassOverFullBudget) {
-  const runtime::GrantPolicyKind policy = GetParam();
+  const auto [policy, storage] = GetParam();
   const std::uint64_t allowed = certified_bound(policy);
   const dct::ExploreResult result =
-      dct::explore(budget_options(), [policy, allowed] {
-        return make_flood_workload(policy, allowed);
+      dct::explore(budget_options(), [policy, storage, allowed] {
+        return make_flood_workload(policy, storage, allowed);
       });
-  EXPECT_TRUE(result.ok) << runtime::grant_policy_name(policy) << ": "
+  EXPECT_TRUE(result.ok) << runtime::grant_policy_name(policy) << " on "
+                         << storage_kind_name(storage) << ": "
                          << result.to_string();
   EXPECT_EQ(result.schedules_run, kScheduleBudget);
 }
@@ -387,18 +410,20 @@ TEST_P(DctStarvationFairPolicy, DroppedBarrierCheckCaughtWithinBudget) {
   // Mutation-validate the oracle itself: a fast path that skips the barrier
   // check turns every fair policy back into FREE, and the same schedules
   // that starve the writer under FREE must now be flagged here.
-  const runtime::GrantPolicyKind policy = GetParam();
+  const auto [policy, storage] = GetParam();
   BarrierMutationGuard mutation(true);
   const std::uint64_t allowed = certified_bound(policy);
   const dct::ExploreResult result =
-      dct::explore(budget_options(), [policy, allowed] {
-        return make_flood_workload(policy, allowed);
+      dct::explore(budget_options(), [policy, storage, allowed] {
+        return make_flood_workload(policy, storage, allowed);
       });
   ASSERT_FALSE(result.ok)
       << "drop-barrier-check mutation survived " << kScheduleBudget
-      << " schedules under " << runtime::grant_policy_name(policy);
+      << " schedules under " << runtime::grant_policy_name(policy) << " on "
+      << storage_kind_name(storage);
   std::cout << "[ detector ] barrier mutation ("
-            << runtime::grant_policy_name(policy) << ") caught after "
+            << runtime::grant_policy_name(policy) << ", "
+            << storage_kind_name(storage) << ") caught after "
             << result.schedules_run << " schedules (seed "
             << result.failing_seed << ")\n";
   EXPECT_NE(result.oracle_failure.find("starvation"), std::string::npos)
@@ -442,7 +467,8 @@ dct::Workload make_packed_skew_workload() {
   };
   ModeTableConfig c;
   c.abstract_values = 1;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.storage = StorageKind::Packed;
   auto state = std::make_shared<State>(c);
   auto recorder = std::make_shared<HistoryRecorder>();
@@ -520,12 +546,17 @@ TEST(DctPackedMaskMutation, StockPackedProtocolSurvivesSameBudgetClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFairPolicies, DctStarvationFairPolicy,
-    ::testing::Values(runtime::GrantPolicyKind::PhaseFair,
-                      runtime::GrantPolicyKind::BoundedBypass),
+    ::testing::Combine(
+        ::testing::Values(runtime::GrantPolicyKind::PhaseFair,
+                          runtime::GrantPolicyKind::BoundedBypass),
+        ::testing::Values(StorageKind::Striped, StorageKind::Packed)),
     [](const auto& pinfo) {
-      return pinfo.param == runtime::GrantPolicyKind::PhaseFair
-                 ? std::string("phase_fair")
-                 : std::string("bounded_bypass");
+      // std::get, not a structured binding: its comma would split the
+      // macro's arguments.
+      return (std::get<0>(pinfo.param) == runtime::GrantPolicyKind::PhaseFair
+                  ? std::string("phase_fair_")
+                  : std::string("bounded_bypass_")) +
+             storage_kind_name(std::get<1>(pinfo.param));
     });
 
 }  // namespace

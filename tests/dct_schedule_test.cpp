@@ -25,9 +25,9 @@ using commute::SymbolicSet;
 using commute::Value;
 
 // A lock/unlock workload over a self-conflicting mode ({size,clear} of the
-// set spec), AlwaysPark so every contended acquisition exercises the full
-// prepare/announce/re-validate/park handshake. The oracle checks the
-// plain (non-atomic) counter that the mode is supposed to protect.
+// set spec), parking at once (spin limit 0) so every contended acquisition
+// exercises the full prepare/announce/re-validate/park handshake. The oracle
+// checks the plain (non-atomic) counter that the mode is supposed to protect.
 dct::Workload make_mutex_workload(int threads, int ops) {
   struct State {
     ModeTable table;
@@ -41,7 +41,8 @@ dct::Workload make_mutex_workload(int threads, int ops) {
   };
   ModeTableConfig c;
   c.abstract_values = 2;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   auto state = std::make_shared<State>(c);
   const int mode = state->table.resolve_constant(0);
 
@@ -174,9 +175,8 @@ TEST(DctSchedule, SerializabilityOracleFlagsNonSerializableHistory) {
 }
 
 // Parametrized over the counter representation: 2PL histories must verify
-// serializable no matter how the mechanism counts holds (flat atomics,
-// striped banks, or the packed word whose conflict check is a compiled
-// mask).
+// serializable no matter how the mechanism counts holds (per-mode atomics,
+// or the packed word whose conflict check is a compiled mask).
 class DctSerializability : public ::testing::TestWithParam<StorageKind> {};
 
 TEST_P(DctSerializability, LockedHistoryPassesSerializabilityOracle) {
@@ -204,7 +204,8 @@ TEST_P(DctSerializability, LockedHistoryPassesSerializabilityOracle) {
     };
     ModeTableConfig c;
     c.abstract_values = 1;
-    c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+    c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+    c.park_spin_limit = 0;
     c.storage = storage;
     c.counter_stripes = 4;
     auto state = std::make_shared<State>(c);
@@ -238,8 +239,7 @@ TEST_P(DctSerializability, LockedHistoryPassesSerializabilityOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCounterRepresentations, DctSerializability,
-                         ::testing::Values(StorageKind::Flat,
-                                           StorageKind::Striped,
+                         ::testing::Values(StorageKind::Striped,
                                            StorageKind::Packed),
                          [](const auto& pinfo) {
                            return std::string(storage_kind_name(pinfo.param));

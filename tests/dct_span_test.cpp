@@ -33,9 +33,11 @@ using commute::SymbolicSet;
 using commute::Value;
 
 struct WorkloadConfig {
-  StorageKind storage = StorageKind::Flat;
-  runtime::WaitPolicyKind wait_policy = runtime::WaitPolicyKind::AlwaysPark;
-  const char* name = "flat/always-park";
+  StorageKind storage = StorageKind::Striped;
+  int counter_stripes = 0;
+  runtime::WaitPolicyKind wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  int park_spin_limit = 0;
+  const char* name = "unstriped/park-now";
 };
 
 // Three transactions on one semantic lock, each acquiring a mode that is
@@ -65,7 +67,9 @@ dct::ScheduleResult run_span_workload(std::uint64_t seed,
   ModeTableConfig c;
   c.abstract_values = 4;
   c.wait_policy = cfg.wait_policy;
+  c.park_spin_limit = cfg.park_spin_limit;
   c.storage = cfg.storage;
+  c.counter_stripes = cfg.counter_stripes;
   c.trace_events = true;
   auto state = std::make_shared<State>(c);
   const Value v0[1] = {0};
@@ -146,12 +150,14 @@ TEST(DctSpan, SameSeedProducesSameSpanStreams) {
 // consistent with the event order the schedule fixed.
 TEST(DctSpan, OnlineBlockerCaptureEqualsOfflineReconstruction) {
   const WorkloadConfig workloads[3] = {
-      {StorageKind::Flat, runtime::WaitPolicyKind::AlwaysPark,
-       "flat/always-park"},
-      {StorageKind::Striped, runtime::WaitPolicyKind::SpinThenPark,
-       "striped/spin-then-park"},
-      {StorageKind::Packed, runtime::WaitPolicyKind::FutexWord,
-       "packed/futex-word"},
+      {},
+      {.counter_stripes = default_counter_stripes(),
+       .park_spin_limit = 64,
+       .name = "striped/spin-then-park"},
+      {.storage = StorageKind::Packed,
+       .wait_policy = runtime::WaitPolicyKind::FutexWord,
+       .park_spin_limit = 64,
+       .name = "packed/futex-word"},
   };
   obs::set_attribution_enabled(true);
   std::size_t captured_waits = 0;

@@ -54,7 +54,8 @@ dct::ScheduleResult run_traced_workload(std::uint64_t seed) {
   };
   ModeTableConfig c;
   c.abstract_values = 2;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.trace_events = true;
   auto state = std::make_shared<State>(c);
   const int mode = state->table.resolve_constant(0);

@@ -88,8 +88,8 @@ TEST(WaitPolicyEnv, ParsesEveryRecognizedName) {
               WaitPolicyKind::SpinYield);
     EXPECT_EQ(runtime::wait_policy_from_env_text("adaptive"),
               WaitPolicyKind::SpinThenPark);
-    EXPECT_EQ(runtime::wait_policy_from_env_text("park"),
-              WaitPolicyKind::AlwaysPark);
+    EXPECT_EQ(runtime::wait_policy_from_env_text("futex-word"),
+              WaitPolicyKind::FutexWord);
     // Unset is the default, silently.
     EXPECT_EQ(runtime::wait_policy_from_env_text(nullptr),
               WaitPolicyKind::SpinYield);
@@ -98,14 +98,20 @@ TEST(WaitPolicyEnv, ParsesEveryRecognizedName) {
 }
 
 TEST(WaitPolicyEnv, TypoWarnsAndFallsBackToSpinYield) {
-  const std::string err = captured_stderr([] {
-    EXPECT_EQ(runtime::wait_policy_from_env_text("spin-then-prak"),
-              WaitPolicyKind::SpinYield);
-  });
-  EXPECT_NE(err.find("SEMLOCK_WAIT_POLICY=\"spin-then-prak\""),
-            std::string::npos)
-      << err;
-  EXPECT_NE(err.find("spin-yield"), std::string::npos) << err;
+  // "always-park"/"park"/"alwayspark" (a removed policy: spin-then-park
+  // with park_spin_limit = 0) warn and fall back like any typo.
+  for (const char* bad :
+       {"spin-then-prak", "always-park", "park", "alwayspark"}) {
+    const std::string err = captured_stderr([bad] {
+      EXPECT_EQ(runtime::wait_policy_from_env_text(bad),
+                WaitPolicyKind::SpinYield)
+          << "value: " << bad;
+    });
+    EXPECT_NE(err.find("SEMLOCK_WAIT_POLICY=\"" + std::string(bad) + "\""),
+              std::string::npos)
+        << "value: " << bad << "\nstderr: " << err;
+    EXPECT_NE(err.find("spin-yield"), std::string::npos) << err;
+  }
 }
 
 TEST(WaitPolicyEnv, EmptyWarnsAndFallsBack) {
@@ -297,7 +303,6 @@ TEST(FastPathEnv, ConfigDefaultsFollowProcessEnvCache) {
 
 TEST(StorageEnv, ParsesEveryRecognizedName) {
   const std::string err = captured_stderr([] {
-    EXPECT_EQ(storage_from_env_text("flat"), StorageKind::Flat);
     EXPECT_EQ(storage_from_env_text("striped"), StorageKind::Striped);
     EXPECT_EQ(storage_from_env_text("packed"), StorageKind::Packed);
     // Unset is the historical default (striped), silently.
@@ -307,7 +312,9 @@ TEST(StorageEnv, ParsesEveryRecognizedName) {
 }
 
 TEST(StorageEnv, MalformedValuesWarnAndFallBackToStriped) {
-  for (const char* bad : {"Packed", "word", "packed ", "1", ""}) {
+  // "flat" (a removed storage: striped with counter_stripes = 0) warns and
+  // falls back like any typo.
+  for (const char* bad : {"Packed", "word", "packed ", "1", "", "flat"}) {
     const std::string err = captured_stderr([bad] {
       EXPECT_EQ(storage_from_env_text(bad), StorageKind::Striped)
           << "value: " << bad;
@@ -321,7 +328,7 @@ TEST(StorageEnv, MalformedValuesWarnAndFallBackToStriped) {
 
 TEST(StorageEnv, NamesRoundTripThroughParse) {
   for (const StorageKind kind :
-       {StorageKind::Flat, StorageKind::Striped, StorageKind::Packed}) {
+       {StorageKind::Striped, StorageKind::Packed}) {
     const auto parsed = parse_storage_kind(storage_kind_name(kind));
     ASSERT_TRUE(parsed.has_value()) << storage_kind_name(kind);
     EXPECT_EQ(*parsed, kind);

@@ -179,7 +179,8 @@ TEST(LockMechanism, ReadModeParallelWriteModeExclusive) {
 TEST(LockMechanism, UnlockWakesOnlyOnLastRelease) {
   ModeTableConfig c;
   c.abstract_values = 2;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   const auto t = ModeTable::compile(
       commute::set_spec(),
       {SymbolicSet({op("add", {star()})}),
@@ -268,10 +269,12 @@ WaitSample blocked_wait(LockMechanism& m, int mode,
   return out;
 }
 
+// SpinThenPark tables park on the first failed attempt.
 ModeTable make_wait_table(runtime::WaitPolicyKind policy) {
   ModeTableConfig c;
   c.abstract_values = 4;
   c.wait_policy = policy;
+  c.park_spin_limit = 0;
   return ModeTable::compile(
       commute::set_spec(),
       {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})})}, c);
@@ -313,7 +316,7 @@ TEST(LockMechanism, WaitCpuIsWallTimeWhileSpinning) {
 
 // A parked waiter is off the CPU for almost all of its wait.
 TEST(LockMechanism, WaitCpuExcludesParkedTime) {
-  const auto t = make_wait_table(runtime::WaitPolicyKind::AlwaysPark);
+  const auto t = make_wait_table(runtime::WaitPolicyKind::SpinThenPark);
   LockMechanism m(t);
   const Value v0[1] = {0};
   const int mode = t.resolve(0, v0);
@@ -355,14 +358,14 @@ TEST(AcquireStatsTest, CountsAcquisitions) {
 // --- ISSUE 3: optimistic fast path + striped holder counters ---------------
 
 // {contains(*)} self-commutes (striped when striping is on); it conflicts
-// with {add(*),remove(*)}, which is self-conflicting (always flat).
-ModeTable make_readwrite_table(bool striped, int stripes) {
+// with {add(*),remove(*)}, which is self-conflicting (never striped).
+ModeTable make_readwrite_table(int stripes) {
   ModeTableConfig c;
   c.abstract_values = 4;
   // Pinned, not inherited: these tests assert representation-specific
   // behavior (stripe selection, retract accounting), so a SEMLOCK_STORAGE
   // override must not swap the storage out from under them.
-  c.storage = striped ? StorageKind::Striped : StorageKind::Flat;
+  c.storage = StorageKind::Striped;
   c.counter_stripes = stripes;
   return ModeTable::compile(
       commute::set_spec(),
@@ -372,7 +375,7 @@ ModeTable make_readwrite_table(bool striped, int stripes) {
 }
 
 TEST(StripedHolders, ModeSelectionStripesOnlySelfCommuting) {
-  const auto t = make_readwrite_table(true, 8);
+  const auto t = make_readwrite_table(8);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   const int write = t.resolve_constant(1);
@@ -382,7 +385,7 @@ TEST(StripedHolders, ModeSelectionStripesOnlySelfCommuting) {
 }
 
 TEST(StripedHolders, ExactAtQuiescenceSameThread) {
-  const auto t = make_readwrite_table(true, 8);
+  const auto t = make_readwrite_table(8);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   for (int i = 0; i < 10; ++i) m.lock(read);
@@ -395,7 +398,7 @@ TEST(StripedHolders, ExactAtQuiescenceCrossThreadRelease) {
   // A hold acquired on one thread and released on another decrements a
   // different stripe than it incremented; the per-stripe values wrap, but
   // the modular stripe sum must stay exact (util/striped_counter.h).
-  const auto t = make_readwrite_table(true, 8);
+  const auto t = make_readwrite_table(8);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   constexpr int kHolds = 5;
@@ -412,7 +415,7 @@ TEST(StripedHolders, ExactAtQuiescenceCrossThreadRelease) {
 }
 
 TEST(StripedHolders, ExactAtQuiescenceAfterConcurrentChurn) {
-  const auto t = make_readwrite_table(true, 8);
+  const auto t = make_readwrite_table(8);
   LockMechanism m(t);
   const int read = t.resolve_constant(0);
   constexpr int kThreads = 4;
@@ -431,7 +434,7 @@ TEST(StripedHolders, ExactAtQuiescenceAfterConcurrentChurn) {
 }
 
 TEST(OptimisticAcquire, UncontendedLockIsAnOptimisticHit) {
-  const auto t = make_readwrite_table(true, 8);
+  const auto t = make_readwrite_table(8);
   LockMechanism m(t);
   auto& stats = local_acquire_stats();
   stats.reset();
@@ -446,7 +449,7 @@ TEST(OptimisticAcquire, PrecheckRefusesWithoutAnnouncing) {
   // The Fig. 20 pre-check refuses a visibly-held conflict before the
   // optimistic tier announces — no transient increment, no retract to
   // account.
-  const auto t = make_readwrite_table(true, 8);
+  const auto t = make_readwrite_table(8);
   LockMechanism m(t);
   auto& stats = local_acquire_stats();
   const int read = t.resolve_constant(0);
@@ -463,8 +466,8 @@ TEST(OptimisticAcquire, MutualExclusionUnderChurn) {
   // Conflicting read/write churn through the optimistic tier, both counter
   // representations: a writer must never observe a reader's hold and vice
   // versa. Checked via an invariant variable protected by the modes.
-  for (const bool striped : {false, true}) {
-    const auto t = make_readwrite_table(striped, 4);
+  for (const int stripes : {0, 4}) {
+    const auto t = make_readwrite_table(stripes);
     LockMechanism m(t);
     const int read = t.resolve_constant(0);
     const int write = t.resolve_constant(1);
@@ -494,7 +497,7 @@ TEST(OptimisticAcquire, MutualExclusionUnderChurn) {
       }
     });
     for (auto& th : threads) th.join();
-    EXPECT_FALSE(violated.load()) << "striped=" << striped;
+    EXPECT_FALSE(violated.load()) << "stripes=" << stripes;
     EXPECT_EQ(m.holders(read), 0u);
     EXPECT_EQ(m.holders(write), 0u);
   }

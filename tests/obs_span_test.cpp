@@ -39,7 +39,8 @@ using obs::SpanKind;
 ModeTable make_table(bool traced = true) {
   ModeTableConfig c;
   c.abstract_values = 4;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.trace_events = traced;
   return ModeTable::compile(
       commute::set_spec(),

@@ -28,11 +28,11 @@ using commute::Value;
 using obs::Event;
 using obs::EventType;
 
-ModeTable make_traced_table(
-    runtime::WaitPolicyKind policy = runtime::WaitPolicyKind::AlwaysPark) {
+ModeTable make_traced_table() {
   ModeTableConfig c;
   c.abstract_values = 4;
-  c.wait_policy = policy;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.trace_events = true;
   return ModeTable::compile(
       commute::set_spec(),

@@ -29,7 +29,8 @@ using obs::WindowStats;
 ModeTable make_traced_table() {
   ModeTableConfig c;
   c.abstract_values = 4;
-  c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.trace_events = true;
   return ModeTable::compile(
       commute::set_spec(),

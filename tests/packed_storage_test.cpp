@@ -1,6 +1,6 @@
 // Packed word storage (ISSUE 8): the whole mode table lives in one 64-bit
 // atomic word. Layout geometry must agree with the ModeTable's conflict
-// relation, ineligible tables must fall back to Flat observably, the packed
+// relation, ineligible tables must fall back to Striped observably, the packed
 // protocol must preserve exclusion/quiescence, saturation must divert (not
 // miscount), and the futex-word wait policy must sleep on the word itself
 // with no ParkingLot allocated.
@@ -40,7 +40,7 @@ TEST(PackedLayoutTest, GeometryMatchesModeTableConflicts) {
   ModeTableConfig c;
   c.abstract_values = 3;
   c.storage = StorageKind::Packed;
-  // Three sites incl. a per-value one: several modes, >1 partition.
+  // Three sites incl. a per-value one: several modes.
   const auto t = ModeTable::compile(
       commute::set_spec(),
       {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),
@@ -50,22 +50,12 @@ TEST(PackedLayoutTest, GeometryMatchesModeTableConflicts) {
   const PackedLayout* l = t.packed_layout();
   ASSERT_NE(l, nullptr);
   ASSERT_EQ(l->num_modes, t.num_modes());
-  ASSERT_EQ(l->num_partitions, t.num_partitions());
   ASSERT_LE(t.num_modes(), kMaxPackedModes);
   EXPECT_GE(l->bits_per_mode, 4u);
   EXPECT_EQ(l->field_max, (std::uint64_t{1} << l->bits_per_mode) - 1);
   EXPECT_EQ(l->waiters_bit, std::uint64_t{1} << 63);
 
-  // Aux bits: W plus closed/counting per partition, all distinct, none
-  // overlapping any counter field.
-  std::uint64_t aux = l->waiters_bit;
-  for (int p = 0; p < l->num_partitions; ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    EXPECT_EQ(aux & l->closed_bit[pi], 0u);
-    aux |= l->closed_bit[pi];
-    EXPECT_EQ(aux & l->counting_bit[pi], 0u);
-    aux |= l->counting_bit[pi];
-  }
+  // Counter fields: pairwise disjoint, none overlapping W.
   std::uint64_t fields = 0;
   for (int m = 0; m < l->num_modes; ++m) {
     const auto mi = static_cast<std::size_t>(m);
@@ -74,11 +64,10 @@ TEST(PackedLayoutTest, GeometryMatchesModeTableConflicts) {
     EXPECT_EQ(fields & l->field_mask[mi], 0u) << "fields overlap at mode " << m;
     fields |= l->field_mask[mi];
   }
-  EXPECT_EQ(fields & aux, 0u) << "counter fields overlap the aux bits";
+  EXPECT_EQ(fields & l->waiters_bit, 0u) << "counter fields overlap W";
 
   // conflict_mask[m] is exactly conflicts_clear(m) compiled to one AND:
-  // the OR of the conflicting modes' field masks. doorway_mask adds the
-  // mode's own partition barrier bit, nothing else.
+  // the OR of the conflicting modes' field masks.
   for (int m = 0; m < l->num_modes; ++m) {
     const auto mi = static_cast<std::size_t>(m);
     std::uint64_t expect = 0;
@@ -86,19 +75,16 @@ TEST(PackedLayoutTest, GeometryMatchesModeTableConflicts) {
       expect |= l->field_mask[static_cast<std::size_t>(other)];
     }
     EXPECT_EQ(l->conflict_mask[mi], expect) << "mode " << m;
-    EXPECT_EQ(l->doorway_mask[mi],
-              expect | l->closed_bit[static_cast<std::size_t>(t.partition_of(m))])
-        << "mode " << m;
     // Self-conflicting modes include their own field; self-commuting don't.
     const bool self_in_mask = (l->conflict_mask[mi] & l->field_mask[mi]) != 0;
     EXPECT_EQ(self_in_mask, !t.commutes(m, m)) << "mode " << m;
   }
 }
 
-TEST(PackedLayoutTest, TooManyModesFallsBackToFlatObservably) {
+TEST(PackedLayoutTest, TooManyModesFallsBackToStripedObservably) {
   // A per-value site over 9 abstract values yields > kMaxPackedModes
   // canonical modes: the table compiles with no packed layout and a
-  // mechanism asked for Packed must report the Flat it actually built.
+  // mechanism asked for Packed must report the Striped it actually built.
   ModeTableConfig c;
   c.abstract_values = 9;
   c.storage = StorageKind::Packed;
@@ -109,8 +95,8 @@ TEST(PackedLayoutTest, TooManyModesFallsBackToFlatObservably) {
   ASSERT_GT(t.num_modes(), kMaxPackedModes);
   EXPECT_EQ(t.packed_layout(), nullptr);
   LockMechanism m(t);
-  EXPECT_EQ(m.storage(), StorageKind::Flat);
-  EXPECT_TRUE(m.has_parking_lot());  // futex-word never applies to Flat
+  EXPECT_EQ(m.storage(), StorageKind::Striped);
+  EXPECT_TRUE(m.has_parking_lot());  // futex-word never applies to Striped
   const int mode = t.resolve_constant(0);
   m.lock(mode);
   EXPECT_EQ(m.holders(mode), 1u);
@@ -267,7 +253,7 @@ TEST(FutexWordPolicy, MutualExclusionStressOnTheWord) {
 
 TEST(FutexWordPolicy, DegradesToSpinThenParkOnUnpackedStorage) {
   // The word to sleep on only exists under Packed: a FutexWord request on
-  // Flat (explicit or via fallback) must resolve to SpinThenPark and keep
+  // Striped (explicit or via fallback) must resolve to SpinThenPark and keep
   // the ParkingLot. So must a packed word under a ticketed grant policy:
   // its cursor lives outside the word, so a waiter sleeping on the word
   // could miss its handoff (docs/RUNTIME_WAITING.md §6).
@@ -275,7 +261,8 @@ TEST(FutexWordPolicy, DegradesToSpinThenParkOnUnpackedStorage) {
     StorageKind storage;
     runtime::GrantPolicyKind grant;
   };
-  for (const Case k : {Case{StorageKind::Flat, runtime::GrantPolicyKind::Free},
+  for (const Case k : {Case{StorageKind::Striped,
+                            runtime::GrantPolicyKind::Free},
                        Case{StorageKind::Packed,
                             runtime::GrantPolicyKind::PhaseFair},
                        Case{StorageKind::Packed,
@@ -293,10 +280,10 @@ TEST(FutexWordPolicy, DegradesToSpinThenParkOnUnpackedStorage) {
   }
 }
 
-TEST(PackedStorageTest, GrantBarrierBitsPreserveFairnessMachinery) {
-  // PR 7's churn-to-quiescence check, but with the barrier state folded
-  // into the word's spare bits: every fair policy must still exclude,
-  // drain, and leave the fast path open.
+TEST(PackedStorageTest, GrantBarrierPreservesFairnessMachinery) {
+  // The grant-policy churn-to-quiescence check on the packed word, which
+  // passes the same GrantSlot doorway as striped storage: every fair policy
+  // must still exclude, drain, and leave the fast path open.
   for (const runtime::GrantPolicyKind policy :
        {runtime::GrantPolicyKind::PhaseFair,
         runtime::GrantPolicyKind::BoundedBypass}) {
@@ -343,19 +330,19 @@ TEST(PackedStorageTest, GrantBarrierBitsPreserveFairnessMachinery) {
   }
 }
 
-TEST(Footprint, PackedAtLeast4xSmallerThanFlatPadded) {
-  // ISSUE 8 acceptance: per-instance footprint of the packed word (with
-  // futex-word waits, so no ParkingLot either) must be at least 4x below
-  // the padded flat layout on a full-width (8-mode) table.
-  ModeTableConfig flat_cfg;
-  flat_cfg.abstract_values = 7;
-  flat_cfg.storage = StorageKind::Flat;
-  flat_cfg.pad_counters = true;
-  ModeTableConfig packed_cfg = flat_cfg;
+TEST(Footprint, PackedAtLeast1Point9xSmallerThanStriped) {
+  // Per-instance footprint of the packed word (with futex-word waits, so no
+  // ParkingLot either) must stay at least 1.9x below striped storage on a
+  // full-width (8-mode) table with no self-commuting mode, so striping
+  // adds nothing and the gap is the counters plus the ParkingLot.
+  ModeTableConfig striped_cfg;
+  striped_cfg.abstract_values = 7;
+  striped_cfg.storage = StorageKind::Striped;
+  striped_cfg.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  striped_cfg.grant_policy = runtime::GrantPolicyKind::Free;
+  ModeTableConfig packed_cfg = striped_cfg;
   packed_cfg.storage = StorageKind::Packed;
-  packed_cfg.pad_counters = false;
   packed_cfg.wait_policy = runtime::WaitPolicyKind::FutexWord;
-  packed_cfg.grant_policy = runtime::GrantPolicyKind::Free;
   const auto make = [](const ModeTableConfig& c) {
     return ModeTable::compile(
         commute::set_spec(),
@@ -363,39 +350,33 @@ TEST(Footprint, PackedAtLeast4xSmallerThanFlatPadded) {
          SymbolicSet({op("size"), op("clear")})},
         c);
   };
-  const auto flat_table = make(flat_cfg);
+  const auto striped_table = make(striped_cfg);
   const auto packed_table = make(packed_cfg);
-  ASSERT_EQ(flat_table.num_modes(), kMaxPackedModes);
+  ASSERT_EQ(striped_table.num_modes(), kMaxPackedModes);
   ASSERT_NE(packed_table.packed_layout(), nullptr);
 
-  LockMechanism flat(flat_table);
+  LockMechanism striped(striped_table);
   LockMechanism packed(packed_table);
-  ASSERT_EQ(flat.storage(), StorageKind::Flat);
+  ASSERT_EQ(striped.storage(), StorageKind::Striped);
   ASSERT_EQ(packed.storage(), StorageKind::Packed);
-  const std::size_t flat_bytes = flat.footprint_bytes();
+  const std::size_t striped_bytes = striped.footprint_bytes();
   const std::size_t packed_bytes = packed.footprint_bytes();
-  EXPECT_GE(flat_bytes, 4 * packed_bytes)
-      << "flat-padded " << flat_bytes << " bytes vs packed " << packed_bytes;
+  EXPECT_GE(static_cast<double>(striped_bytes), 1.9 * packed_bytes)
+      << "striped " << striped_bytes << " bytes vs packed " << packed_bytes;
 }
 
 TEST(Footprint, AccountsForEveryStorageKind) {
   // footprint_bytes is the bench's measurement primitive: it must be
-  // nonzero, at least the object itself, and ordered flat-padded >
-  // flat-packed-stride >= packed for one table shape.
+  // nonzero, at least the object itself, and ordered unstriped > packed for
+  // one table shape.
   ModeTableConfig c;
-  std::size_t padded = 0, flat = 0, packed = 0;
+  std::size_t unstriped = 0, packed = 0;
   {
     ModeTableConfig cf = c;
-    cf.storage = StorageKind::Flat;
-    cf.pad_counters = true;
+    cf.storage = StorageKind::Striped;
+    cf.counter_stripes = 0;
     const auto t = make_two_mode_table(cf);
-    padded = LockMechanism(t).footprint_bytes();
-  }
-  {
-    ModeTableConfig cf = c;
-    cf.storage = StorageKind::Flat;
-    const auto t = make_two_mode_table(cf);
-    flat = LockMechanism(t).footprint_bytes();
+    unstriped = LockMechanism(t).footprint_bytes();
   }
   {
     ModeTableConfig cf = c;
@@ -405,9 +386,8 @@ TEST(Footprint, AccountsForEveryStorageKind) {
     const auto t = make_two_mode_table(cf);
     packed = LockMechanism(t).footprint_bytes();
   }
-  EXPECT_GE(flat, sizeof(LockMechanism));
-  EXPECT_GT(padded, flat);
-  EXPECT_GT(flat, packed);
+  EXPECT_GE(unstriped, sizeof(LockMechanism));
+  EXPECT_GT(unstriped, packed);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The runtime waiting subsystem: ParkingLot protocol, wait-policy
 // selection/plumbing, and the no-lost-wakeup stress the ISSUE's acceptance
-// criteria require (conflicting-mode ping-pong under AlwaysPark, 100
-// consecutive iterations, TSan-clean).
+// criteria require (conflicting-mode ping-pong under SpinThenPark with a
+// zero spin budget, 100 consecutive iterations, TSan-clean).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,28 +39,31 @@ ModeTable make_set_table(WaitPolicyKind policy, int n = 4,
 TEST(WaitPolicy, NamesRoundTrip) {
   for (const auto kind :
        {WaitPolicyKind::SpinYield, WaitPolicyKind::SpinThenPark,
-        WaitPolicyKind::AlwaysPark}) {
+        WaitPolicyKind::FutexWord}) {
     const auto parsed = runtime::parse_wait_policy(wait_policy_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_EQ(runtime::parse_wait_policy("park"), WaitPolicyKind::AlwaysPark);
+  EXPECT_EQ(runtime::parse_wait_policy("futex"), WaitPolicyKind::FutexWord);
   EXPECT_EQ(runtime::parse_wait_policy("adaptive"),
             WaitPolicyKind::SpinThenPark);
   EXPECT_EQ(runtime::parse_wait_policy("spin"), WaitPolicyKind::SpinYield);
   EXPECT_FALSE(runtime::parse_wait_policy("busy-loop").has_value());
+  for (const char* removed : {"always-park", "park", "alwayspark"}) {
+    EXPECT_FALSE(runtime::parse_wait_policy(removed).has_value()) << removed;
+  }
 }
 
 TEST(WaitPolicy, ScopedOverrideSetsModeTableConfigDefault) {
   const auto base = ModeTableConfig{}.wait_policy;
   {
-    runtime::ScopedWaitPolicy scope(WaitPolicyKind::AlwaysPark);
-    EXPECT_EQ(ModeTableConfig{}.wait_policy, WaitPolicyKind::AlwaysPark);
+    runtime::ScopedWaitPolicy scope(WaitPolicyKind::FutexWord);
+    EXPECT_EQ(ModeTableConfig{}.wait_policy, WaitPolicyKind::FutexWord);
     {
       runtime::ScopedWaitPolicy nested(WaitPolicyKind::SpinThenPark);
       EXPECT_EQ(ModeTableConfig{}.wait_policy, WaitPolicyKind::SpinThenPark);
     }
-    EXPECT_EQ(ModeTableConfig{}.wait_policy, WaitPolicyKind::AlwaysPark);
+    EXPECT_EQ(ModeTableConfig{}.wait_policy, WaitPolicyKind::FutexWord);
   }
   EXPECT_EQ(ModeTableConfig{}.wait_policy, base);
 }
@@ -76,7 +79,8 @@ TEST(WaitPolicy, WaitStateSchedule) {
   EXPECT_TRUE(adaptive.step());  // budget exhausted: park from now on
   EXPECT_TRUE(adaptive.step());
 
-  runtime::WaitState eager(WaitPolicyKind::AlwaysPark, 1000);
+  runtime::WaitState eager(WaitPolicyKind::SpinThenPark, 0);
+  EXPECT_TRUE(eager.step());
   EXPECT_TRUE(eager.step());
 }
 
@@ -103,7 +107,7 @@ TEST(WaitPolicy, MayBlockMarksTheFirstYieldOrPark) {
   EXPECT_EQ(spinning_steps(runtime::WaitState(WaitPolicyKind::FutexWord, 3)),
             3);
   EXPECT_EQ(
-      spinning_steps(runtime::WaitState(WaitPolicyKind::AlwaysPark, 1000)), 0);
+      spinning_steps(runtime::WaitState(WaitPolicyKind::SpinThenPark, 0)), 0);
 
   runtime::WaitState adaptive(WaitPolicyKind::SpinThenPark, 3);
   for (int i = 0; i < 3; ++i) adaptive.step();
@@ -161,15 +165,16 @@ TEST(ParkingLot, StaleGenerationDoesNotBlock) {
 }
 
 // The acceptance-criteria stress: N threads ping-pong between two
-// conflicting modes under AlwaysPark, 100 consecutive iterations. A lost
-// wakeup leaves every thread parked and hangs the test; a mutual-exclusion
-// bug corrupts the plain counters.
-TEST(NoLostWakeupStress, AlwaysParkPingPong) {
+// conflicting modes, parking on the first failed attempt, 100 consecutive
+// iterations. A lost wakeup leaves every thread parked and hangs the test; a
+// mutual-exclusion bug corrupts the plain counters.
+TEST(NoLostWakeupStress, ParkNowPingPong) {
   constexpr int kIterations = 100;
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 250;
   for (int iter = 0; iter < kIterations; ++iter) {
-    const auto t = make_set_table(WaitPolicyKind::AlwaysPark);
+    const auto t = make_set_table(WaitPolicyKind::SpinThenPark, 4,
+                                  /*spin_limit=*/0);
     LockMechanism m(t);
     const Value v0[1] = {0};
     const int mode_a = t.resolve(0, v0);       // {add(0),remove(0)}
@@ -228,8 +233,9 @@ TEST(NoLostWakeupStress, SpinThenParkPingPong) {
 
 // Parked policies must actually park under sustained conflict, and the new
 // AcquireStats fields must observe it.
-TEST(AcquireStatsParks, AlwaysParkRecordsParksAndWaitTime) {
-  const auto t = make_set_table(WaitPolicyKind::AlwaysPark);
+TEST(AcquireStatsParks, ParkNowRecordsParksAndWaitTime) {
+  const auto t = make_set_table(WaitPolicyKind::SpinThenPark, 4,
+                                /*spin_limit=*/0);
   LockMechanism m(t);
   const Value v0[1] = {0};
   const int mode_a = t.resolve(0, v0);

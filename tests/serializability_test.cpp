@@ -17,17 +17,24 @@
 namespace semlock::synth {
 namespace {
 
-// Parametrized over the holder-counter representation: flat atomic counters,
-// striped banks for self-commuting modes (readCell self-commutes, so its
-// counter really is striped in that variant), and the packed single-word
-// table. Serializability must not depend on how holds are counted.
-class Serializability : public ::testing::TestWithParam<StorageKind> {
+// Parametrized over the holder-counter representation: plain atomic
+// counters (striped storage with no stripes), striped banks for
+// self-commuting modes (readCell self-commutes, so its counter really is
+// striped in that variant), and the packed single-word table.
+// Serializability must not depend on how holds are counted.
+struct Representation {
+  const char* name;
+  StorageKind storage;
+  int counter_stripes;
+};
+
+class Serializability : public ::testing::TestWithParam<Representation> {
  protected:
   SynthesisOptions options() const {
     SynthesisOptions opts;
     opts.mode_config.abstract_values = 4;
-    opts.mode_config.storage = GetParam();
-    opts.mode_config.counter_stripes = 4;
+    opts.mode_config.storage = GetParam().storage;
+    opts.mode_config.counter_stripes = GetParam().counter_stripes;
     return opts;
   }
 };
@@ -197,13 +204,12 @@ TEST_P(Serializability, ConditionalMovePreservesInvariants) {
   EXPECT_EQ(total, kRegs * 100);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCounterRepresentations, Serializability,
-                         ::testing::Values(StorageKind::Flat,
-                                           StorageKind::Striped,
-                                           StorageKind::Packed),
-                         [](const auto& pinfo) {
-                           return std::string(storage_kind_name(pinfo.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllCounterRepresentations, Serializability,
+    ::testing::Values(Representation{"unstriped", StorageKind::Striped, 0},
+                      Representation{"striped", StorageKind::Striped, 4},
+                      Representation{"packed", StorageKind::Packed, 4}),
+    [](const auto& pinfo) { return std::string(pinfo.param.name); });
 
 }  // namespace
 }  // namespace semlock::synth

@@ -37,10 +37,11 @@ using runtime::StallReport;
 using runtime::StallWatchdog;
 using runtime::WaitPolicyKind;
 
-ModeTable make_table(WaitPolicyKind policy) {
+ModeTable make_table(int park_spin_limit) {
   ModeTableConfig c;
   c.abstract_values = 4;
-  c.wait_policy = policy;
+  c.wait_policy = WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = park_spin_limit;
   return ModeTable::compile(
       commute::set_spec(),
       {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),
@@ -61,7 +62,7 @@ struct ReportCollector {
 };
 
 TEST(StallWatchdog, ReportsHeldForeverConflictingMode) {
-  const auto t = make_table(WaitPolicyKind::AlwaysPark);
+  const auto t = make_table(/*park_spin_limit=*/0);
   LockMechanism m(t);
   const Value v0[1] = {0};
   const int held_mode = t.resolve(0, v0);       // held "forever"
@@ -123,7 +124,7 @@ TEST(StallWatchdog, ReportsHeldForeverConflictingMode) {
 // An unwatched mechanism is still reported (mode/partition/duration) but
 // without dereferencing it for holder counts.
 TEST(StallWatchdog, UnwatchedMechanismReportedWithoutHolderDetail) {
-  const auto t = make_table(WaitPolicyKind::SpinThenPark);
+  const auto t = make_table(/*park_spin_limit=*/64);
   LockMechanism m(t);
   const Value v0[1] = {0};
   const int held_mode = t.resolve(0, v0);
@@ -160,7 +161,7 @@ TEST(StallWatchdog, UnwatchedMechanismReportedWithoutHolderDetail) {
 }
 
 TEST(StallWatchdog, NoFalseReportsWhenUncontended) {
-  const auto t = make_table(WaitPolicyKind::AlwaysPark);
+  const auto t = make_table(/*park_spin_limit=*/0);
   LockMechanism m(t);
   const Value v0[1] = {0};
   const int mode = t.resolve(0, v0);
@@ -273,7 +274,8 @@ TEST(StallWatchdog, ForensicsNameHolderTransactionAndMode) {
   obs::reset_for_test();
   ModeTableConfig c;
   c.abstract_values = 4;
-  c.wait_policy = WaitPolicyKind::AlwaysPark;
+  c.wait_policy = WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.trace_events = true;
   const auto t = ModeTable::compile(
       commute::set_spec(),
@@ -345,7 +347,8 @@ TEST(StallWatchdog, ForensicsCarryThreeDeepBlockerChain) {
   obs::set_attribution_enabled(true);
   ModeTableConfig c;
   c.abstract_values = 4;
-  c.wait_policy = WaitPolicyKind::AlwaysPark;
+  c.wait_policy = WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
   c.trace_events = true;
   const auto t = ModeTable::compile(
       commute::set_spec(),
