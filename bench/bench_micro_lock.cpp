@@ -165,6 +165,43 @@ void BM_ModeTableCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_ModeTableCompile)->Arg(4)->Arg(16)->Arg(64);
 
+// The SEMANTIC server backend's map table (src/server/cc_backend.cpp): n
+// keyed read modes beside n keyed update modes, under the mode bound N.
+void BM_ModeTableCompileServerMap(benchmark::State& state) {
+  ModeTableConfig cfg;
+  cfg.abstract_values = static_cast<int>(state.range(0));
+  cfg.max_modes = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ModeTable::compile(
+        commute::map_spec(),
+        {SymbolicSet({op("get", {var("k")})}),
+         SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})})},
+        cfg));
+  }
+}
+BENCHMARK(BM_ModeTableCompileServerMap)
+    ->ArgNames({"n", "N"})
+    ->Args({64, 256})
+    ->Args({256, 1024});
+
+// The graph module's table (src/apps/graph_module.cpp): two-variable sites
+// that the mode bound N widens to per-source striping, one re-enumeration
+// per widened variable.
+void BM_ModeTableCompileGraph(benchmark::State& state) {
+  ModeTableConfig cfg;
+  cfg.abstract_values = 64;
+  cfg.max_modes = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ModeTable::compile(
+        commute::multimap_spec(),
+        {SymbolicSet({op("getAll", {var("k")})}),
+         SymbolicSet({op("put", {var("k"), var("v")})}),
+         SymbolicSet({op("removeEntry", {var("k"), var("v")})})},
+        cfg));
+  }
+}
+BENCHMARK(BM_ModeTableCompileGraph)->ArgName("N")->Arg(256);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,13 +1,14 @@
 #include "semlock/mode_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
-#include <map>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
-#include <unordered_map>
 
 #include "util/env.h"
 #include "util/striped_counter.h"
@@ -99,16 +100,27 @@ void validate_sets(const AdtSpec& spec,
   }
 }
 
-// Builds the mode for one site under a specific alpha assignment of its
-// variables. `assignment` maps variable name -> alpha index.
-Mode instantiate(const AdtSpec& spec, const SymbolicSet& set,
-                 const std::vector<std::string>& vars,
-                 const std::vector<int>& alphas) {
+// A site's symbolic set with its arguments resolved once: each op's method
+// index, and each variable argument as an Alpha holding the variable's index
+// in the site's variable order. Instantiating a tuple swaps in its alphas.
+struct SiteTemplate {
   Mode mode;
-  mode.ops.reserve(set.ops().size());
+  // Variable index of every Alpha argument, in op and argument order.
+  std::vector<int> alpha_vars;
+  // The mode's structure with the alphas left out: two sites can share a
+  // mode only if their shapes are equal.
+  std::string shape;
+};
+
+SiteTemplate make_template(const AdtSpec& spec, const SymbolicSet& set,
+                           const std::vector<std::string>& vars) {
+  SiteTemplate t;
+  t.mode.ops.reserve(set.ops().size());
   for (const auto& o : set.ops()) {
     AbstractOp aop;
     aop.method = spec.method_index(o.method);
+    t.shape.append(reinterpret_cast<const char*>(&aop.method),
+                   sizeof(aop.method));
     aop.args.reserve(o.args.size());
     for (const auto& a : o.args) {
       switch (a.kind) {
@@ -121,37 +133,69 @@ Mode instantiate(const AdtSpec& spec, const SymbolicSet& set,
         case SymArg::Kind::Var: {
           const auto it = std::find(vars.begin(), vars.end(), a.var);
           assert(it != vars.end());
-          aop.args.push_back(AbstractArg::of_alpha(
-              alphas[static_cast<std::size_t>(it - vars.begin())]));
+          const int v = static_cast<int>(it - vars.begin());
+          aop.args.push_back(AbstractArg::of_alpha(v));
+          t.alpha_vars.push_back(v);
           break;
         }
       }
+      t.shape.push_back(static_cast<char>(aop.args.back().kind));
+      if (a.kind == SymArg::Kind::Const) {
+        t.shape.append(reinterpret_cast<const char*>(&a.constant),
+                       sizeof(a.constant));
+      }
     }
-    mode.ops.push_back(std::move(aop));
+    t.shape.push_back('|');
+    t.mode.ops.push_back(std::move(aop));
+  }
+  return t;
+}
+
+// The mode of `t` under the alpha tuple `alphas` (one per variable).
+Mode instantiate(const SiteTemplate& t, const int* alphas) {
+  Mode mode = t.mode;
+  for (auto& o : mode.ops) {
+    for (auto& a : o.args) {
+      if (a.kind == AbstractArg::Kind::Alpha) a.alpha = alphas[a.alpha];
+    }
   }
   return mode;
 }
 
-// Compact structural key for mode deduplication (hash-map lookup instead of
-// a quadratic linear scan; tables are rebuilt per benchmark pass).
-std::string mode_key(const Mode& m) {
-  std::string key;
-  key.reserve(m.ops.size() * 12);
-  for (const auto& op : m.ops) {
-    key.append(reinterpret_cast<const char*>(&op.method), sizeof(op.method));
-    for (const auto& a : op.args) {
-      key.push_back(static_cast<char>(a.kind));
-      if (a.kind == AbstractArg::Kind::Const) {
-        key.append(reinterpret_cast<const char*>(&a.constant),
-                   sizeof(a.constant));
-      } else if (a.kind == AbstractArg::Kind::Alpha) {
-        key.append(reinterpret_cast<const char*>(&a.alpha), sizeof(a.alpha));
-      }
+// Alpha patterns as a trie: one edge per alpha label, so each pattern ends
+// at its own node. Node ids number the patterns, and result() memoizes F_c
+// per pattern.
+class PatternMemo {
+ public:
+  explicit PatternMemo(int labels)
+      : labels_(static_cast<std::size_t>(labels)),
+        child_(labels_, -1),
+        result_(1, -1) {}
+
+  // The node below `node` along `label`, created on first use.
+  int step(int node, int label) {
+    const std::size_t slot = static_cast<std::size_t>(node) * labels_ +
+                             static_cast<std::size_t>(label);
+    if (child_[slot] < 0) {
+      child_[slot] = static_cast<std::int32_t>(result_.size());
+      result_.push_back(-1);
+      child_.resize(child_.size() + labels_, -1);
     }
-    key.push_back('|');
+    return child_[slot];
   }
-  return key;
-}
+
+  int nodes() const { return static_cast<int>(result_.size()); }
+
+  // F_c of the pattern ending at `node`: -1 until evaluated.
+  signed char& result(int node) {
+    return result_[static_cast<std::size_t>(node)];
+  }
+
+ private:
+  std::size_t labels_;
+  std::vector<std::int32_t> child_;
+  std::vector<signed char> result_;
+};
 
 }  // namespace
 
@@ -177,16 +221,26 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
   }
 
   // --- Mode enumeration (with N-bound widening loop). --------------------
-  std::vector<Mode> raw_modes;
-  std::unordered_map<std::string, std::int32_t> mode_ids;
+  // Raw mode r is site origin_site[r] under the alpha tuple
+  // alpha[first_alpha[r] .. first_alpha[r + 1]), so raw ids run site by
+  // site. Within a site every tuple gives a distinct mode. A tuple repeats
+  // an earlier site's mode only if that site has the same shape and some
+  // tuple of it puts the same alphas in the same places; then the tuple
+  // takes that mode's id.
+  std::vector<SiteTemplate> templates;
+  std::vector<int> origin_site;
+  std::vector<int> alpha;
+  std::vector<std::size_t> first_alpha;
   for (;;) {
-    raw_modes.clear();
-    mode_ids.clear();
+    templates.clear();
+    origin_site.clear();
+    alpha.clear();
+    first_alpha.assign(1, 0);
     table.sites_.clear();
-    for (const auto& set : site_sets) {
+    for (std::size_t t = 0; t < site_sets.size(); ++t) {
       Site site;
-      site.set = set;
-      site.variables = set.variables();
+      site.set = site_sets[t];
+      site.variables = site.set.variables();
       const auto k = site.variables.size();
       site.strides.assign(k, 1);
       std::size_t entries = 1;
@@ -195,24 +249,54 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
         entries *= static_cast<std::size_t>(n);
       }
       site.lookup.assign(entries, -1);
+      templates.push_back(make_template(spec, site.set, site.variables));
+      const SiteTemplate& tmpl = templates.back();
+      std::vector<std::size_t> twins;  // earlier sites of the same shape
+      for (std::size_t s = 0; s < t; ++s) {
+        if (templates[s].shape == tmpl.shape) twins.push_back(s);
+      }
       std::vector<int> alphas(k, 0);
+      std::vector<int> twin_alphas;
       for (std::size_t idx = 0; idx < entries; ++idx) {
-        // Decode mixed-radix tuple.
-        std::size_t rem = idx;
-        for (std::size_t i = 0; i < k; ++i) {
-          alphas[i] = static_cast<int>(rem % static_cast<std::size_t>(n));
-          rem /= static_cast<std::size_t>(n);
+        // Next mixed-radix tuple; variable 0 is the least significant.
+        for (std::size_t i = 0; idx > 0 && i < k; ++i) {
+          if (++alphas[i] < n) break;
+          alphas[i] = 0;
         }
-        Mode m = instantiate(spec, set, site.variables, alphas);
-        auto [mit, fresh] = mode_ids.try_emplace(
-            mode_key(m), static_cast<std::int32_t>(raw_modes.size()));
-        if (fresh) raw_modes.push_back(std::move(m));
-        site.lookup[idx] = mit->second;
+        std::int32_t id = -1;
+        for (const std::size_t s : twins) {
+          const Site& twin = table.sites_[s];
+          const auto& twin_vars = templates[s].alpha_vars;
+          twin_alphas.assign(twin.variables.size(), -1);
+          bool consistent = true;
+          for (std::size_t j = 0; consistent && j < twin_vars.size(); ++j) {
+            int& a = twin_alphas[static_cast<std::size_t>(twin_vars[j])];
+            const int want =
+                alphas[static_cast<std::size_t>(tmpl.alpha_vars[j])];
+            consistent = a < 0 || a == want;
+            a = want;
+          }
+          if (!consistent) continue;
+          std::size_t twin_idx = 0;
+          for (std::size_t i = 0; i < twin_alphas.size(); ++i) {
+            twin_idx += static_cast<std::size_t>(twin.strides[i]) *
+                        static_cast<std::size_t>(twin_alphas[i]);
+          }
+          id = twin.lookup[twin_idx];
+          break;
+        }
+        if (id < 0) {
+          id = static_cast<std::int32_t>(origin_site.size());
+          origin_site.push_back(static_cast<int>(t));
+          alpha.insert(alpha.end(), alphas.begin(), alphas.end());
+          first_alpha.push_back(alpha.size());
+        }
+        site.lookup[idx] = id;
       }
       table.sites_.push_back(std::move(site));
     }
 
-    if (static_cast<int>(raw_modes.size()) <= cfg.max_modes) break;
+    if (static_cast<int>(origin_site.size()) <= cfg.max_modes) break;
 
     // Over the bound N: widen the last variable of the site contributing
     // the most modes (its lookup table is the largest), then re-enumerate.
@@ -235,39 +319,218 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
     if (!found) break;  // all sets constant; cannot reduce further
     site_sets[worst].widen_variable(site_sets[worst].variables().back());
   }
-  table.num_raw_modes_ = static_cast<int>(raw_modes.size());
+  const std::size_t nr = origin_site.size();
+  table.num_raw_modes_ = static_cast<int>(nr);
 
-  // --- F_c over raw modes. ------------------------------------------------
-  const std::size_t nr = raw_modes.size();
+  // The alphas phi(c) of every constant argument.
+  std::vector<int> const_alphas;
+  for (const auto& site : table.sites_) {
+    for (const auto& o : site.set.ops()) {
+      for (const auto& a : o.args) {
+        if (a.kind != SymArg::Kind::Const) continue;
+        const int c = table.phi_.alpha_of(a.constant);
+        if (std::find(const_alphas.begin(), const_alphas.end(), c) ==
+            const_alphas.end()) {
+          const_alphas.push_back(c);
+        }
+      }
+    }
+  }
+  const int nk = static_cast<int>(const_alphas.size());
+
+  // Each alpha's index in const_alphas, or -1.
+  std::vector<int> const_label(alpha.size());
+  for (std::size_t at = 0; at < alpha.size(); ++at) {
+    const auto it =
+        std::find(const_alphas.begin(), const_alphas.end(), alpha[at]);
+    const_label[at] = it == const_alphas.end()
+                          ? -1
+                          : static_cast<int>(it - const_alphas.begin());
+  }
+  // The raw ids of site s are [site_begin[s], site_begin[s + 1]).
+  const std::size_t num_sites = table.sites_.size();
+  std::vector<std::size_t> site_begin(num_sites + 1, 0);
+  for (const int s : origin_site) ++site_begin[static_cast<std::size_t>(s) + 1];
+  std::partial_sum(site_begin.begin(), site_begin.end(), site_begin.begin());
+  std::vector<Mode> raw_modes;
+  raw_modes.reserve(nr);
+  for (std::size_t r = 0; r < nr; ++r) {
+    raw_modes.push_back(
+        instantiate(templates[static_cast<std::size_t>(origin_site[r])],
+                    alpha.data() + first_alpha[r]));
+  }
+
+  // --- F_c over raw modes, once per site pair and alpha pattern. ----------
+  // modes_commute sees alphas only through definitely_differ, which tests an
+  // alpha for equality with another alpha or with phi of a constant. So for
+  // raw modes x of site s and y of site t, F_c(x, y) depends only on (s, t)
+  // and on the pattern of x's then y's alphas: each alpha is labelled by the
+  // constant whose phi it equals, else by the first-appearance order of its
+  // value among the other alphas. modes_commute runs on the first pair of
+  // each pattern; every later pair of it copies the result. The pairs x <= y
+  // are the site blocks s <= t, in the orientation the definition is
+  // evaluated in; the lower triangle mirrors the upper.
+  std::vector<int> seen;  // distinct free alphas, in order of appearance
+  const auto label = [&](std::size_t at) {
+    if (const_label[at] >= 0) return const_label[at];
+    const auto it = std::find(seen.begin(), seen.end(), alpha[at]);
+    const int free_index = static_cast<int>(it - seen.begin());
+    if (it == seen.end()) seen.push_back(alpha[at]);
+    return nk + free_index;
+  };
+  // Each raw mode's own pattern, numbered per site, and its free alphas.
+  // When y shares no free alpha with x, the pattern of (x, y) is x's own
+  // followed by y's own, so a site pair caches F_c per pair of own patterns
+  // and each row revisits only the raw modes that hold one of x's free
+  // alphas.
+  std::vector<std::int32_t> own_pattern(nr);
+  std::vector<int> own_pattern_count(num_sites);
+  std::vector<int> free_alpha;
+  std::vector<std::size_t> first_free(nr + 1, 0);
+  for (std::size_t s = 0; s < num_sites; ++s) {
+    PatternMemo patterns(nk +
+                         static_cast<int>(table.sites_[s].variables.size()));
+    for (std::size_t r = site_begin[s]; r < site_begin[s + 1]; ++r) {
+      seen.clear();
+      int node = 0;
+      for (std::size_t at = first_alpha[r]; at < first_alpha[r + 1]; ++at) {
+        node = patterns.step(node, label(at));
+      }
+      own_pattern[r] = node;
+      free_alpha.insert(free_alpha.end(), seen.begin(), seen.end());
+      first_free[r + 1] = free_alpha.size();
+    }
+    own_pattern_count[s] = patterns.nodes();
+  }
+  // The raw modes of site s holding free alpha v, ascending:
+  // holders[holder_begin[s * width + v] .. holder_begin[s * width + v + 1]).
+  // Only sites with variables have free alphas, so width stays within the
+  // tuple cap.
+  const std::size_t width =
+      free_alpha.empty()
+          ? 0
+          : static_cast<std::size_t>(
+                *std::max_element(free_alpha.begin(), free_alpha.end())) + 1;
+  std::vector<std::size_t> holder_begin(num_sites * width + 1, 0);
+  std::vector<std::size_t> holders(free_alpha.size());
+  for (std::size_t r = 0; r < nr; ++r) {
+    const auto s = static_cast<std::size_t>(origin_site[r]);
+    for (std::size_t f = first_free[r]; f < first_free[r + 1]; ++f) {
+      ++holder_begin[s * width + static_cast<std::size_t>(free_alpha[f]) + 1];
+    }
+  }
+  std::partial_sum(holder_begin.begin(), holder_begin.end(),
+                   holder_begin.begin());
+  {
+    std::vector<std::size_t> cursor(holder_begin.begin(),
+                                    holder_begin.end() - 1);
+    for (std::size_t r = 0; r < nr; ++r) {
+      const auto s = static_cast<std::size_t>(origin_site[r]);
+      for (std::size_t f = first_free[r]; f < first_free[r + 1]; ++f) {
+        holders[cursor[s * width + static_cast<std::size_t>(free_alpha[f])]++] =
+            r;
+      }
+    }
+  }
+
   std::vector<char> fc_raw(nr * nr, 0);
-  for (std::size_t i = 0; i < nr; ++i) {
-    fc_raw[i * nr + i] =
-        modes_commute(spec, table.phi_, raw_modes[i], raw_modes[i]) ? 1 : 0;
-    for (std::size_t j = i + 1; j < nr; ++j) {
-      const char c =
-          modes_commute(spec, table.phi_, raw_modes[i], raw_modes[j]) ? 1 : 0;
-      fc_raw[i * nr + j] = c;
-      fc_raw[j * nr + i] = c;
+  std::vector<signed char> own_cache;
+  for (std::size_t s = 0; s < num_sites; ++s) {
+    const int ks = static_cast<int>(table.sites_[s].variables.size());
+    for (std::size_t t = s; t < num_sites; ++t) {
+      const int kt = static_cast<int>(table.sites_[t].variables.size());
+      PatternMemo memo(nk + ks + kt);
+      const auto own_t = static_cast<std::size_t>(own_pattern_count[t]);
+      own_cache.assign(
+          static_cast<std::size_t>(own_pattern_count[s]) * own_t, -1);
+      for (std::size_t x = site_begin[s]; x < site_begin[s + 1]; ++x) {
+        seen.clear();
+        int x_node = 0;
+        for (std::size_t at = first_alpha[x]; at < first_alpha[x + 1]; ++at) {
+          x_node = memo.step(x_node, label(at));
+        }
+        const std::size_t x_seen = seen.size();  // x's free alphas lead
+        // F_c(x, y) from the pattern of (x, y), evaluated on first sight.
+        const auto eval = [&](std::size_t y) {
+          seen.resize(x_seen);
+          int node = x_node;
+          for (std::size_t at = first_alpha[y]; at < first_alpha[y + 1];
+               ++at) {
+            node = memo.step(node, label(at));
+          }
+          signed char& c = memo.result(node);
+          if (c < 0) {
+            c = modes_commute(spec, table.phi_, raw_modes[x], raw_modes[y])
+                    ? 1
+                    : 0;
+          }
+          return c;
+        };
+        const auto shares_alpha = [&](std::size_t y) {
+          const auto x_end = seen.begin() + static_cast<std::ptrdiff_t>(x_seen);
+          for (std::size_t f = first_free[y]; f < first_free[y + 1]; ++f) {
+            if (std::find(seen.begin(), x_end, free_alpha[f]) != x_end) {
+              return true;
+            }
+          }
+          return false;
+        };
+        const std::size_t y_begin = std::max(x, site_begin[t]);
+        char* row = fc_raw.data() + x * nr;
+        signed char* cache =
+            own_cache.data() + static_cast<std::size_t>(own_pattern[x]) * own_t;
+        char* column = fc_raw.data() + x;
+        for (std::size_t y = y_begin; y < site_begin[t + 1]; ++y) {
+          signed char& cached = cache[own_pattern[y]];
+          if (cached < 0) {
+            const signed char c = eval(y);
+            if (!shares_alpha(y)) cached = c;
+            row[y] = column[y * nr] = c;
+          } else {
+            row[y] = column[y * nr] = cached;
+          }
+        }
+        for (std::size_t f = 0; f < x_seen; ++f) {
+          const std::size_t at = t * width + static_cast<std::size_t>(seen[f]);
+          for (std::size_t h = holder_begin[at]; h < holder_begin[at + 1];
+               ++h) {
+            const std::size_t y = holders[h];
+            if (y >= y_begin) row[y] = column[y * nr] = eval(y);
+          }
+        }
+      }
     }
   }
 
   // --- Merge indistinguishable modes (Section 5.3, optimization 1). ------
+  // Rows go into an open-addressing table of canonical ids by the hash of
+  // their bytes; a hash match is confirmed byte for byte. Canonical ids
+  // number the distinct rows in order of their first raw mode.
   std::vector<std::int32_t> canon_of(nr);
-  if (cfg.merge_indistinguishable && nr > 0) {
-    std::map<std::vector<char>, std::int32_t> row_to_canon;
+  std::vector<std::size_t> rep;  // first raw mode of each canonical mode
+  table.modes_.reserve(nr);
+  if (cfg.merge_indistinguishable) {
+    const auto row_of = [&](std::size_t r) {
+      return std::string_view(fc_raw.data() + r * nr, nr);
+    };
+    const std::size_t mask = std::bit_ceil(2 * nr) - 1;
+    std::vector<std::int32_t> slots(mask + 1, -1);
+    std::vector<std::size_t> rep_hash;
     for (std::size_t i = 0; i < nr; ++i) {
-      std::vector<char> row(fc_raw.begin() + static_cast<std::ptrdiff_t>(i * nr),
-                            fc_raw.begin() +
-                                static_cast<std::ptrdiff_t>((i + 1) * nr));
-      auto [it, inserted] = row_to_canon.try_emplace(
-          std::move(row), static_cast<std::int32_t>(table.modes_.size()));
-      canon_of[i] = it->second;
-      if (inserted) {
-        table.modes_.push_back(raw_modes[i]);
+      const std::size_t hash = std::hash<std::string_view>{}(row_of(i));
+      std::size_t at = hash & mask;
+      for (; slots[at] >= 0; at = (at + 1) & mask) {
+        const auto c = static_cast<std::size_t>(slots[at]);
+        if (rep_hash[c] == hash && row_of(rep[c]) == row_of(i)) break;
+      }
+      if (slots[at] < 0) {
+        slots[at] = static_cast<std::int32_t>(rep.size());
+        rep.push_back(i);
+        rep_hash.push_back(hash);
+        table.modes_.push_back(std::move(raw_modes[i]));
       } else {
         // Record the merged representative's ops for introspection.
-        auto& canon_mode =
-            table.modes_[static_cast<std::size_t>(it->second)];
+        auto& canon_mode = table.modes_[static_cast<std::size_t>(slots[at])];
         for (const auto& o : raw_modes[i].ops) {
           if (std::find(canon_mode.ops.begin(), canon_mode.ops.end(), o) ==
               canon_mode.ops.end()) {
@@ -275,34 +538,36 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
           }
         }
       }
+      canon_of[i] = slots[at];
     }
   } else {
-    table.modes_ = raw_modes;
-    std::iota(canon_of.begin(), canon_of.end(), 0);
-  }
-
-  // Remap per-site lookup tables onto canonical ids.
-  for (auto& site : table.sites_) {
-    for (auto& id : site.lookup) id = canon_of[static_cast<std::size_t>(id)];
+    table.modes_ = std::move(raw_modes);
   }
 
   // --- Canonical F_c. ------------------------------------------------------
+  // Without a merge the raw matrix is the canonical one. Otherwise remap
+  // the per-site lookup tables onto canonical ids and copy each canonical
+  // mode's row from its first raw mode (merged modes share rows and, F_c
+  // being symmetric, columns).
   const std::size_t nc = table.modes_.size();
-  table.fc_.assign(nc * nc, 1);
-  // Representative raw mode per canonical id.
-  std::vector<std::size_t> rep(nc, 0);
-  for (std::size_t i = 0; i < nr; ++i) {
-    rep[static_cast<std::size_t>(canon_of[i])] = i;
-  }
-  for (std::size_t i = 0; i < nc; ++i) {
-    for (std::size_t j = 0; j < nc; ++j) {
-      table.fc_[i * nc + j] = fc_raw[rep[i] * nr + rep[j]];
+  if (nc == nr) {
+    table.fc_ = std::move(fc_raw);
+  } else {
+    for (auto& site : table.sites_) {
+      for (auto& id : site.lookup) id = canon_of[static_cast<std::size_t>(id)];
+    }
+    table.fc_.resize(nc * nc);
+    for (std::size_t i = 0; i < nc; ++i) {
+      for (std::size_t j = 0; j < nc; ++j) {
+        table.fc_[i * nc + j] = fc_raw[rep[i] * nr + rep[j]];
+      }
     }
   }
 
-  // --- Lock partitioning (Section 5.2): connected components of the ------
-  // conflict graph. With partitioning disabled, all modes share one
-  // partition (single internal lock — the ablation baseline).
+  // --- Conflict lists and lock partitioning (Section 5.2), in one pass. ---
+  // Partitions are the connected components of the conflict graph, numbered
+  // in order of their lowest mode. With partitioning disabled, all modes
+  // share one partition (single internal lock — the ablation baseline).
   std::vector<std::int32_t> parent(nc);
   std::iota(parent.begin(), parent.end(), 0);
   auto find = [&](std::int32_t x) {
@@ -320,16 +585,24 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
     if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] =
         std::min(a, b);
   };
-  if (cfg.partition) {
-    for (std::size_t i = 0; i < nc; ++i) {
-      for (std::size_t j = i + 1; j < nc; ++j) {
-        if (!table.fc_[i * nc + j]) {
-          unite(static_cast<std::int32_t>(i), static_cast<std::int32_t>(j));
-        }
+  table.conflicts_.resize(nc);
+  std::vector<std::int32_t> conflicts;
+  for (std::size_t i = 0; i < nc; ++i) {
+    const char* row = table.fc_.data() + i * nc;
+    const char* end = row + nc;
+    conflicts.clear();
+    for (const char* p = row;
+         (p = static_cast<const char*>(std::memchr(
+              p, 0, static_cast<std::size_t>(end - p)))) != nullptr;
+         ++p) {
+      const auto j = static_cast<std::int32_t>(p - row);
+      conflicts.push_back(j);
+      if (cfg.partition && j > static_cast<std::int32_t>(i)) {
+        unite(static_cast<std::int32_t>(i), j);
       }
     }
-  } else {
-    for (std::size_t i = 1; i < nc; ++i) unite(0, static_cast<std::int32_t>(i));
+    table.conflicts_[i].assign(conflicts.begin(), conflicts.end());
+    if (!cfg.partition && i > 0) unite(0, static_cast<std::int32_t>(i));
   }
   table.partition_.assign(nc, 0);
   std::vector<std::int32_t> part_id(nc, -1);
@@ -342,19 +615,16 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
     table.partition_[i] = part_id[static_cast<std::size_t>(root)];
   }
   table.num_partitions_ = next_part;
-
-  // --- Per-mode conflict lists. -------------------------------------------
-  table.conflicts_.assign(nc, {});
+#ifndef NDEBUG
+  // Invariant required by the lock mechanism: conflicting modes share a
+  // partition (they are connected in the conflict graph).
   for (std::size_t i = 0; i < nc; ++i) {
-    for (std::size_t j = 0; j < nc; ++j) {
-      if (!table.fc_[i * nc + j]) {
-        table.conflicts_[i].push_back(static_cast<std::int32_t>(j));
-        // Invariant required by the lock mechanism: conflicting modes share
-        // a partition (they are connected in the conflict graph).
-        assert(table.partition_[i] == table.partition_[j]);
-      }
+    for (const std::int32_t j : table.conflicts_[i]) {
+      assert(table.partition_[i] ==
+             table.partition_[static_cast<std::size_t>(j)]);
     }
   }
+#endif
 
   // --- Packed-word layout (packed_layout.h). ------------------------------
   // Field widths: carve the waiters bit out of the top and split the rest

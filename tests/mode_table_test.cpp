@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "commute/builtin_specs.h"
 #include "semlock/mode_table.h"
 
@@ -236,6 +241,379 @@ TEST(ModeTable, DescribeMentionsModesAndSites) {
   EXPECT_NE(d.find("{add(*)}"), std::string::npos);
   EXPECT_NE(d.find("F_c"), std::string::npos);
 }
+
+// --- Compiled-table oracle --------------------------------------------------
+// The tables the server backend, the apps and the ADT wrappers build, the
+// benches' set tables, the configurations of the tests above, and three
+// families across the attribution sweep's abstraction points are checked
+// against the definition of a compiled table, and pinned by a digest of
+// everything the runtime reads from it.
+
+// The gossip router's group map (src/apps/gossip_router.cpp), rebuilt here
+// because the apps keep it private.
+const commute::AdtSpec& group_map_spec() {
+  static const commute::AdtSpec spec = [] {
+    commute::AdtSpec::Builder b("GroupMap");
+    b.method("put", 2).method("remove", 1).method("forEach", 0);
+    b.commute("put", "put", commute::CommCondition::differ(0, 0));
+    b.commute("put", "remove", commute::CommCondition::differ(0, 0));
+    b.commute("remove", "remove", commute::CommCondition::always());
+    b.commute("forEach", "forEach", commute::CommCondition::always());
+    return b.build();
+  }();
+  return spec;
+}
+
+struct TableCase {
+  std::string name;
+  const commute::AdtSpec* spec;
+  std::vector<SymbolicSet> sites;
+  ModeTableConfig config;
+};
+
+std::vector<SymbolicSet> sem_map_sites() {
+  return {SymbolicSet({op("get", {var("k")}), op("containsKey", {var("k")})}),
+          SymbolicSet(
+              {op("put", {var("k"), star()}), op("remove", {var("k")})}),
+          SymbolicSet({op("get", {var("k")}), op("containsKey", {var("k")}),
+                       op("put", {var("k"), star()}),
+                       op("remove", {var("k")})}),
+          SymbolicSet({op("size"), op("clear"), op("put", {star(), star()}),
+                       op("remove", {star()})})};
+}
+
+std::vector<SymbolicSet> graph_sites() {
+  return {SymbolicSet({op("getAll", {var("k")})}),
+          SymbolicSet({op("put", {var("k"), var("v")})}),
+          SymbolicSet({op("removeEntry", {var("k"), var("v")})})};
+}
+
+// Constants beside variables: {add(5)} meets the alpha of 5, and a site that
+// uses one variable twice dedups against none of the others.
+std::vector<SymbolicSet> set_const_sites() {
+  return {SymbolicSet({op("add", {cst(5)})}),
+          SymbolicSet({op("remove", {var("j")})}),
+          SymbolicSet({op("contains", {var("v")}), op("add", {cst(3)})}),
+          SymbolicSet({op("add", {var("j")}), op("remove", {var("j")})})};
+}
+
+std::vector<TableCase> table_cases() {
+  const auto& map = commute::map_spec();
+  const auto& set = commute::set_spec();
+  const auto& mm = commute::multimap_spec();
+  const auto& pool = commute::pool_spec();
+  std::vector<TableCase> cases = {
+      {"server_account", &commute::account_spec(),
+       {SymbolicSet({op("deposit", {star()}), op("withdraw", {star()})}),
+        SymbolicSet({op("balance")})},
+       ModeTableConfig{}},
+      {"server_map", &map,
+       {SymbolicSet({op("get", {var("k")})}),
+        SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})})},
+       cfg(64, 256)},
+      {"cia", &map,
+       {SymbolicSet(
+           {op("containsKey", {var("key")}), op("put", {var("key"), star()})})},
+       cfg(64, 256)},
+      {"cache_eden", &map,
+       {SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})}),
+        SymbolicSet({op("size"), op("clear"), op("put", {var("k"), star()})})},
+       cfg(64, 256)},
+      {"cache_longterm", &commute::weakmap_spec(),
+       {SymbolicSet({op("get", {var("k")})}), SymbolicSet({op("putAll")})},
+       cfg(64, 256)},
+      {"gossip_table", &map,
+       {SymbolicSet({op("get", {var("g")}), op("put", {var("g"), star()})}),
+        SymbolicSet({op("get", {var("g")})})},
+       cfg(64, 256)},
+      {"gossip_group", &group_map_spec(),
+       {SymbolicSet({op("put", {var("a"), star()})}),
+        SymbolicSet({op("remove", {var("a")})}), SymbolicSet({op("forEach")})},
+       cfg(64, 256)},
+      {"intruder_map", &map,
+       {SymbolicSet({op("get", {var("fid")}), op("put", {var("fid"), star()}),
+                     op("remove", {var("fid")})})},
+       cfg(64, 256)},
+      {"intruder_set", &set, {SymbolicSet({op("add", {star()})})},
+       ModeTableConfig{}},
+      {"pool_queue", &pool,
+       {SymbolicSet({op("enqueue", {star()})}), SymbolicSet({op("dequeue")})},
+       ModeTableConfig{}},
+      {"sem_set", &set,
+       {SymbolicSet({op("contains", {var("v")})}),
+        SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),
+        SymbolicSet({op("add", {star()})}),
+        SymbolicSet({op("size"), op("clear"), op("add", {star()}),
+                     op("remove", {star()})})},
+       cfg(64, 256)},
+      {"bench_set_readers_writers", &set,
+       {SymbolicSet({op("contains", {star()})}),
+        SymbolicSet({op("add", {star()}), op("remove", {star()})})},
+       ModeTableConfig{}},
+      {"bench_set_keyed", &set,
+       {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),
+        SymbolicSet({op("size"), op("clear")})},
+       cfg(64, 256)},
+      // The configurations of the unit tests above.
+      {"constant_args", &set,
+       {SymbolicSet({op("add", {cst(5)})}),
+        SymbolicSet({op("remove", {var("j")})})},
+       cfg(2)},
+      {"constant_sites", &set,
+       {SymbolicSet({op("add", {star()})}), SymbolicSet({op("size")})},
+       cfg(16)},
+      {"read_only", &map, {SymbolicSet({op("get", {var("k")})})}, cfg(8)},
+      {"shared_sites", &map,
+       {SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})}),
+        SymbolicSet({op("get", {var("j")}), op("put", {var("j"), star()})})},
+       cfg(8)},
+      {"eden_n8", &map,
+       {SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})}),
+        SymbolicSet({op("size"), op("clear"), op("put", {var("k"), star()})})},
+       cfg(8)},
+      {"pair_unbounded_n4", &mm,
+       {SymbolicSet({op("put", {var("k"), var("v")})}),
+        SymbolicSet({op("removeEntry", {var("k"), var("v")})})},
+       cfg(4)},
+      {"pair_bounded_n16_N256", &mm,
+       {SymbolicSet({op("put", {var("k"), var("v")})}),
+        SymbolicSet({op("removeEntry", {var("k"), var("v")})})},
+       cfg(16, 256)},
+      {"getall_put_n8", &mm,
+       {SymbolicSet({op("getAll", {var("k")})}),
+        SymbolicSet({op("put", {var("k"), var("v")})})},
+       cfg(8)},
+      {"repeated_variable_n4", &mm,
+       {SymbolicSet({op("put", {var("k"), var("k")})}),
+        SymbolicSet({op("put", {var("k"), var("j")})}),
+        SymbolicSet({op("removeEntry", {var("j"), var("k")})})},
+       cfg(4)},
+  };
+  {
+    ModeTableConfig c = cfg(8);
+    c.merge_indistinguishable = false;
+    cases.push_back(
+        {"merge_off", &map,
+         {SymbolicSet({op("size"), op("clear"), op("put", {var("k"), star()})}),
+          SymbolicSet({op("get", {var("k")})})},
+         c});
+  }
+  {
+    ModeTableConfig c = cfg(16);
+    c.partition = false;
+    cases.push_back(
+        {"partition_off", &map,
+         {SymbolicSet({op("get", {var("k")}), op("put", {var("k"), star()})})},
+         c});
+  }
+  {
+    ModeTableConfig c = cfg(64);
+    c.max_tuple_entries = 64;
+    cases.push_back({"tuple_cap", &mm,
+                     {SymbolicSet({op("put", {var("k"), var("v")})}),
+                      SymbolicSet({op("removeEntry", {var("k"), var("v")})})},
+                     c});
+  }
+  // The attribution sweep's abstraction points, across the widening cliff;
+  // graph_n64 is the graph module's table.
+  for (const int n : {1, 4, 16, 64, 85, 86, 128, 256}) {
+    const std::string suffix = "_n" + std::to_string(n);
+    cases.push_back({"sem_map" + suffix, &map, sem_map_sites(), cfg(n, 256)});
+    cases.push_back(
+        {"set_consts" + suffix, &set, set_const_sites(), cfg(n, 256)});
+    cases.push_back({"graph" + suffix, &mm, graph_sites(), cfg(n, 256)});
+  }
+  return cases;
+}
+
+// 64-bit FNV-1a.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void value(T v) {
+    bytes(&v, sizeof v);
+  }
+};
+
+// Digest of what the runtime reads from a table: describe() (sites, mode
+// numbering, partitions, F_c), every site's full lookup table, every
+// conflict list and the packed layout.
+std::uint64_t table_digest(const ModeTable& t) {
+  Fnv1a f;
+  const std::string d = t.describe();
+  f.bytes(d.data(), d.size());
+  const int n = t.abstraction().size();
+  for (int s = 0; s < t.num_sites(); ++s) {
+    const std::size_t k = t.site_variables(s).size();
+    std::size_t entries = 1;
+    for (std::size_t i = 0; i < k; ++i) entries *= static_cast<std::size_t>(n);
+    std::vector<Value> vals(k);
+    for (std::size_t idx = 0; idx < entries; ++idx) {
+      std::size_t rem = idx;
+      for (std::size_t i = 0; i < k; ++i) {
+        vals[i] = static_cast<Value>(rem % static_cast<std::size_t>(n));
+        rem /= static_cast<std::size_t>(n);
+      }
+      f.value(static_cast<std::int32_t>(t.resolve(s, vals)));
+    }
+  }
+  f.value(static_cast<std::int32_t>(t.num_partitions()));
+  for (int m = 0; m < t.num_modes(); ++m) {
+    const auto& c = t.conflicts_of(m);
+    f.value(static_cast<std::uint64_t>(c.size()));
+    for (const std::int32_t j : c) f.value(j);
+  }
+  if (const PackedLayout* l = t.packed_layout()) {
+    f.value(static_cast<std::int32_t>(l->num_modes));
+    f.value(l->bits_per_mode);
+    f.value(l->field_max);
+    f.value(l->waiters_bit);
+    for (int m = 0; m < l->num_modes; ++m) {
+      const auto i = static_cast<std::size_t>(m);
+      f.value(l->shift[i]);
+      f.value(l->inc[i]);
+      f.value(l->field_mask[i]);
+      f.value(l->conflict_mask[i]);
+    }
+  }
+  return f.h;
+}
+
+// Digests recorded from a compile that called modes_commute on every pair of
+// raw modes; the table must stay byte-identical to that definition.
+std::uint64_t recorded_digest(const std::string& name) {
+  static const std::map<std::string, std::uint64_t> digests = {
+      {"server_account", 0x7a60b749735bd2e6ull},
+      {"server_map", 0x8206f3069ed0f0b9ull},
+      {"cia", 0x82428dd4078f9f4bull},
+      {"cache_eden", 0x934a27ff904857adull},
+      {"cache_longterm", 0xac15ab5aeee77675ull},
+      {"gossip_table", 0xaaf92b0dc1ba9849ull},
+      {"gossip_group", 0xdd29a4a8d65d0c10ull},
+      {"intruder_map", 0xbaab925f7b3b9671ull},
+      {"intruder_set", 0x3707598e7ce257daull},
+      {"pool_queue", 0xcb95e314b497f356ull},
+      {"sem_set", 0x54c894d0d1066a96ull},
+      {"bench_set_readers_writers", 0x8dbfb559b7396834ull},
+      {"bench_set_keyed", 0x4dad318994637506ull},
+      {"constant_args", 0xb8126a3d9a0474ccull},
+      {"constant_sites", 0x55d2dadc2fe6849cull},
+      {"read_only", 0x743fa9384026da65ull},
+      {"shared_sites", 0x4cd11e2058a07dedull},
+      {"eden_n8", 0x2e3ae45bc2b5a7c3ull},
+      {"pair_unbounded_n4", 0xed2d6980bca822a6ull},
+      {"pair_bounded_n16_N256", 0xd446ad60f457caa9ull},
+      {"getall_put_n8", 0x23f0da1d624aeca7ull},
+      {"repeated_variable_n4", 0x830826ab14352015ull},
+      {"merge_off", 0x86cdf737a9e9fc18ull},
+      {"partition_off", 0x89e1735c3cbb5c05ull},
+      {"tuple_cap", 0xa3eee463de2c2e7aull},
+      {"sem_map_n1", 0x3cb6d47fecf0e319ull},
+      {"set_consts_n1", 0xdaefb218ef11a6e9ull},
+      {"graph_n1", 0x4d936a19222cd2c4ull},
+      {"sem_map_n4", 0x150854331c3ab8dull},
+      {"set_consts_n4", 0xc90997776f468c96ull},
+      {"graph_n4", 0x5157eb060ea10b5aull},
+      {"sem_map_n16", 0xa43efdd79a88e6a5ull},
+      {"set_consts_n16", 0xba1df4b6be9aa416ull},
+      {"graph_n16", 0x1dc322540ef750beull},
+      {"sem_map_n64", 0xb8627dfe8ea401a0ull},
+      {"set_consts_n64", 0x90d8e481a147851dull},
+      {"graph_n64", 0xcbb771c4a7203704ull},
+      {"sem_map_n85", 0x802acec8f3592005ull},
+      {"set_consts_n85", 0xee93e7216178f7a0ull},
+      {"graph_n85", 0x6efe977f0d790f9full},
+      {"sem_map_n86", 0x2b014d90b5c7f387ull},
+      {"set_consts_n86", 0xb36f413213bb2814ull},
+      {"graph_n86", 0xea8b94fa32e2c8ffull},
+      {"sem_map_n128", 0x7c251f90027da47eull},
+      {"set_consts_n128", 0x1301b28ebeaa1448ull},
+      {"graph_n128", 0xd9c5a751a445baedull},
+      {"sem_map_n256", 0x486eb6f9cf77248eull},
+      {"set_consts_n256", 0xe59789a3b9fc4569ull},
+      {"graph_n256", 0xb9e3c81c276e2319ull},
+  };
+  const auto it = digests.find(name);
+  return it == digests.end() ? 0 : it->second;
+}
+
+void PrintTo(const TableCase& c, std::ostream* os) { *os << c.name; }
+
+std::string case_name(const ::testing::TestParamInfo<TableCase>& param) {
+  return param.param.name;
+}
+
+class CompiledTableOracle : public ::testing::TestWithParam<TableCase> {};
+
+TEST_P(CompiledTableOracle, MatchesDefinitionAndRecordedDigest) {
+  const TableCase& c = GetParam();
+  const auto t = ModeTable::compile(*c.spec, c.sites, c.config);
+  const int nc = t.num_modes();
+  // (a) F_c is modes_commute over the canonical modes.
+  int mismatches = 0;
+  for (int i = 0; i < nc; ++i) {
+    for (int j = 0; j < nc; ++j) {
+      if (t.commutes(i, j) !=
+          modes_commute(*c.spec, t.abstraction(), t.mode(i), t.mode(j))) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // (b) conflicts_of(i) lists every non-commuting j, ascending.
+  for (int i = 0; i < nc; ++i) {
+    std::vector<std::int32_t> expect;
+    for (int j = 0; j < nc; ++j) {
+      if (!t.commutes(i, j)) expect.push_back(j);
+    }
+    EXPECT_EQ(t.conflicts_of(i), expect) << "mode " << i;
+  }
+  // (c) Partitions are the connected components of the conflict graph,
+  // numbered by their lowest mode (one partition when partitioning is off).
+  std::vector<int> component(static_cast<std::size_t>(nc), -1);
+  int components = 0;
+  for (int root = 0; root < nc; ++root) {
+    if (component[static_cast<std::size_t>(root)] >= 0) continue;
+    std::vector<int> stack = {root};
+    component[static_cast<std::size_t>(root)] = components;
+    while (!stack.empty()) {
+      const int m = stack.back();
+      stack.pop_back();
+      for (int o = 0; o < nc; ++o) {
+        if ((!t.commutes(m, o) || !t.commutes(o, m)) &&
+            component[static_cast<std::size_t>(o)] < 0) {
+          component[static_cast<std::size_t>(o)] = components;
+          stack.push_back(o);
+        }
+      }
+    }
+    ++components;
+  }
+  if (c.config.partition) {
+    EXPECT_EQ(t.num_partitions(), components);
+    for (int m = 0; m < nc; ++m) {
+      EXPECT_EQ(t.partition_of(m), component[static_cast<std::size_t>(m)])
+          << "mode " << m;
+    }
+  } else {
+    EXPECT_EQ(t.num_partitions(), 1);
+    for (int m = 0; m < nc; ++m) EXPECT_EQ(t.partition_of(m), 0);
+  }
+  // (d) The table is byte-identical to the pairwise compile's.
+  const std::uint64_t digest = table_digest(t);
+  EXPECT_EQ(digest, recorded_digest(c.name))
+      << c.name << " digest 0x" << std::hex << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTables, CompiledTableOracle,
+                         ::testing::ValuesIn(table_cases()), case_name);
 
 }  // namespace
 }  // namespace semlock

@@ -97,7 +97,9 @@ TEST(PackedLayoutTest, TooManyModesFallsBackToStripedObservably) {
   LockMechanism m(t);
   EXPECT_EQ(m.storage(), StorageKind::Striped);
   EXPECT_TRUE(m.has_parking_lot());  // futex-word never applies to Striped
-  const int mode = t.resolve_constant(0);
+  // Site 0 is keyed: resolve it with one value for its one variable.
+  const commute::Value v[1] = {3};
+  const int mode = t.resolve(0, v);
   m.lock(mode);
   EXPECT_EQ(m.holders(mode), 1u);
   m.unlock(mode);
