@@ -132,6 +132,35 @@ inline std::string scaling_claims() {
                                                   : "multi-core";
 }
 
+// The host CPU's model name from the first "model name" line of
+// /proc/cpuinfo, or "unknown" where there is none (no procfs, or an
+// architecture whose cpuinfo names no model). Two hosts with the same
+// thread count can differ several-fold on one artifact row, so every stamp
+// names the CPU. Quotes, backslashes and control characters are dropped to
+// keep the JSON string plain.
+inline std::string cpu_model() {
+  std::string model;
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (model.empty() && std::fgets(line, sizeof(line), f) != nullptr) {
+      std::string_view l(line);
+      const std::size_t colon = l.find(':');
+      if (l.rfind("model name", 0) != 0 || colon == std::string_view::npos) {
+        continue;
+      }
+      for (const char c : l.substr(colon + 1)) {
+        if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+          model += c;
+        }
+      }
+      model.erase(0, model.find_first_not_of(' '));
+      model.erase(model.find_last_not_of(' ') + 1);
+    }
+    std::fclose(f);
+  }
+  return model.empty() ? "unknown" : model;
+}
+
 // Run metadata stamped into every BENCH_*.json: enough to tell two
 // committed artifacts apart without replaying CI. The git SHA comes from
 // SEMLOCK_GIT_SHA (tools/run_benches.sh exports it; "unknown" when run by
@@ -161,6 +190,8 @@ inline std::string run_metadata_json() {
 #if defined(SEMLOCK_OBS)
   out += "+obs";
 #endif
+  out += "\", \"cpu_model\": \"";
+  out += cpu_model();
   char buf[384];
   // "hardware_threads" is stamped both here and at the artifact top level:
   // a single-core CI container makes every scaling figure meaningless, and

@@ -7,6 +7,7 @@
 
 #include "server/shard_queue.h"
 #include "server/traffic_gen.h"
+#include "util/spinlock.h"
 
 #if defined(SEMLOCK_OBS)
 #include "obs/span.h"
@@ -19,6 +20,21 @@ namespace semlock::server {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Costs on a 4-vCPU Xeon KVM guest: PAUSE 20–24 ns, steady_clock::now()
+// 41–45 ns, sched_yield 320–365 ns. An idle worker pauses between empty
+// sweeps and yields only after this many sweeps without a request. 256
+// sweeps took about 6–8 µs there, roughly two mean inter-arrival gaps per
+// worker in perfbench's server_open (2 workers, 500k req/s); an
+// oversubscribed server, whose gaps outlast the window, yields every sweep
+// past it.
+constexpr std::uint32_t kPauseSweeps = 256;
+// The paced dispatcher sleeps while the next arrival is more than 100 µs
+// away (sleep_for overshoots by tens of µs), yields while it is more than
+// 4 µs away (about ten sched_yields), and pause-spins through the last 4 µs
+// so a push lands within a clock read and a PAUSE of its arrival.
+constexpr std::uint64_t kSleepAheadNs = 100000;
+constexpr std::uint64_t kYieldAheadNs = 4000;
 
 std::uint64_t ns_since(Clock::time_point start) {
   return static_cast<std::uint64_t>(
@@ -35,9 +51,9 @@ struct WorkerState {
   std::uint64_t retries = 0;
   std::int64_t observed_sum = 0;
   util::Log2Histogram latency_ns;
-  // Exponential moving average of service time, published for the
-  // dispatcher's retry-after hints. Seeded at 1us so the first hints are
-  // sane before any sample lands.
+  // Exponential moving average of service time (the worker's backlogged
+  // pace), published for the dispatcher's retry-after hints. Seeded at 1us
+  // so the first hints are sane before any sample lands.
   std::atomic<std::uint64_t> ema_service_ns{1000};
 };
 
@@ -117,13 +133,20 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       const Clock::time_point start = start_tp;
       std::uint64_t ema = st.ema_service_ns.load(std::memory_order_relaxed);
+      // The clock is read once per request, after execute. The service time
+      // fed to the EMA is the gap since this worker's previous completion
+      // while it is backlogged; after an empty sweep the request cannot have
+      // started before its intended arrival either.
+      std::uint64_t last_done = 0;
+      // Empty sweeps since the last request, capped at kPauseSweeps; a
+      // worker that has run nothing yet counts as idle.
+      std::uint32_t empty_sweeps = 1;
       Request r;
       for (;;) {
         bool any = false;
         for (int s = w; s < shards_; s += workers_) {
           if (!queues[static_cast<std::size_t>(s)]->try_pop(&r)) continue;
           any = true;
-          const std::uint64_t t0 = ns_since(start);
 #if defined(SEMLOCK_OBS)
           // Admission span: the request waited [arrival, t0) in its shard
           // queue. Run times are relative to start, span clocks absolute, so
@@ -131,6 +154,7 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
           // as is picked up after the fact via last_completed_txn (the
           // backend opens/closes the Transaction internally).
           const bool span_on = obs::runtime_enabled();
+          const std::uint64_t t0 = span_on ? ns_since(start) : 0;
           const std::uint64_t txn_before =
               span_on ? obs::last_completed_txn() : 0;
 #endif
@@ -153,9 +177,17 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
           st.retries += res.retries;
           st.observed_sum += res.observed;
           st.latency_ns.add(t1 > r.arrival_ns ? t1 - r.arrival_ns : 0);
-          const std::uint64_t service = t1 - t0;
-          ema = ema - ema / 16 + service / 16;
-          st.ema_service_ns.store(ema, std::memory_order_relaxed);
+          const bool idle = empty_sweeps > 0;
+          const std::uint64_t begun =
+              idle && r.arrival_ns > last_done ? r.arrival_ns : last_done;
+          // An unpaced replay can run a request before its intended
+          // arrival; that request gives no service sample.
+          if (t1 > begun) {
+            ema = ema - ema / 16 + (t1 - begun) / 16;
+            st.ema_service_ns.store(ema, std::memory_order_relaxed);
+          }
+          last_done = t1;
+          empty_sweeps = 0;
         }
         if (!any) {
           if (stop.load(std::memory_order_acquire)) {
@@ -169,6 +201,10 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
               }
             }
             if (drained) break;
+          }
+          if (empty_sweeps < kPauseSweeps) {
+            ++empty_sweeps;
+            util::cpu_relax();
           } else {
             std::this_thread::yield();
           }
@@ -185,18 +221,17 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
 
   for (const Request& r : schedule) {
     if (paced) {
-      // Sleep down to ~100us before the intended arrival, then yield-spin:
-      // coarse sleep keeps the single-core container's workers fed, the
-      // final spin keeps dispatch jitter well under the latency buckets.
       for (;;) {
         const std::uint64_t now = ns_since(start_tp);
         if (now >= r.arrival_ns) break;
         const std::uint64_t ahead = r.arrival_ns - now;
-        if (ahead > 100000) {
+        if (ahead > kSleepAheadNs) {
           std::this_thread::sleep_for(
               std::chrono::nanoseconds(ahead - 50000));
-        } else {
+        } else if (ahead > kYieldAheadNs) {
           std::this_thread::yield();
+        } else {
+          util::cpu_relax();
         }
       }
     }

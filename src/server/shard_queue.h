@@ -9,9 +9,12 @@
 // a retry-after hint rather than to let an unbounded queue convert overload
 // into unbounded latency for everyone behind it.
 //
-// A spinlocked ring keeps the implementation obviously correct under TSan;
-// the queues are not the bottleneck (every pop leads into an atomic section
-// that dwarfs the push/pop critical sections).
+// A spinlocked ring keeps the implementation obviously correct under TSan.
+// The queue is a measured share of a request, not a negligible one: in an
+// rdtsc-instrumented build of perfbench's server_open drain (SEMANTIC, 2
+// workers, 4-vCPU Xeon KVM guest) a request cost about 80 ns in pop, 375 ns
+// in execute and 75 ns after execute. Idle workers poll their queues on
+// every sweep, so an empty queue answers without the lock.
 #pragma once
 
 #include <atomic>
@@ -46,7 +49,11 @@ class ShardQueue {
     return true;
   }
 
+  // False = queue empty. The empty check reads size_ alone, so an idle poll
+  // does not write the lock line a producer is pushing through; the lock
+  // orders the ring slots, and the depth is read again under it.
   bool try_pop(Request* out) {
+    if (size_.load(std::memory_order_relaxed) == 0) return false;
     std::scoped_lock lk(lock_);
     const std::size_t depth = size_.load(std::memory_order_relaxed);
     if (depth == 0) return false;

@@ -5,9 +5,13 @@
 // checked runs of every non-serial mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -204,6 +208,54 @@ TEST(ShardQueueTest, BoundedPushPopAndWatermark) {
   EXPECT_EQ(q.high_watermark(), 4u);  // watermark survives the drain
 }
 
+TEST(ShardQueueTest, OneProducerOneConsumerStressKeepsFifoAndAccounting) {
+  constexpr std::uint64_t kRequests = 100000;
+  constexpr std::size_t kCapacity = 8;
+  ShardQueue q(kCapacity);
+  std::vector<std::uint64_t> accepted;
+  std::vector<std::uint64_t> popped;
+  accepted.reserve(kRequests);
+  popped.reserve(kRequests);
+  std::uint64_t shed = 0;
+  std::atomic<bool> filled{false};
+  std::atomic<bool> done{false};
+
+  std::thread consumer([&] {
+    // Start once the producer has shed, so the queue has been full and the
+    // watermark must read the capacity exactly.
+    while (!filled.load(std::memory_order_acquire)) std::this_thread::yield();
+    Request r;
+    for (;;) {
+      if (q.try_pop(&r)) {
+        popped.push_back(r.id);
+      } else if (done.load(std::memory_order_acquire) && q.depth() == 0) {
+        break;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  Request r;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    r.id = i;
+    if (q.try_push(r)) {
+      accepted.push_back(i);
+    } else {
+      ++shed;
+      filled.store(true, std::memory_order_release);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  consumer.join();
+
+  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(accepted.size() + shed, kRequests);
+  EXPECT_EQ(popped, accepted);  // FIFO, and each accepted request once
+  EXPECT_EQ(q.high_watermark(), kCapacity);
+  EXPECT_EQ(q.depth(), 0u);
+  EXPECT_FALSE(q.try_pop(&r));
+}
+
 // Counts executions per request id — the direct witness that drain-and-
 // shutdown neither loses nor double-executes.
 class CountingBackend final : public CCBackend {
@@ -223,10 +275,35 @@ class CountingBackend final : public CCBackend {
   std::vector<std::atomic<std::uint32_t>> seen;
 };
 
+void expect_each_ran_once(const CountingBackend& backend) {
+  for (std::size_t i = 0; i < backend.seen.size(); ++i) {
+    EXPECT_EQ(backend.seen[i].load(std::memory_order_relaxed), 1u)
+        << "request " << i;
+  }
+}
+
+// Runs `srv` on its own thread and gives it a minute: a server that cannot
+// drain aborts the binary instead of hanging the suite.
+ServerReport run_within_timeout(Server& srv,
+                                const std::vector<Request>& schedule,
+                                bool paced) {
+  constexpr auto kLimit = std::chrono::seconds(60);
+  std::promise<ServerReport> promise;
+  std::future<ServerReport> report = promise.get_future();
+  std::thread runner([&] { promise.set_value(srv.run(schedule, paced)); });
+  if (report.wait_for(kLimit) != std::future_status::ready) {
+    std::fprintf(stderr, "Server::run (%s) did not finish within 60 s\n",
+                 paced ? "paced" : "unpaced");
+    std::abort();
+  }
+  runner.join();
+  return report.get();
+}
+
 TEST(ServerTest, DrainAndShutdownExecutesEveryAcceptedRequestExactlyOnce) {
   const auto schedule = generate_schedule(small_traffic());
   ServerConfig cfg;
-  cfg.workers = 4;  // oversubscribed on a 1-core container — that's the point
+  cfg.workers = 4;  // several workers race the stop flag at drain
   cfg.shards = 8;
   cfg.queue_capacity = static_cast<int>(schedule.size());  // no sheds
   CountingBackend backend(schedule.size());
@@ -236,11 +313,54 @@ TEST(ServerTest, DrainAndShutdownExecutesEveryAcceptedRequestExactlyOnce) {
   EXPECT_EQ(r.shed, 0u);
   EXPECT_EQ(r.completed, schedule.size());
   EXPECT_EQ(r.completed + r.shed, r.offered);
-  for (std::size_t i = 0; i < backend.seen.size(); ++i) {
-    EXPECT_EQ(backend.seen[i].load(std::memory_order_relaxed), 1u)
-        << "request " << i;
-  }
+  expect_each_ran_once(backend);
   EXPECT_EQ(r.latency_ns.count(), r.completed);
+}
+
+TEST(ServerTest, PacedRunPastThePauseWindowExecutesEveryRequestOnce) {
+  // One arrival every 500us: every gap outlasts an idle worker's pause
+  // window (256 sweeps, a few us), so the workers reach the yield fallback
+  // between requests, and the dispatcher sleeps, yields and pause-spins
+  // before each arrival.
+  std::vector<Request> schedule;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    Request r;
+    r.id = i;
+    r.a = static_cast<std::int64_t>(i);  // spread over the shards
+    r.arrival_ns = i * 500'000;
+    schedule.push_back(r);
+  }
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.shards = 4;
+  cfg.queue_capacity = static_cast<int>(schedule.size());
+  CountingBackend backend(schedule.size());
+  Server srv(cfg, &backend);
+  const ServerReport r = run_within_timeout(srv, schedule, /*paced=*/true);
+
+  EXPECT_EQ(r.shed, 0u);
+  EXPECT_EQ(r.completed, r.offered);
+  expect_each_ran_once(backend);
+}
+
+TEST(ServerTest, OversubscribedWorkersFinishPacedAndUnpacedRuns) {
+  // Twice as many workers as hardware threads: idle workers that spin
+  // without ever yielding would starve the dispatcher and each other.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const auto schedule = generate_schedule(small_traffic());
+  ServerConfig cfg;
+  cfg.workers = static_cast<int>(2 * hw);
+  cfg.shards = cfg.workers;
+  cfg.queue_capacity = static_cast<int>(schedule.size());
+  for (const bool paced : {true, false}) {
+    CountingBackend backend(schedule.size());
+    Server srv(cfg, &backend);
+    ASSERT_EQ(srv.workers(), cfg.workers);
+    const ServerReport r = run_within_timeout(srv, schedule, paced);
+    EXPECT_EQ(r.shed, 0u) << (paced ? "paced" : "unpaced");
+    EXPECT_EQ(r.completed, r.offered) << (paced ? "paced" : "unpaced");
+    expect_each_ran_once(backend);
+  }
 }
 
 TEST(ServerTest, OverloadShedsWithRetryAfterAndConservesAccounting) {
@@ -261,16 +381,17 @@ TEST(ServerTest, OverloadShedsWithRetryAfterAndConservesAccounting) {
   EXPECT_LE(r.max_queue_depth, 2u);
 }
 
-// Service time is ~200us for requests routed to the hot shard and ~0
-// elsewhere, so the hot shard's owning worker warms its EMA to ~200us while
-// the other worker never executes and stays at the 1us seed.
+// Service time is `service` for requests routed to the hot shard and ~0
+// elsewhere, so the hot shard's owning worker warms its EMA to about
+// `service` while the other worker never executes and stays at the 1us seed.
 class HotShardBackend final : public CCBackend {
  public:
-  HotShardBackend(std::uint32_t hot_shard, std::uint32_t shards)
-      : hot_shard_(hot_shard), shards_(shards) {}
+  HotShardBackend(std::uint32_t hot_shard, std::uint32_t shards,
+                  std::chrono::microseconds service)
+      : hot_shard_(hot_shard), shards_(shards), service_(service) {}
   ExecResult execute(const Request& r) override {
     if (shard_of(r, shards_) == hot_shard_) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      std::this_thread::sleep_for(service_);
     }
     return ExecResult{};
   }
@@ -283,7 +404,24 @@ class HotShardBackend final : public CCBackend {
  private:
   std::uint32_t hot_shard_;
   std::uint32_t shards_;
+  std::chrono::microseconds service_;
 };
+
+// `n` requests that all route to shard 0 of 2, intended every 50us.
+std::vector<Request> hot_shard_schedule(std::uint64_t n) {
+  Request proto;
+  proto.kind = RequestKind::kComputeIfAbsent;
+  while (shard_of(proto, 2) != 0) ++proto.a;
+  std::vector<Request> schedule;
+  schedule.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Request r = proto;
+    r.id = i;
+    r.arrival_ns = i * 50'000;
+    schedule.push_back(r);
+  }
+  return schedule;
+}
 
 TEST(ServerTest, RetryAfterHintQuotesTheOwningWorkersPace) {
   // All arrivals target one shard of two, every 50us for 40ms: offered load
@@ -293,23 +431,14 @@ TEST(ServerTest, RetryAfterHintQuotesTheOwningWorkersPace) {
   // OWNING worker's EMA: >= 2 x ~200us even if a pop races the depth read.
   // A hint diluted by the idle worker's 1us seed (the old pool average)
   // tops out near 3 x 100us and fails the lower bound.
-  Request proto;
-  proto.kind = RequestKind::kComputeIfAbsent;
-  while (shard_of(proto, 2) != 0) ++proto.a;
-
-  std::vector<Request> schedule;
-  for (std::uint64_t i = 0; i < 800; ++i) {
-    Request r = proto;
-    r.id = i;
-    r.arrival_ns = i * 50'000;
-    schedule.push_back(r);
-  }
+  const auto schedule = hot_shard_schedule(800);
 
   ServerConfig cfg;
   cfg.workers = 2;
   cfg.shards = 2;
   cfg.queue_capacity = 2;
-  HotShardBackend backend(/*hot_shard=*/0, /*shards=*/2);
+  HotShardBackend backend(/*hot_shard=*/0, /*shards=*/2,
+                          std::chrono::microseconds(200));
   Server srv(cfg, &backend);
   const ServerReport r = srv.run(schedule, /*paced=*/true);
 
@@ -318,6 +447,40 @@ TEST(ServerTest, RetryAfterHintQuotesTheOwningWorkersPace) {
   EXPECT_GE(r.last_retry_after_ns, 390'000u);
   // Loose sanity ceiling: sleep overshoot inflates the EMA a little, but the
   // hint must stay in "queue depth x service time" territory.
+  EXPECT_LE(r.last_retry_after_ns, 20'000'000u);
+}
+
+TEST(ServerTest, UnpacedRetryAfterHintQuotesTheOwningWorkersPace) {
+  // Unpaced, the dispatcher outruns the hot worker from the first request,
+  // so that worker stays backlogged and its EMA follows the gap between its
+  // completions, at least the 50us sleep. Intended arrivals lie far past an
+  // unpaced replay's clock and must not enter that pace.
+  //
+  // The hint can quote a pace only if the owning worker ran while the
+  // dispatcher still shed. A worker that shares the dispatcher's CPU, on a
+  // host that does not balance threads across CPUs, may not run at all
+  // during the ~10 ms a spinning dispatcher takes over 600k requests. So
+  // the run repeats until the worker completed more than the queue and one
+  // request in flight can hold when dispatch ends.
+  const auto schedule = hot_shard_schedule(600'000);
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.shards = 2;
+  cfg.queue_capacity = 2;
+  const std::uint64_t after_dispatch =
+      static_cast<std::uint64_t>(cfg.queue_capacity) + 1;
+  ServerReport r;
+  for (int attempt = 0; attempt < 20 && r.completed <= after_dispatch;
+       ++attempt) {
+    HotShardBackend backend(/*hot_shard=*/0, /*shards=*/2,
+                            std::chrono::microseconds(50));
+    Server srv(cfg, &backend);
+    r = srv.run(schedule, /*paced=*/false);
+    ASSERT_EQ(r.completed + r.shed, r.offered);
+  }
+  ASSERT_GT(r.completed, after_dispatch)
+      << "the hot worker never ran while the dispatcher shed";
+  EXPECT_GE(r.last_retry_after_ns, 100'000u);
   EXPECT_LE(r.last_retry_after_ns, 20'000'000u);
 }
 
