@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): the raw cost of the semantic-locking
-// runtime — uncontended acquire/release vs std::mutex, mode resolution, and
-// mode-table compilation.
+// runtime — uncontended acquire/release vs std::mutex, keyed acquisition
+// across threads, mode resolution, and mode-table compilation.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 #include "commute/builtin_specs.h"
 #include "semlock/semantic_lock.h"
 #include "semlock/transaction.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -106,6 +107,32 @@ BENCHMARK(BM_SelfCommutingAcquire)
     ->Threads(4)
     ->Threads(8)
     ->UseRealTime();
+
+// lock_site + unlock on the CIA table's keyed site over uniformly random
+// keys, with every thread on one shared instance: the semantic lock alone,
+// without the map. Threads on different keys hold modes of different
+// partitions, whose counters and spinlocks sit on lines of their own.
+void BM_KeyedLockSite(benchmark::State& state) {
+  static const ModeTable table = cia_table(64);
+  static SemanticLock* lock = nullptr;
+  if (state.thread_index() == 0) lock = new SemanticLock(table);
+  util::Xoshiro256 rng(0x6b657965 + static_cast<std::uint64_t>(
+                                        state.thread_index()));
+  std::vector<Value> keys(4096);
+  for (auto& k : keys) k = static_cast<Value>(rng.next());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Value vals[1] = {keys[i++ & (keys.size() - 1)]};
+    const int mode = lock->lock_site(0, vals);
+    benchmark::DoNotOptimize(mode);
+    lock->unlock(mode);
+  }
+  if (state.thread_index() == 0) {
+    delete lock;
+    lock = nullptr;
+  }
+}
+BENCHMARK(BM_KeyedLockSite)->Threads(1)->Threads(3)->UseRealTime();
 
 void BM_ModeResolve(benchmark::State& state) {
   static const ModeTable table = cia_table(64);

@@ -20,18 +20,23 @@ class ValueAbstraction {
  public:
   // `num_abstract` is n, the number of abstract values (paper uses up to 64).
   explicit constexpr ValueAbstraction(int num_abstract) noexcept
-      : n_(num_abstract > 0 ? num_abstract : 1) {}
+      : n_(num_abstract > 0 ? num_abstract : 1),
+        mask_((n_ & (n_ - 1)) == 0 ? n_ - 1 : -1) {}
 
   constexpr int size() const noexcept { return n_; }
 
-  // phi(v): non-negative remainder of v modulo n.
+  // phi(v): non-negative remainder of v modulo n. For a power-of-two n that
+  // is the low bits of v's two's complement, negatives included, so the
+  // lookup on every keyed acquisition pays an AND instead of a division.
   constexpr int alpha_of(Value v) const noexcept {
+    if (mask_ >= 0) return static_cast<int>(v & mask_);
     const Value m = v % n_;
     return static_cast<int>(m < 0 ? m + n_ : m);
   }
 
  private:
   int n_;
+  int mask_;  // n - 1 when n is a power of two, else -1
 };
 
 }  // namespace semlock::commute

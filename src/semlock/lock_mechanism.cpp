@@ -109,21 +109,19 @@ void backoff_pause(int attempt) noexcept {
 // generation counter sees every wakeup and has no such ABA. Resolved once
 // here so every consumer (parking allocation, can_park_, the public
 // wait_policy() accessor) agrees on the effective policy.
-runtime::WaitPolicyKind effective_wait_policy(const ModeTable& table,
-                                              StorageKind kind) {
+runtime::WaitPolicyKind effective_wait_policy(const ModeTable& table) {
   const runtime::WaitPolicyKind p = table.config().wait_policy;
   if (p == runtime::WaitPolicyKind::FutexWord &&
-      (kind != StorageKind::Packed ||
+      (table.storage() != StorageKind::Packed ||
        table.config().grant_policy != runtime::GrantPolicyKind::Free)) {
     return runtime::WaitPolicyKind::SpinThenPark;
   }
   return p;
 }
 
-bool uses_futex_word(const ModeTable& table, StorageKind kind) {
-  return kind == StorageKind::Packed &&
-         effective_wait_policy(table, kind) ==
-             runtime::WaitPolicyKind::FutexWord;
+bool uses_futex_word(const ModeTable& table) {
+  return table.storage() == StorageKind::Packed &&
+         effective_wait_policy(table) == runtime::WaitPolicyKind::FutexWord;
 }
 
 }  // namespace
@@ -141,32 +139,25 @@ AcquireStats& local_acquire_stats() {
 }
 
 LockMechanism::StorageVariant LockMechanism::make_storage(
-    const ModeTable& table, StorageKind kind) {
-  if (kind == StorageKind::Packed) {
+    const ModeTable& table, std::byte* slab) {
+  if (table.storage() == StorageKind::Packed) {
     return StorageVariant(std::in_place_type<PackedStorage>,
                           *table.packed_layout());
   }
-  return StorageVariant(std::in_place_type<StripedStorage>, table);
+  return StorageVariant(std::in_place_type<StripedStorage>, table, slab);
 }
 
 LockMechanism::LockMechanism(const ModeTable& table)
     : table_(&table),
-      // A Packed request over a table with no packed layout (> 8 canonical
-      // modes) silently becomes Striped; storage() reports the
-      // representation actually in use.
-      storage_kind_(table.config().storage == StorageKind::Packed &&
-                            table.packed_layout() == nullptr
-                        ? StorageKind::Striped
-                        : table.config().storage),
-      storage_(make_storage(table, storage_kind_)),
-      partition_locks_(
-          new util::Spinlock[static_cast<std::size_t>(
-              table.num_partitions())]),
-      parking_(uses_futex_word(table, storage_kind_)
+      slab_(static_cast<std::byte*>(::operator new(
+                table.slab_bytes(), std::align_val_t{table.slab_align()})),
+            SlabFree{std::align_val_t{table.slab_align()}}),
+      storage_(make_storage(table, slab_.get())),
+      parking_(uses_futex_word(table)
                    ? nullptr
                    : std::make_unique<runtime::ParkingLot>(
                          table.num_partitions())),
-      policy_(effective_wait_policy(table, storage_kind_)),
+      policy_(effective_wait_policy(table)),
       spin_limit_(table.config().park_spin_limit > 0
                       ? static_cast<std::uint32_t>(
                             table.config().park_spin_limit)
@@ -177,12 +168,15 @@ LockMechanism::LockMechanism(const ModeTable& table)
 #else
       trace_(false),
 #endif
-      futex_word_(uses_futex_word(table, storage_kind_)),
+      futex_word_(uses_futex_word(table)),
       grant_policy_(table.config().grant_policy),
       bypass_bound_(table.config().bypass_bound > 0
                         ? static_cast<std::uint32_t>(
                               table.config().bypass_bound)
                         : 1) {
+  for (const std::uint32_t offset : table.lock_offsets()) {
+    ::new (slab_.get() + offset) util::Spinlock;
+  }
   if (grant_policy_ != runtime::GrantPolicyKind::Free) {
     grant_slots_ = std::make_unique<GrantSlot[]>(
         static_cast<std::size_t>(table.num_partitions()));
@@ -215,9 +209,8 @@ std::uint32_t LockMechanism::stripes() const {
 
 std::size_t LockMechanism::footprint_bytes() const {
   const auto partitions = static_cast<std::size_t>(table_->num_partitions());
-  std::size_t total = sizeof(LockMechanism);
+  std::size_t total = sizeof(LockMechanism) + table_->slab_bytes();
   total += std::visit([](const auto& s) { return s.heap_bytes(); }, storage_);
-  total += partitions * sizeof(util::Spinlock);
   if (parking_ != nullptr) {
     // The lot object plus its one cache-line slot per partition
     // (runtime/parking_lot.h).
@@ -546,8 +539,7 @@ template <class Storage>
 void LockMechanism::lock_contended(Storage& s, int mode, int partition,
                                    AcquireStats& stats,
                                    const LockSiteArgs* args) {
-  util::Spinlock& internal =
-      partition_locks_[static_cast<std::size_t>(partition)];
+  util::Spinlock& internal = partition_lock(partition);
   ++stats.contended;
   LM_OBS_EVENT(kContendedWait, mode);
 #if defined(SEMLOCK_OBS)
@@ -828,8 +820,7 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
     ++stats.optimistic_hits;
     LM_OBS_EVENT(kOptimisticHit, mode);
   } else if (r == Attempt::Contended) {
-    util::Spinlock& internal =
-        partition_locks_[static_cast<std::size_t>(partition)];
+    util::Spinlock& internal = partition_lock(partition);
     internal.lock();
     // The retry acquires at once, like tier T2: this arrival already passed
     // the doorway and the pre-check.

@@ -29,11 +29,14 @@
 // Lock partitioning (Section 5.2) gives each connected component of the
 // conflict graph its own internal lock, so commuting mode families never
 // contend on mechanism metadata — this is what turns the synthesized
-// synchronization into, e.g., key striping for ComputeIfAbsent. The same
-// partitioning scopes wakeups: a release bumps only its own partition's
-// ParkingLot generation, so waiters in unrelated conflict components never
-// stampede (src/runtime/parking_lot.h documents the no-lost-wakeup
-// handshake; ModeTableConfig::wait_policy selects how waiters wait).
+// synchronization into, e.g., key striping for ComputeIfAbsent. Under
+// striped storage this holds per cache line: each partition's counters and
+// internal lock, its ParkingLot slot and its grant slot sit on lines of
+// their own (docs/FAST_PATH.md §8). The same partitioning scopes wakeups: a
+// release bumps only its own partition's ParkingLot generation, so waiters
+// in unrelated conflict components never stampede
+// (src/runtime/parking_lot.h documents the no-lost-wakeup handshake;
+// ModeTableConfig::wait_policy selects how waiters wait).
 //
 // Under a non-Free grant policy (ModeTableConfig::grant_policy,
 // src/runtime/grant_policy.h) every bypass tier additionally consults the
@@ -50,6 +53,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <variant>
 #include <vector>
@@ -166,17 +170,19 @@ class LockMechanism {
 
   const ModeTable& table() const { return *table_; }
 
-  // The counter representation actually in use: the config's storage kind,
-  // except that a Packed request over a table with no packed layout (> 8
-  // canonical modes) falls back to Striped.
-  StorageKind storage() const { return storage_kind_; }
+  // The counter representation actually in use (ModeTable::storage).
+  StorageKind storage() const { return table_->storage(); }
 
   // Total per-instance memory of this mechanism: the object itself plus
-  // every heap allocation it owns (counter storage, partition locks,
-  // ParkingLot, grant slots, attribution records). Logical bytes as
-  // requested from the allocator; bench_footprint compares the storage
-  // policies with it.
+  // every heap allocation it owns (the slab of counters and partition locks,
+  // stripe banks, ParkingLot, grant slots, attribution records). Logical
+  // bytes as requested from the allocator; bench_footprint compares the
+  // storage policies with it.
   std::size_t footprint_bytes() const;
+
+  // The slab of mode counters and partition spinlocks, at the table's
+  // counter_offsets() and lock_offsets() (the layout tests read it).
+  const std::byte* slab() const { return slab_.get(); }
 
   // Waiting-subsystem observability (tests, watchdog, benches). The
   // ParkingLot exists unless waiters sleep on the packed word itself
@@ -229,7 +235,21 @@ class LockMechanism {
 
   using StorageVariant = std::variant<StripedStorage, PackedStorage>;
 
-  static StorageVariant make_storage(const ModeTable& table, StorageKind kind);
+  static StorageVariant make_storage(const ModeTable& table, std::byte* slab);
+
+  // Frees the slab with the alignment ModeTable::slab_align() gave it.
+  struct SlabFree {
+    std::align_val_t align;
+    void operator()(std::byte* p) const noexcept {
+      ::operator delete(p, align);
+    }
+  };
+
+  util::Spinlock& partition_lock(int partition) {
+    return *std::launder(reinterpret_cast<util::Spinlock*>(
+        slab_.get() +
+        table_->lock_offsets()[static_cast<std::size_t>(partition)]));
+  }
 
   // --- storage-generic algorithm (defined in lock_mechanism.cpp; each
   // member template is instantiated there for the two policies, with
@@ -307,9 +327,10 @@ class LockMechanism {
   std::uint32_t holder_count(int mode, std::memory_order order) const;
 
   const ModeTable* table_;
-  StorageKind storage_kind_;
+  // One allocation for the mode counters and the partition spinlocks, laid
+  // out by the table (ModeTable::counter_offsets).
+  std::unique_ptr<std::byte, SlabFree> slab_;
   StorageVariant storage_;
-  std::unique_ptr<util::Spinlock[]> partition_locks_;
   // Null only for Packed storage under the futex-word policy (Free grants),
   // where waiters sleep on the lock word itself and the per-partition slots
   // would be dead weight at "millions of instances" scale.

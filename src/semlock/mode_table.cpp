@@ -1,6 +1,7 @@
 #include "semlock/mode_table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdlib>
@@ -10,7 +11,9 @@
 #include <string_view>
 #include <thread>
 
+#include "util/align.h"
 #include "util/env.h"
+#include "util/spinlock.h"
 #include "util/striped_counter.h"
 
 #if defined(SEMLOCK_OBS)
@@ -657,6 +660,49 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
       }
       table.packed_ok_ = true;
     }
+  }
+
+  // --- Per-instance slab layout (mode_table.h). ---------------------------
+  // Partition-major: each partition's counters in mode order, then its
+  // spinlock. A single partition, or packed storage's spinlocks alone, have
+  // no neighbour to be separated from and pack densely.
+  table.storage_ = cfg.storage == StorageKind::Packed && table.packed_ok_
+                       ? StorageKind::Packed
+                       : StorageKind::Striped;
+  {
+    constexpr std::size_t kCounter = sizeof(std::atomic<std::uint32_t>);
+    const bool counters = table.storage_ == StorageKind::Striped;
+    const bool lines = counters && table.num_partitions_ > 1;
+    const auto to_line = [lines](std::size_t at) {
+      constexpr std::size_t kLine = util::kCacheLineSize;
+      return lines ? (at + kLine - 1) / kLine * kLine : at;
+    };
+    // cursor[p]: partition p's counter count, then its next counter offset.
+    std::vector<std::uint32_t> cursor(
+        static_cast<std::size_t>(table.num_partitions_), 0);
+    if (counters) {
+      for (const std::int32_t p : table.partition_) {
+        ++cursor[static_cast<std::size_t>(p)];
+      }
+    }
+    std::size_t at = 0;
+    for (std::uint32_t& c : cursor) {
+      at = to_line(at);
+      const std::size_t count = c;
+      c = static_cast<std::uint32_t>(at);
+      at += count * kCounter;
+      table.lock_offset_.push_back(static_cast<std::uint32_t>(at));
+      at += sizeof(util::Spinlock);
+    }
+    if (counters) {
+      for (const std::int32_t p : table.partition_) {
+        std::uint32_t& c = cursor[static_cast<std::size_t>(p)];
+        table.counter_offset_.push_back(c);
+        c += kCounter;
+      }
+    }
+    table.slab_bytes_ = to_line(at);
+    table.slab_align_ = lines ? util::kCacheLineSize : kCounter;
   }
 
   return table;

@@ -5,9 +5,11 @@
 // One ModeTable is shared, immutably, by every ADT instance of the same
 // (ADT class, pointer equivalence class) pair — per-instance state is only
 // the counters held by SemanticLock, in the striped or packed storage the
-// config selects (semlock/storage_policy.h).
+// config selects (semlock/storage_policy.h), laid out by the table's slab
+// offsets below.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -157,6 +159,24 @@ class ModeTable {
     return packed_ok_ ? &packed_ : nullptr;
   }
 
+  // The counter representation mechanisms over this table use: the
+  // config's storage, except that a Packed request over a table with no
+  // packed layout (> kMaxPackedModes canonical modes) falls back to Striped.
+  StorageKind storage() const { return storage_; }
+
+  // The per-instance slab (docs/FAST_PATH.md §8): byte offsets, by mode and
+  // by partition, of each mode's holder counter and each partition's
+  // internal spinlock in the one heap block a mechanism allocates. With more
+  // than one partition each partition starts its own cache line; otherwise
+  // the slab is dense. Packed storage keeps its counters in the word
+  // (counter_offsets() is empty) and lays out only the spinlocks, densely.
+  std::span<const std::uint32_t> counter_offsets() const {
+    return counter_offset_;
+  }
+  std::span<const std::uint32_t> lock_offsets() const { return lock_offset_; }
+  std::size_t slab_bytes() const { return slab_bytes_; }
+  std::size_t slab_align() const { return slab_align_; }
+
   // Human-readable dump of modes, F_c and partitions (used by examples and
   // golden tests; reproduces Fig. 19 for the paper's Set example).
   std::string describe() const;
@@ -185,6 +205,11 @@ class ModeTable {
   std::vector<std::vector<std::int32_t>> conflicts_;
   PackedLayout packed_;
   bool packed_ok_ = false;
+  StorageKind storage_ = StorageKind::Striped;
+  std::vector<std::uint32_t> counter_offset_;  // empty under Packed storage
+  std::vector<std::uint32_t> lock_offset_;
+  std::size_t slab_bytes_ = 0;
+  std::size_t slab_align_ = 1;
 };
 
 }  // namespace semlock

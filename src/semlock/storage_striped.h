@@ -1,7 +1,9 @@
 // Striped counter storage: one std::atomic<uint32_t> per canonical mode, the
 // paper's Fig. 20 layout, plus BRAVO/SNZI-style striped banks for the
 // self-commuting modes (see storage_policy.h for the policy overview,
-// util/striped_counter.h for the bank).
+// util/striped_counter.h for the bank). The per-mode counters live in the
+// mechanism's slab, at the offsets ModeTable::compile laid out: each
+// conflict partition on its own cache line when there are several.
 //
 // Self-commuting modes are exactly the modes whose holders never exclude
 // each other, so their counter line is pure mechanism overhead worth
@@ -17,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "semlock/mode_table.h"
@@ -28,11 +31,15 @@ class StripedStorage {
  public:
   static constexpr bool kPacked = false;
 
-  explicit StripedStorage(const ModeTable& table)
-      : num_modes_(table.num_modes()),
-        counters_(std::make_unique<std::atomic<std::uint32_t>[]>(
-            static_cast<std::size_t>(table.num_modes()))),
+  // Constructs the per-mode counters in `slab`, the owning mechanism's slab
+  // (ModeTable::counter_offsets), which outlives this storage.
+  StripedStorage(const ModeTable& table, std::byte* slab)
+      : slab_(slab),
+        offset_(table.counter_offsets().data()),
         striped_row_(static_cast<std::size_t>(table.num_modes()), -1) {
+    for (int m = 0; m < table.num_modes(); ++m) {
+      ::new (slab_ + offset_[m]) std::atomic<std::uint32_t>(0);
+    }
     if (table.config().counter_stripes > 0) {
       std::uint32_t rows = 0;
       for (int m = 0; m < table.num_modes(); ++m) {
@@ -102,25 +109,22 @@ class StripedStorage {
   }
   std::uint32_t stripes() const { return bank_ ? bank_->stripes() : 1; }
 
-  // Heap bytes owned by this storage (footprint_bytes accounting).
+  // Heap bytes owned by this storage beyond the mechanism's slab
+  // (footprint_bytes accounting).
   std::size_t heap_bytes() const {
-    std::size_t total = static_cast<std::size_t>(num_modes_) *
-                        sizeof(std::atomic<std::uint32_t>);
-    total += striped_row_.capacity() * sizeof(std::int32_t);
+    std::size_t total = striped_row_.capacity() * sizeof(std::int32_t);
     if (bank_) total += sizeof(util::StripedCounterBank) + bank_->heap_bytes();
     return total;
   }
 
  private:
-  std::atomic<std::uint32_t>& counter(int mode) {
-    return counters_[static_cast<std::size_t>(mode)];
-  }
-  const std::atomic<std::uint32_t>& counter(int mode) const {
-    return counters_[static_cast<std::size_t>(mode)];
+  std::atomic<std::uint32_t>& counter(int mode) const {
+    return *std::launder(reinterpret_cast<std::atomic<std::uint32_t>*>(
+        slab_ + offset_[mode]));
   }
 
-  int num_modes_;
-  std::unique_ptr<std::atomic<std::uint32_t>[]> counters_;
+  std::byte* slab_;
+  const std::uint32_t* offset_;  // ModeTable::counter_offsets()
   // striped_row_[mode] is the mode's row in bank_, or -1 for plain modes.
   std::vector<std::int32_t> striped_row_;
   std::unique_ptr<util::StripedCounterBank> bank_;

@@ -7,6 +7,7 @@
 
 #include "server/shard_queue.h"
 #include "server/traffic_gen.h"
+#include "util/align.h"
 #include "util/spinlock.h"
 
 #if defined(SEMLOCK_OBS)
@@ -43,7 +44,10 @@ std::uint64_t ns_since(Clock::time_point start) {
           .count());
 }
 
-struct WorkerState {
+// Each worker writes its state on every request, so each state starts a
+// cache line of its own: back-to-back heap blocks would let one worker's
+// histogram tail share a line with the next worker's counters.
+struct alignas(util::kCacheLineSize) WorkerState {
   // Atomic so the admin endpoint's health provider can read completion
   // progress while the worker runs. Single writer (the owning worker), so
   // updates are load+store, never an RMW — no fast-path cost.
@@ -56,6 +60,7 @@ struct WorkerState {
   // so the first hints are sane before any sample lands.
   std::atomic<std::uint64_t> ema_service_ns{1000};
 };
+static_assert(alignof(WorkerState) == util::kCacheLineSize);
 
 }  // namespace
 

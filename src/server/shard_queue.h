@@ -23,11 +23,14 @@
 #include <vector>
 
 #include "server/request.h"
+#include "util/align.h"
 #include "util/spinlock.h"
 
 namespace semlock::server {
 
-class ShardQueue {
+// Cache-line aligned: adjacent shards belong to different workers, and
+// every push and pop writes the lock, the ring cursors and the size.
+class alignas(util::kCacheLineSize) ShardQueue {
  public:
   explicit ShardQueue(std::size_t capacity)
       : ring_(capacity > 0 ? capacity : 1) {}
@@ -79,5 +82,6 @@ class ShardQueue {
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> high_watermark_{0};
 };
+static_assert(alignof(ShardQueue) == util::kCacheLineSize);
 
 }  // namespace semlock::server

@@ -3,15 +3,21 @@
 #include <pthread.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "commute/builtin_specs.h"
 #include "runtime/wait_registry.h"
 #include "semlock/lock_mechanism.h"
 #include "semlock/semantic_lock.h"
+#include "table_cases.h"
+#include "util/align.h"
 #include "util/spinlock.h"
 
 namespace semlock {
@@ -624,6 +630,120 @@ TEST(GrantPolicy, FreePolicyAllocatesNoGrantSlots) {
   LockMechanism mb(tb);
   EXPECT_EQ(mb.grant_policy(), runtime::GrantPolicyKind::BoundedBypass);
   EXPECT_EQ(mb.bypass_bound(), 7u);
+}
+
+// --- Slab layout ------------------------------------------------------------
+// Every table of tests/table_cases.h, built into a mechanism. Under striped
+// storage, modes of different partitions keep their counters on different
+// cache lines, and so do their partitions' spinlocks; a single partition
+// keeps a dense slab. Packed storage lays out its spinlocks alone, densely.
+
+class SlabLayout : public ::testing::TestWithParam<test::TableCase> {};
+
+TEST_P(SlabLayout, PartitionsOwnTheirCacheLinesAndObjectsDoNotOverlap) {
+  const test::TableCase& c = GetParam();
+  ModeTableConfig config = c.config;
+  config.storage = StorageKind::Striped;
+  const auto t = ModeTable::compile(*c.spec, c.sites, config);
+  LockMechanism m(t);
+  const auto counters = t.counter_offsets();
+  const auto locks = t.lock_offsets();
+  ASSERT_EQ(counters.size(), static_cast<std::size_t>(t.num_modes()));
+  ASSERT_EQ(locks.size(), static_cast<std::size_t>(t.num_partitions()));
+  const auto base = reinterpret_cast<std::uintptr_t>(m.slab());
+  EXPECT_EQ(base % t.slab_align(), 0u);
+  // Every counter and spinlock lies inside the slab, aligned, and no two
+  // overlap: each mode keeps a distinct address (its DCT identity).
+  std::vector<std::pair<std::size_t, std::size_t>> objects;  // [begin, end)
+  for (const std::uint32_t off : counters) {
+    EXPECT_EQ((base + off) % alignof(std::atomic<std::uint32_t>), 0u);
+    objects.emplace_back(off, off + sizeof(std::atomic<std::uint32_t>));
+  }
+  for (const std::uint32_t off : locks) {
+    objects.emplace_back(off, off + sizeof(util::Spinlock));
+  }
+  std::sort(objects.begin(), objects.end());
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    EXPECT_LE(objects[i].second, t.slab_bytes());
+    if (i > 0) {
+      EXPECT_LE(objects[i - 1].second, objects[i].first);
+    }
+  }
+  // The cache line of every object names one partition only.
+  const auto line = [&](std::uint32_t off) {
+    return (base + off) / util::kCacheLineSize;
+  };
+  std::map<std::uintptr_t, int> owner;
+  const auto claim = [&](std::uint32_t off, int partition) {
+    const auto it = owner.emplace(line(off), partition).first;
+    EXPECT_EQ(it->second, partition)
+        << c.name << ": partitions " << it->second << " and " << partition
+        << " share the line at slab offset " << off;
+  };
+  for (int mode = 0; mode < t.num_modes(); ++mode) {
+    claim(counters[static_cast<std::size_t>(mode)], t.partition_of(mode));
+  }
+  for (int p = 0; p < t.num_partitions(); ++p) {
+    claim(locks[static_cast<std::size_t>(p)], p);
+  }
+  if (t.num_partitions() == 1) {
+    EXPECT_EQ(t.slab_bytes(),
+              counters.size() * sizeof(std::atomic<std::uint32_t>) +
+                  sizeof(util::Spinlock));
+  } else {
+    // At most one line of padding per partition over the dense arrays.
+    EXPECT_LE(t.slab_bytes(),
+              counters.size() * sizeof(std::atomic<std::uint32_t>) +
+                  locks.size() * (sizeof(util::Spinlock) +
+                                  util::kCacheLineSize));
+  }
+}
+
+TEST_P(SlabLayout, PackedStorageKeepsOnlyDenseSpinlocks) {
+  const test::TableCase& c = GetParam();
+  ModeTableConfig config = c.config;
+  config.storage = StorageKind::Packed;
+  const auto t = ModeTable::compile(*c.spec, c.sites, config);
+  if (t.packed_layout() == nullptr) {
+    // Too wide to pack: the table falls back to striped counters.
+    EXPECT_EQ(t.storage(), StorageKind::Striped);
+    EXPECT_EQ(t.counter_offsets().size(),
+              static_cast<std::size_t>(t.num_modes()));
+    return;
+  }
+  EXPECT_EQ(t.storage(), StorageKind::Packed);
+  EXPECT_TRUE(t.counter_offsets().empty());
+  EXPECT_EQ(t.slab_bytes(), static_cast<std::size_t>(t.num_partitions()) *
+                                sizeof(util::Spinlock));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTables, SlabLayout,
+                         ::testing::ValuesIn(test::table_cases()),
+                         test::case_name);
+
+TEST(SlabLayout, SinglePartitionFootprintIsUnchanged) {
+  // BENCH_footprint's 8-mode striped table: one partition, so a dense slab.
+  // The whole mechanism keeps the 265 B that BENCH_footprint.json records
+  // (an obs-less build drops the 8 B attribution-record pointer).
+  ModeTableConfig c;
+  c.abstract_values = 7;
+  c.storage = StorageKind::Striped;
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.grant_policy = runtime::GrantPolicyKind::Free;
+  c.trace_events = false;
+  const auto t = ModeTable::compile(
+      commute::set_spec(),
+      {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),
+       SymbolicSet({op("size"), op("clear")})},
+      c);
+  ASSERT_EQ(t.num_modes(), 8);
+  ASSERT_EQ(t.num_partitions(), 1);
+  LockMechanism m(t);
+#if defined(SEMLOCK_OBS)
+  EXPECT_EQ(m.footprint_bytes(), 265u);
+#else
+  EXPECT_EQ(m.footprint_bytes(), 257u);
+#endif
 }
 
 }  // namespace

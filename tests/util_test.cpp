@@ -407,6 +407,35 @@ TEST(StripedCounter, LocalSlotIsStablePerThread) {
   EXPECT_EQ(first, second);
 }
 
+TEST(StripedCounter, ThreadsStartedInTurnLandOnDistinctStripes) {
+  // A caller pool started thread by thread (each thread taking its token
+  // before the next one starts) must spread over the stripes: any `stripes`
+  // consecutive tokens cover every stripe once, and two consecutive ones
+  // never share a 128 B pair of lines (slots 2k and 2k+1 of a 128 B-aligned
+  // slab).
+  StripedCounterBank bank(1, 4);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&bank.slot(0, 0)) % 128, 0u);
+  std::vector<std::uint32_t> stripes;
+  for (std::uint32_t t = 0; t < 2 * bank.stripes(); ++t) {
+    std::thread([&] {
+      const auto* mine = &bank.local_slot(0);
+      for (std::uint32_t s = 0; s < bank.stripes(); ++s) {
+        if (mine == &bank.slot(0, s)) stripes.push_back(s);
+      }
+    }).join();
+  }
+  ASSERT_EQ(stripes.size(), 2 * bank.stripes());
+  for (std::size_t i = 0; i + 1 < stripes.size(); ++i) {
+    EXPECT_NE(stripes[i] / 2, stripes[i + 1] / 2) << "threads " << i;
+    if (i + bank.stripes() <= stripes.size()) {
+      const std::set<std::uint32_t> window(
+          stripes.begin() + static_cast<std::ptrdiff_t>(i),
+          stripes.begin() + static_cast<std::ptrdiff_t>(i + bank.stripes()));
+      EXPECT_EQ(window.size(), bank.stripes()) << "from thread " << i;
+    }
+  }
+}
+
 TEST(StripedCounter, ConcurrentLocalIncrementsAllLand) {
   StripedCounterBank bank(1, 8);
   constexpr std::uint32_t kPerThread = 10'000;

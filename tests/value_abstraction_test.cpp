@@ -74,5 +74,21 @@ TEST(ValueAbstraction, PinsTheFig19Assignment) {
   EXPECT_EQ(ValueAbstraction(2).alpha_of(5), 1);
 }
 
+TEST(ValueAbstraction, MaskAndDivisionAgreeOnTheNonNegativeRemainder) {
+  // Power-of-two n takes the mask path, the others the division: both must
+  // give ((v % n) + n) % n, across the sign boundary and at both extremes.
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  for (const int n : {1, 2, 3, 7, 64, 85, 256, 1024}) {
+    const ValueAbstraction phi(n);
+    for (const Value v :
+         {kMin, kMin + 1, Value{-65}, Value{-64}, Value{-1}, Value{0},
+          Value{1}, Value{63}, Value{64}, kMax}) {
+      EXPECT_EQ(phi.alpha_of(v), static_cast<int>(((v % n) + n) % n))
+          << "n=" << n << " v=" << v;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace semlock::commute
