@@ -73,7 +73,7 @@ void report(const char* bench, const char* strategy, const Contention& c) {
 // count); `unstriped` is the same storage with counter_stripes = 0, so every
 // reader announces on one shared counter line. Same table, same wait
 // policy, same workload: the gap is what the stripes buy — the row that
-// defends Striped storage.
+// defends Striped storage for tables with a reader.
 ModeTable make_sweep_table(bool striped) {
   using commute::op;
   using commute::star;
@@ -90,20 +90,41 @@ ModeTable make_sweep_table(bool striped) {
       cfg);
 }
 
-double sweep_cell(std::size_t threads, bool striped, std::size_t ops,
+// The server's account table: Move={deposit(*),withdraw(*)} and
+// Audit={balance()} each self-commute and conflict with each other, so
+// neither is a reader. Striped storage stripes both, and each acquisition
+// sums the other mode's stripe row; packed storage, the table's own choice,
+// checks one word. The row that defends packing such tables.
+ModeTable make_account_table(StorageKind storage) {
+  using commute::op;
+  using commute::star;
+  using commute::SymbolicSet;
+  ModeTableConfig cfg;
+  cfg.storage = storage;
+  return ModeTable::compile(
+      commute::account_spec(),
+      {
+          SymbolicSet({op("deposit", {star()}), op("withdraw", {star()})}),
+          SymbolicSet({op("balance")}),
+      },
+      cfg);
+}
+
+// Acquire/release throughput on one instance of `table`: each operation
+// takes site 1's mode with probability `site1_percent`, else site 0's.
+double sweep_cell(const ModeTable& table, std::size_t threads,
+                  std::uint32_t site1_percent, std::size_t ops,
                   semlock::bench::AcquireTally* tally) {
-  const ModeTable table = make_sweep_table(striped);
   LockMechanism mech(table);
-  const int read_mode = table.resolve_constant(0);
-  const int write_mode = table.resolve_constant(1);
+  const int mode0 = table.resolve_constant(0);
+  const int mode1 = table.resolve_constant(1);
   const auto start = std::chrono::steady_clock::now();
   util::run_team(threads, [&](std::size_t tid) {
     auto& stats = local_acquire_stats();
     stats.reset();
     util::Xoshiro256 rng(util::derive_seed(91, tid));
     for (std::size_t i = 0; i < ops; ++i) {
-      const bool write = rng.chance_percent(1);
-      const int mode = write ? write_mode : read_mode;
+      const int mode = rng.chance_percent(site1_percent) ? mode1 : mode0;
       mech.lock(mode);
       mech.unlock(mode);
     }
@@ -265,20 +286,41 @@ int main(int argc, char** argv) {
   util::SeriesTable sweep_tbl("threads", "ops/ms");
   sweep_tbl.set_series({"striped", "unstriped", "speedup"});
   const auto sweep_ops = static_cast<std::size_t>(200'000 * scale_factor());
+  const std::size_t sweep_threads[] = {1, 2, 4, 8, 16};
+  const ModeTable striped_rw = make_sweep_table(true);
+  const ModeTable unstriped_rw = make_sweep_table(false);
   AcquireTally tally;
-  for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                              std::size_t{8}, std::size_t{16}}) {
-    const double striped = sweep_cell(t, true, sweep_ops, &tally);
-    const double unstriped = sweep_cell(t, false, sweep_ops, nullptr);
+  for (const std::size_t t : sweep_threads) {
+    const double striped = sweep_cell(striped_rw, t, 1, sweep_ops, &tally);
+    const double unstriped = sweep_cell(unstriped_rw, t, 1, sweep_ops, nullptr);
     sweep_tbl.add_row(static_cast<double>(t),
                       {striped, unstriped, striped / unstriped});
   }
   print_results(sweep_tbl);
   tally.print("striped");
 
+  std::printf(
+      "\nAccount shape: Move/Audit on one instance, 30%% Audit\n"
+      "(striped = both modes striped; packed = one word, the default)\n");
+  util::SeriesTable account_tbl("threads", "ops/ms");
+  account_tbl.set_series({"striped", "packed", "speedup"});
+  const ModeTable striped_acct = make_account_table(StorageKind::Striped);
+  const ModeTable packed_acct = make_account_table(StorageKind::Packed);
+  AcquireTally account_tally;
+  for (const std::size_t t : sweep_threads) {
+    const double striped = sweep_cell(striped_acct, t, 30, sweep_ops, nullptr);
+    const double packed =
+        sweep_cell(packed_acct, t, 30, sweep_ops, &account_tally);
+    account_tbl.add_row(static_cast<double>(t),
+                        {striped, packed, packed / striped});
+  }
+  print_results(account_tbl);
+  account_tally.print("packed");
+
   if (!write_bench_json(json_path, "contention",
                         {{"contended_percent", &contended_tbl},
-                         {"fastpath_ops_per_ms", &sweep_tbl}})) {
+                         {"fastpath_ops_per_ms", &sweep_tbl},
+                         {"account_ops_per_ms", &account_tbl}})) {
     return 1;
   }
   return 0;

@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): the raw cost of the semantic-locking
 // runtime — uncontended acquire/release vs std::mutex, keyed acquisition
-// across threads, mode resolution, and mode-table compilation.
+// and account transactions across threads, mode resolution, and mode-table
+// compilation.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include "commute/builtin_specs.h"
 #include "semlock/semantic_lock.h"
 #include "semlock/transaction.h"
+#include "server/zipf.h"
 #include "util/rng.h"
 
 namespace {
@@ -133,6 +135,77 @@ void BM_KeyedLockSite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyedLockSite)->Threads(1)->Threads(3)->UseRealTime();
+
+// The server's account path (perfbench txn_hot): a Transaction locks 2 of 16
+// account locks with lv_ordered, the accounts drawn at Zipf 0.99, 70% in
+// Move = {deposit(*),withdraw(*)} and 30% in Audit = {balance()}. Move and
+// Audit self-commute and conflict, so the default table packs; `striped`
+// forces striped storage, which stripes both modes. Both arms in one binary
+// see the same host state.
+ModeTable account_table(bool striped) {
+  ModeTableConfig cfg;
+  if (striped) cfg.storage = StorageKind::Striped;
+  return ModeTable::compile(
+      commute::account_spec(),
+      {SymbolicSet({op("deposit", {star()}), op("withdraw", {star()})}),
+       SymbolicSet({op("balance")})},
+      cfg);
+}
+
+void BM_AccountTxnOrdered(benchmark::State& state) {
+  constexpr std::uint64_t kAccounts = 16;
+  static const ModeTable default_table = account_table(false);
+  static const ModeTable striped_table = account_table(true);
+  const ModeTable& table = state.range(0) != 0 ? striped_table : default_table;
+  static std::vector<std::unique_ptr<SemanticLock>>* locks = nullptr;
+  if (state.thread_index() == 0) {
+    locks = new std::vector<std::unique_ptr<SemanticLock>>();
+    for (std::uint64_t i = 0; i < kAccounts; ++i) {
+      locks->push_back(std::make_unique<SemanticLock>(table));
+    }
+  }
+  // Draws are made before timing: the Zipf sampler's pow() would cost more
+  // than the two locks. They are indices, since only thread 0 builds the
+  // locks, and the others may read them only inside the timed loop.
+  struct Draw {
+    std::uint64_t a;
+    std::uint64_t b;
+    int mode;
+  };
+  const int move = table.resolve_constant(0);
+  const int audit = table.resolve_constant(1);
+  const server::ZipfSampler zipf(kAccounts, 0.99);
+  util::Xoshiro256 rng(0x61636374 + static_cast<std::uint64_t>(
+                                        state.thread_index()));
+  std::vector<Draw> draws(4096);
+  for (Draw& d : draws) {
+    const std::uint64_t a = zipf.next_key(rng);
+    std::uint64_t b = zipf.next_key(rng);
+    if (b == a) b = (a + 1) % kAccounts;
+    d = {a, b, rng.chance_percent(30) ? audit : move};
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Draw& d = draws[i++ & (draws.size() - 1)];
+    Transaction txn;
+    Transaction::DynTarget targets[2] = {{(*locks)[d.a].get(), d.mode},
+                                         {(*locks)[d.b].get(), d.mode}};
+    txn.lv_ordered(targets);
+    benchmark::DoNotOptimize(targets);
+    txn.unlock_all();
+  }
+  if (state.thread_index() == 0) {
+    delete locks;
+    locks = nullptr;
+  }
+}
+BENCHMARK(BM_AccountTxnOrdered)
+    ->ArgName("striped")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(3)
+    ->UseRealTime();
 
 void BM_ModeResolve(benchmark::State& state) {
   static const ModeTable table = cia_table(64);

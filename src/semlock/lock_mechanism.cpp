@@ -141,43 +141,44 @@ AcquireStats& local_acquire_stats() {
 LockMechanism::StorageVariant LockMechanism::make_storage(
     const ModeTable& table, std::byte* slab) {
   if (table.storage() == StorageKind::Packed) {
-    return StorageVariant(std::in_place_type<PackedStorage>,
-                          *table.packed_layout());
+    return StorageVariant(std::in_place_type<PackedStorage>);
   }
   return StorageVariant(std::in_place_type<StripedStorage>, table, slab);
 }
 
 LockMechanism::LockMechanism(const ModeTable& table)
     : table_(&table),
-      slab_(static_cast<std::byte*>(::operator new(
-                table.slab_bytes(), std::align_val_t{table.slab_align()})),
-            SlabFree{std::align_val_t{table.slab_align()}}),
-      storage_(make_storage(table, slab_.get())),
-      parking_(uses_futex_word(table)
-                   ? nullptr
-                   : std::make_unique<runtime::ParkingLot>(
-                         table.num_partitions())),
-      policy_(effective_wait_policy(table)),
-      spin_limit_(table.config().park_spin_limit > 0
-                      ? static_cast<std::uint32_t>(
-                            table.config().park_spin_limit)
-                      : 0),
-      can_park_(policy_ != runtime::WaitPolicyKind::SpinYield),
+      packed_(table.storage() == StorageKind::Packed),
 #if defined(SEMLOCK_OBS)
       trace_(table.config().trace_events),
 #else
       trace_(false),
 #endif
+      can_park_(effective_wait_policy(table) !=
+                runtime::WaitPolicyKind::SpinYield),
       futex_word_(uses_futex_word(table)),
+      ticketed_(table.config().grant_policy != runtime::GrantPolicyKind::Free),
+      slab_(static_cast<std::byte*>(::operator new(
+                table.slab_bytes(), std::align_val_t{table.slab_align()})),
+            SlabFree{std::align_val_t{table.slab_align()}}),
+      parking_(futex_word_ ? nullptr
+                           : std::make_unique<runtime::ParkingLot>(
+                                 table.num_partitions())),
+      policy_(effective_wait_policy(table)),
       grant_policy_(table.config().grant_policy),
+      spin_limit_(table.config().park_spin_limit > 0
+                      ? static_cast<std::uint32_t>(
+                            table.config().park_spin_limit)
+                      : 0),
       bypass_bound_(table.config().bypass_bound > 0
                         ? static_cast<std::uint32_t>(
                               table.config().bypass_bound)
-                        : 1) {
+                        : 1),
+      storage_(make_storage(table, slab_.get())) {
   for (const std::uint32_t offset : table.lock_offsets()) {
     ::new (slab_.get() + offset) util::Spinlock;
   }
-  if (grant_policy_ != runtime::GrantPolicyKind::Free) {
+  if (ticketed_) {
     grant_slots_ = std::make_unique<GrantSlot[]>(
         static_cast<std::size_t>(table.num_partitions()));
   }
@@ -194,23 +195,24 @@ LockMechanism::~LockMechanism() = default;
 
 std::uint32_t LockMechanism::holder_count(int mode,
                                           std::memory_order order) const {
-  return std::visit(
-      [&](const auto& s) { return s.holder_count(mode, order); }, storage_);
+  if (packed_) {
+    return storage_as<PackedStorage>().holder_count(layout(), mode, order);
+  }
+  return storage_as<StripedStorage>().holder_count(mode, order);
 }
 
 bool LockMechanism::mode_striped(int mode) const {
-  return std::visit([&](const auto& s) { return s.mode_striped(mode); },
-                    storage_);
+  return !packed_ && storage_as<StripedStorage>().mode_striped(mode);
 }
 
 std::uint32_t LockMechanism::stripes() const {
-  return std::visit([](const auto& s) { return s.stripes(); }, storage_);
+  return packed_ ? 1 : storage_as<StripedStorage>().stripes();
 }
 
 std::size_t LockMechanism::footprint_bytes() const {
   const auto partitions = static_cast<std::size_t>(table_->num_partitions());
   std::size_t total = sizeof(LockMechanism) + table_->slab_bytes();
-  total += std::visit([](const auto& s) { return s.heap_bytes(); }, storage_);
+  if (!packed_) total += storage_as<StripedStorage>().heap_bytes();
   if (parking_ != nullptr) {
     // The lot object plus its one cache-line slot per partition
     // (runtime/parking_lot.h).
@@ -237,12 +239,12 @@ bool LockMechanism::conflicts_clear_impl(const Storage& s, int mode,
     // like a conflicted one until a release drops the field. Packed storage
     // never announces transiently, so self_allow is moot.
     (void)self_allow;
-    const PackedLayout& layout = s.layout();
+    const PackedLayout& l = layout();
     const auto mi = static_cast<std::size_t>(mode);
     SEMLOCK_DCT_POINT("word.check", &s.word());
     const std::uint64_t w = s.word().load(order);
-    return (w & layout.conflict_mask[mi]) == 0 &&
-           (w & layout.field_mask[mi]) != layout.field_mask[mi];
+    return (w & l.conflict_mask[mi]) == 0 &&
+           (w & l.field_mask[mi]) != l.field_mask[mi];
   } else {
     for (const std::int32_t other : table_->conflicts_of(mode)) {
       SEMLOCK_DCT_POINT("mode.check", s.dct_id(other));
@@ -302,13 +304,13 @@ bool LockMechanism::announce_validate(Storage& s, int mode, int partition,
 
 LockMechanism::Attempt LockMechanism::packed_try_acquire(PackedStorage& s,
                                                          int mode) {
-  const PackedLayout& layout = s.layout();
+  const PackedLayout& l = layout();
   std::atomic<std::uint64_t>& word = s.word();
   const auto mi = static_cast<std::size_t>(mode);
   std::uint64_t w = word.load(std::memory_order_seq_cst);
   for (int attempt = 0;; ++attempt) {
     SEMLOCK_DCT_POINT("word.check", &word);
-    std::uint64_t conflict = layout.conflict_mask[mi];
+    std::uint64_t conflict = l.conflict_mask[mi];
 #if defined(SEMLOCK_DCT)
     // Test-only mutation: skip the compiled conflict-mask test — holders of
     // conflicting modes stop excluding each other and the serializability
@@ -316,7 +318,7 @@ LockMechanism::Attempt LockMechanism::packed_try_acquire(PackedStorage& s,
     if (dct::mutation_drop_packed_mask_check()) conflict = 0;
 #endif
     if ((w & conflict) != 0) return Attempt::Blocked;
-    if ((w & layout.field_mask[mi]) == layout.field_mask[mi]) {
+    if ((w & l.field_mask[mi]) == l.field_mask[mi]) {
       // Mini-counter saturated: another increment would overflow into the
       // neighbor field, so this arrival falls back to the arbitrated/wait
       // tier until a release drops the field below field_max (releases from
@@ -327,7 +329,7 @@ LockMechanism::Attempt LockMechanism::packed_try_acquire(PackedStorage& s,
     // it validated is still the word it saw, so there is no transient
     // announcement, hence no retract and no rewake on this path.
     SEMLOCK_DCT_POINT("word.cas", &word);
-    if (word.compare_exchange_weak(w, w + layout.inc[mi],
+    if (word.compare_exchange_weak(w, w + l.inc[mi],
                                    std::memory_order_seq_cst,
                                    std::memory_order_seq_cst)) {
       return Attempt::Acquired;
@@ -350,7 +352,7 @@ void LockMechanism::packed_word_wait(PackedStorage& s,
 
 bool LockMechanism::fast_path_admitted(int partition, AcquireStats& stats,
                                        int mode) {
-  if (grant_slots_ == nullptr) return true;
+  if (!ticketed_) return true;
 #if defined(SEMLOCK_DCT)
   // Test-only mutation: ignore the barrier — the bypass tiers behave as
   // under Free and the no-starvation oracle must notice.
@@ -413,7 +415,7 @@ std::uint64_t LockMechanism::enqueue_waiter(int partition) {
 
 bool LockMechanism::waiter_eligible(int partition,
                                     std::uint64_t ticket) const {
-  if (grant_slots_ == nullptr) return true;
+  if (!ticketed_) return true;
   const GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
   switch (grant_policy_) {
     case runtime::GrantPolicyKind::BoundedBypass:
@@ -473,10 +475,10 @@ void LockMechanism::wake_partition(Storage& s, int partition) {
       // stale `observed` return from wait. Woken waiters re-publish W before
       // sleeping again, so a cleared bit never strands a still-blocked
       // waiter.
-      const PackedLayout& layout = s.layout();
+      const std::uint64_t waiters_bit = layout().waiters_bit;
       std::atomic<std::uint64_t>& word = s.word();
-      if ((word.load(std::memory_order_seq_cst) & layout.waiters_bit) != 0) {
-        word.fetch_and(~layout.waiters_bit, std::memory_order_seq_cst);
+      if ((word.load(std::memory_order_seq_cst) & waiters_bit) != 0) {
+        word.fetch_and(~waiters_bit, std::memory_order_seq_cst);
         SEMLOCK_DCT_POINT("word.wake", &word);
         word.notify_all();
       }
@@ -551,7 +553,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   obs::BlockerInfo blocker;
   const auto capture_blocker = [&](std::uint64_t now_ns) {
     for (const std::int32_t other : table_->conflicts_of(mode)) {
-      if (s.holder_count(other, std::memory_order_acquire) == 0) continue;
+      if (holder_count(other, std::memory_order_acquire) == 0) continue;
       blocker.mode = other;
       blocker.capture_ns = now_ns;
       blocker.owner = 0;
@@ -589,7 +591,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
     for (int step = 0; step < kSteps; ++step) {
       const std::uint64_t owner = obs::attr_read(rec).owner;
       if (owner != 0 && owner != self) return;
-      if (s.holder_count(other, std::memory_order_acquire) == 0) return;
+      if (holder_count(other, std::memory_order_acquire) == 0) return;
       backoff.pause();
     }
   };
@@ -605,7 +607,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
                           obs::attribution_enabled() &&
                           obs::attribution_should_sample();
     for (const std::int32_t other : table_->conflicts_of(mode)) {
-      if (s.holder_count(other, std::memory_order_acquire) > 0) {
+      if (holder_count(other, std::memory_order_acquire) > 0) {
         obs::record_blocked_by(this, mode, other);
         if (classify) {
           await_grant_record(other);
@@ -640,7 +642,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   // next waiter. kMaxTicket marks the Free policy's ticketless waiters.
   constexpr std::uint64_t kMaxTicket = ~std::uint64_t{0};
   std::uint64_t ticket = kMaxTicket;
-  if (grant_slots_ != nullptr) {
+  if (ticketed_) {
     internal.lock();
     ticket = enqueue_waiter(partition);
     internal.unlock();
@@ -727,16 +729,15 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           // already shows the conflict clear and we retry instead of
           // sleeping). Only Free grants sleep on the word
           // (effective_wait_policy), so there is no ticket to re-check.
-          const PackedLayout& layout = s.layout();
+          const PackedLayout& l = layout();
           const auto mi = static_cast<std::size_t>(mode);
           SEMLOCK_DCT_POINT("word.announce", &s.word());
           const std::uint64_t observed =
-              s.word().fetch_or(layout.waiters_bit,
-                                std::memory_order_seq_cst) |
-              layout.waiters_bit;
+              s.word().fetch_or(l.waiters_bit, std::memory_order_seq_cst) |
+              l.waiters_bit;
           bool still_blocked =
-              (observed & layout.conflict_mask[mi]) != 0 ||
-              (observed & layout.field_mask[mi]) == layout.field_mask[mi];
+              (observed & l.conflict_mask[mi]) != 0 ||
+              (observed & l.field_mask[mi]) == l.field_mask[mi];
 #if defined(SEMLOCK_DCT)
           // Test-only mutation: sleep blind, skipping the re-validation
           // half of the handshake — the lost-wakeup bug the DCT harness
@@ -845,17 +846,17 @@ template <class Storage>
 void LockMechanism::unlock_impl(Storage& s, int mode) {
   if constexpr (Storage::kPacked) {
     LM_OBS_EVENT(kRelease, mode);
-    const PackedLayout& layout = s.layout();
+    const PackedLayout& l = layout();
     const auto mi = static_cast<std::size_t>(mode);
     SEMLOCK_DCT_POINT("word.release", &s.word());
     const std::uint64_t old =
-        s.word().fetch_sub(layout.inc[mi], std::memory_order_seq_cst);
+        s.word().fetch_sub(l.inc[mi], std::memory_order_seq_cst);
     if (!can_park_) return;
-    const std::uint64_t field = old & layout.field_mask[mi];
+    const std::uint64_t field = old & l.field_mask[mi];
     // Wake when a sleeper's predicate may have flipped: this was the mode's
     // last hold (conflicting waiters can now validate), or the field just
     // dropped out of saturation (same-mode waiters blocked on field_max).
-    if (field == layout.inc[mi] || field == layout.field_mask[mi]) {
+    if (field == l.inc[mi] || field == l.field_mask[mi]) {
       wake_partition(s, table_->partition_of(mode));
     }
   } else {
@@ -874,16 +875,24 @@ void LockMechanism::unlock_impl(Storage& s, int mode) {
 }
 
 void LockMechanism::lock(int mode, const LockSiteArgs* args) {
-  std::visit([&](auto& s) { lock_impl(s, mode, args); }, storage_);
+  if (packed_) {
+    lock_impl(storage_as<PackedStorage>(), mode, args);
+  } else {
+    lock_impl(storage_as<StripedStorage>(), mode, args);
+  }
 }
 
 bool LockMechanism::try_lock(int mode, const LockSiteArgs* args) {
-  return std::visit([&](auto& s) { return try_lock_impl(s, mode, args); },
-                    storage_);
+  return packed_ ? try_lock_impl(storage_as<PackedStorage>(), mode, args)
+                 : try_lock_impl(storage_as<StripedStorage>(), mode, args);
 }
 
 void LockMechanism::unlock(int mode) {
-  std::visit([&](auto& s) { unlock_impl(s, mode); }, storage_);
+  if (packed_) {
+    unlock_impl(storage_as<PackedStorage>(), mode);
+  } else {
+    unlock_impl(storage_as<StripedStorage>(), mode);
+  }
 }
 
 }  // namespace semlock

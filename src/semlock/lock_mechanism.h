@@ -237,6 +237,22 @@ class LockMechanism {
 
   static StorageVariant make_storage(const ModeTable& table, std::byte* slab);
 
+  // The live storage, named by packed_ rather than by the variant's index:
+  // the index sits after the storage, on the packed word's cache line.
+  template <class Storage>
+  Storage& storage_as() {
+    Storage* s = std::get_if<Storage>(&storage_);
+    if (s == nullptr) __builtin_unreachable();  // packed_ names the live one
+    return *s;
+  }
+  template <class Storage>
+  const Storage& storage_as() const {
+    return const_cast<LockMechanism*>(this)->storage_as<Storage>();
+  }
+
+  // The table's packed-word layout; packed_ mechanisms only.
+  const PackedLayout& layout() const { return *table_->packed_layout(); }
+
   // Frees the slab with the alignment ModeTable::slab_align() gave it.
   struct SlabFree {
     std::align_val_t align;
@@ -297,7 +313,7 @@ class LockMechanism {
 
   // Packed equivalent of announce_validate: one bounded CAS-loop attempt.
   // Returns Contended on CAS churn without a visible blocker.
-  static Attempt packed_try_acquire(PackedStorage& s, int mode);
+  Attempt packed_try_acquire(PackedStorage& s, int mode);
   // Sleep on the packed word until it differs from `observed` (futex-word
   // policy; cooperative under DCT).
   static void packed_word_wait(PackedStorage& s, std::uint64_t observed);
@@ -326,27 +342,39 @@ class LockMechanism {
 
   std::uint32_t holder_count(int mode, std::memory_order order) const;
 
+  // --- Read by every lock() and unlock(): the first 16 bytes, which share
+  // no cache line with the packed word at any 16 B heap placement
+  // (docs/FAST_PATH.md §7). ---------------------------------------------
   const ModeTable* table_;
+  // storage_ holds PackedStorage; lock() and unlock() dispatch on it.
+  bool packed_;
+  bool trace_;
+  // False under SpinYield: unlock skips the wakeup fence entirely, keeping
+  // the historical release path (one relaxed RMW) intact.
+  bool can_park_;
+  // Packed + futex-word + Free: waiters sleep on the word (parking_ is null).
+  bool futex_word_;
+  // The grant policy is not Free, so grant_slots_ exists and the bypass
+  // tiers consult its barrier.
+  bool ticketed_;
+
+  // --- Slow path only, before the storage. -----------------------------
   // One allocation for the mode counters and the partition spinlocks, laid
   // out by the table (ModeTable::counter_offsets).
   std::unique_ptr<std::byte, SlabFree> slab_;
-  StorageVariant storage_;
   // Null only for Packed storage under the futex-word policy (Free grants),
   // where waiters sleep on the lock word itself and the per-partition slots
   // would be dead weight at "millions of instances" scale.
   std::unique_ptr<runtime::ParkingLot> parking_;
-  runtime::WaitPolicyKind policy_;
-  std::uint32_t spin_limit_;
-  // False under SpinYield: unlock skips the wakeup fence entirely, keeping
-  // the historical release path (one relaxed RMW) intact.
-  bool can_park_;
-  bool trace_;
-  // Packed + futex-word + Free: waiters sleep on the word (parking_ is null).
-  bool futex_word_;
-  runtime::GrantPolicyKind grant_policy_;
-  std::uint32_t bypass_bound_;
   // One slot per conflict partition; nullptr under the Free policy.
   std::unique_ptr<GrantSlot[]> grant_slots_;
+  runtime::WaitPolicyKind policy_;
+  runtime::GrantPolicyKind grant_policy_;
+  std::uint32_t spin_limit_;
+  std::uint32_t bypass_bound_;
+
+  // --- From byte 64: the storage, a packed mechanism's word first. ------
+  StorageVariant storage_;
 #if defined(SEMLOCK_OBS)
   // One seqlock-protected last-acquirer record per mode, allocated only when
   // this mechanism traces (nullptr otherwise). Written at every grant that
@@ -354,6 +382,9 @@ class LockMechanism {
   // blocks against the mode. (src/obs/attribution.h.)
   std::unique_ptr<obs::AttrRecord[]> attr_records_;
 #endif
+
+  // tests/lock_mechanism_test.cpp checks where these fields fall.
+  friend struct LockMechanismLayoutPeer;
 };
 
 }  // namespace semlock

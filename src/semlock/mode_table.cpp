@@ -37,8 +37,8 @@ int stripes_from_env_text(const char* text) {
   return parsed ? static_cast<int>(*parsed) : auto_stripes;
 }
 
-StorageKind storage_from_env_text(const char* text) {
-  if (text == nullptr) return StorageKind::Striped;
+std::optional<StorageKind> storage_from_env_text(const char* text) {
+  if (text == nullptr) return std::nullopt;
   if (const auto parsed = parse_storage_kind(text)) return *parsed;
   util::warn_invalid_env("SEMLOCK_STORAGE", text, "striped");
   return StorageKind::Striped;
@@ -55,8 +55,8 @@ int env_counter_stripes() {
   return value;
 }
 
-StorageKind env_storage() {
-  static const StorageKind value =
+std::optional<StorageKind> env_storage() {
+  static const std::optional<StorageKind> value =
       storage_from_env_text(std::getenv("SEMLOCK_STORAGE"));
   return value;
 }
@@ -64,7 +64,7 @@ StorageKind env_storage() {
 }  // namespace
 
 int default_counter_stripes() { return env_counter_stripes(); }
-StorageKind default_storage() { return env_storage(); }
+std::optional<StorageKind> default_storage() { return env_storage(); }
 
 bool default_trace_events() {
 #if defined(SEMLOCK_OBS)
@@ -662,13 +662,31 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
     }
   }
 
+  // --- Storage choice (storage_policy.h). ---------------------------------
+  // Unless the config forces one, a table packs when it fits and has no
+  // reader: a self-commuting mode whose conflicting modes all conflict with
+  // themselves. A reader keeps its stripe row, which its conflict check never
+  // sums; two self-commuting modes that conflict would sum each other's.
+  const auto self_commutes = [&](std::int32_t m) {
+    return table.commutes(m, m);
+  };
+  bool has_reader = false;
+  for (std::size_t m = 0; m < nc; ++m) {
+    const auto& others = table.conflicts_[m];
+    has_reader = has_reader ||
+                 (self_commutes(static_cast<std::int32_t>(m)) &&
+                  std::none_of(others.begin(), others.end(), self_commutes));
+  }
+  const StorageKind wanted = cfg.storage.value_or(
+      has_reader ? StorageKind::Striped : StorageKind::Packed);
+  table.storage_ = wanted == StorageKind::Packed && table.packed_ok_
+                       ? StorageKind::Packed
+                       : StorageKind::Striped;
+
   // --- Per-instance slab layout (mode_table.h). ---------------------------
   // Partition-major: each partition's counters in mode order, then its
   // spinlock. A single partition, or packed storage's spinlocks alone, have
   // no neighbour to be separated from and pack densely.
-  table.storage_ = cfg.storage == StorageKind::Packed && table.packed_ok_
-                       ? StorageKind::Packed
-                       : StorageKind::Striped;
   {
     constexpr std::size_t kCounter = sizeof(std::atomic<std::uint32_t>);
     const bool counters = table.storage_ == StorageKind::Striped;

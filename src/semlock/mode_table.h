@@ -5,12 +5,13 @@
 // One ModeTable is shared, immutably, by every ADT instance of the same
 // (ADT class, pointer equivalence class) pair — per-instance state is only
 // the counters held by SemanticLock, in the striped or packed storage the
-// config selects (semlock/storage_policy.h), laid out by the table's slab
+// table selects (semlock/storage_policy.h), laid out by the table's slab
 // offsets below.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -85,12 +86,13 @@ struct ModeTableConfig {
   // instance. 0 turns striping off (SEMLOCK_STRIPES=0): one plain atomic
   // counter per mode, the paper's Fig. 20 layout.
   int counter_stripes = default_counter_stripes();
-  // Which counter representation mechanisms built over this table use
+  // Forces the counter representation of mechanisms built over this table
   // (semlock/storage_policy.h): Striped (per-mode atomics plus the striping
-  // above — the default), or Packed (the whole table in one 64-bit word,
-  // falling back to Striped when the table has more than kMaxPackedModes
-  // modes). SEMLOCK_STORAGE overrides the default.
-  StorageKind storage = default_storage();
+  // above), or Packed (the whole table in one 64-bit word, falling back to
+  // Striped when the table has more than kMaxPackedModes modes). Unset, the
+  // table chooses: Packed when it fits and has no reader mode, else Striped.
+  // Defaults to SEMLOCK_STORAGE when set.
+  std::optional<StorageKind> storage = default_storage();
   // Emit binary trace events and conflict/latency metrics from mechanisms
   // built over this table (src/obs, docs/OBSERVABILITY.md). Cached by the
   // LockMechanism at construction; defaults to the ambient trace switch so
@@ -153,15 +155,17 @@ class ModeTable {
 
   // The packed-word bit layout, or nullptr when this table does not fit in
   // one 64-bit word (more than kMaxPackedModes canonical modes). Computed
-  // unconditionally by compile() — it is a few hundred bytes per table —
-  // so mechanisms can pack whenever their config asks for it.
+  // whenever it fits, whatever storage() says — it is a few hundred bytes
+  // per table.
   const PackedLayout* packed_layout() const {
     return packed_ok_ ? &packed_ : nullptr;
   }
 
   // The counter representation mechanisms over this table use: the
-  // config's storage, except that a Packed request over a table with no
-  // packed layout (> kMaxPackedModes canonical modes) falls back to Striped.
+  // config's storage if it forces one, else Packed when the table fits and
+  // has no reader mode (storage_policy.h); a Packed choice over a table with
+  // no packed layout (> kMaxPackedModes canonical modes) falls back to
+  // Striped.
   StorageKind storage() const { return storage_; }
 
   // The per-instance slab (docs/FAST_PATH.md §8): byte offsets, by mode and

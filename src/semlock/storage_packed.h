@@ -4,7 +4,9 @@
 //
 // Per-instance state is exactly this word. Everything shape-dependent —
 // field shifts and the per-mode conflict masks — lives in the table-owned
-// PackedLayout, shared immutably by all instances.
+// PackedLayout, shared immutably by all instances; the mechanism reads it
+// through its table pointer, so nothing but the word sits in the word's
+// part of the mechanism (docs/FAST_PATH.md §7).
 // The acquisition protocol (semlock/lock_mechanism.cpp) replaces the striped
 // announce/validate/retract dance with a single CAS that checks and claims
 // atomically, so the packed fast path has no retract and no rewake.
@@ -22,35 +24,24 @@ class PackedStorage {
  public:
   static constexpr bool kPacked = true;
 
-  explicit PackedStorage(const PackedLayout& layout) : layout_(&layout) {}
+  PackedStorage() = default;
 
   // Moved only during LockMechanism construction, strictly before any
   // concurrent use — copying the atomic's value is sound there.
   PackedStorage(PackedStorage&& other) noexcept
-      : layout_(other.layout_),
-        word_(other.word_.load(std::memory_order_relaxed)) {}
+      : word_(other.word_.load(std::memory_order_relaxed)) {}
 
-  const PackedLayout& layout() const { return *layout_; }
   std::atomic<std::uint64_t>& word() { return word_; }
   const std::atomic<std::uint64_t>& word() const { return word_; }
 
-  std::uint32_t holder_count(int mode, std::memory_order order) const {
-    const PackedLayout& l = *layout_;
+  std::uint32_t holder_count(const PackedLayout& l, int mode,
+                             std::memory_order order) const {
     return static_cast<std::uint32_t>(
         (word_.load(order) & l.field_mask[static_cast<std::size_t>(mode)]) >>
         l.shift[static_cast<std::size_t>(mode)]);
   }
 
-  // All modes share the word, so they share one DCT schedule identity.
-  const void* dct_id(int) const { return &word_; }
-
-  bool mode_striped(int) const { return false; }
-  std::uint32_t stripes() const { return 1; }
-
-  std::size_t heap_bytes() const { return 0; }
-
  private:
-  const PackedLayout* layout_;
   std::atomic<std::uint64_t> word_{0};
 };
 

@@ -305,8 +305,8 @@ TEST(StorageEnv, ParsesEveryRecognizedName) {
   const std::string err = captured_stderr([] {
     EXPECT_EQ(storage_from_env_text("striped"), StorageKind::Striped);
     EXPECT_EQ(storage_from_env_text("packed"), StorageKind::Packed);
-    // Unset is the historical default (striped), silently.
-    EXPECT_EQ(storage_from_env_text(nullptr), StorageKind::Striped);
+    // Unset forces nothing: each table chooses, silently.
+    EXPECT_EQ(storage_from_env_text(nullptr), std::nullopt);
   });
   EXPECT_TRUE(err.empty()) << err;
 }

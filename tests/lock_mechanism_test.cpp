@@ -21,6 +21,25 @@
 #include "util/spinlock.h"
 
 namespace semlock {
+
+// Reads the private fields whose placement docs/FAST_PATH.md §7 promises.
+struct LockMechanismLayoutPeer {
+  // [begin, end) byte ranges of the fields lock() and unlock() read.
+  static std::vector<std::pair<std::uintptr_t, std::uintptr_t>>
+  fast_path_fields(const LockMechanism& m) {
+    const auto range = [](const auto& field) {
+      const auto at = reinterpret_cast<std::uintptr_t>(&field);
+      return std::pair{at, at + sizeof field};
+    };
+    return {range(m.table_),      range(m.packed_),     range(m.trace_),
+            range(m.can_park_),   range(m.futex_word_), range(m.ticketed_)};
+  }
+  static std::uintptr_t word(const LockMechanism& m) {
+    return reinterpret_cast<std::uintptr_t>(
+        &std::get<PackedStorage>(m.storage_).word());
+  }
+};
+
 namespace {
 
 using commute::op;
@@ -135,47 +154,55 @@ TEST(LockMechanism, SelfConflictingModeIsExclusive) {
   EXPECT_EQ(counter, 4 * 5000);
 }
 
-// Readers/writer pattern via modes: {contains(*)} vs {add(*)}.
+// Readers/writer pattern via modes: {contains(*)} vs {add(*)}, two
+// self-commuting modes that conflict. Left to choose, the table packs;
+// striped storage, whose validation sums the other mode's stripe row, is
+// forced in the first pass.
 TEST(LockMechanism, ReadModeParallelWriteModeExclusive) {
-  ModeTableConfig c;
-  c.abstract_values = 2;
-  const auto t = ModeTable::compile(
-      commute::set_spec(),
-      {SymbolicSet({op("contains", {star()})}),
-       SymbolicSet({op("add", {star()})})},
-      c);
-  LockMechanism m(t);
-  const int read_mode = t.resolve_constant(0);
-  const int write_mode = t.resolve_constant(1);
-  ASSERT_TRUE(t.commutes(read_mode, read_mode));
-  ASSERT_FALSE(t.commutes(read_mode, write_mode));
-  ASSERT_TRUE(t.commutes(write_mode, write_mode));  // adds commute!
+  for (const StorageKind storage : {StorageKind::Striped, StorageKind::Packed}) {
+    SCOPED_TRACE(storage_kind_name(storage));
+    ModeTableConfig c;
+    c.abstract_values = 2;
+    c.storage = storage;
+    const auto t = ModeTable::compile(
+        commute::set_spec(),
+        {SymbolicSet({op("contains", {star()})}),
+         SymbolicSet({op("add", {star()})})},
+        c);
+    ASSERT_EQ(t.storage(), storage);
+    LockMechanism m(t);
+    const int read_mode = t.resolve_constant(0);
+    const int write_mode = t.resolve_constant(1);
+    ASSERT_TRUE(t.commutes(read_mode, read_mode));
+    ASSERT_FALSE(t.commutes(read_mode, write_mode));
+    ASSERT_TRUE(t.commutes(write_mode, write_mode));  // adds commute!
 
-  // Invariant check: no reader may observe a writer mid-flight.
-  std::atomic<int> writers{0};
-  std::atomic<bool> violation{false};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < 4000; ++k) {
-        m.lock(read_mode);
-        if (writers.load() != 0) violation.store(true);
-        m.unlock(read_mode);
-      }
-    });
+    // Invariant check: no reader may observe a writer mid-flight.
+    std::atomic<int> writers{0};
+    std::atomic<bool> violation{false};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 2; ++i) {
+      threads.emplace_back([&] {
+        for (int k = 0; k < 4000; ++k) {
+          m.lock(read_mode);
+          if (writers.load() != 0) violation.store(true);
+          m.unlock(read_mode);
+        }
+      });
+    }
+    for (int i = 0; i < 2; ++i) {
+      threads.emplace_back([&] {
+        for (int k = 0; k < 4000; ++k) {
+          m.lock(write_mode);
+          writers.fetch_add(1);
+          writers.fetch_sub(1);
+          m.unlock(write_mode);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_FALSE(violation.load());
   }
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < 4000; ++k) {
-        m.lock(write_mode);
-        writers.fetch_add(1);
-        writers.fetch_sub(1);
-        m.unlock(write_mode);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(violation.load());
 }
 
 // Regression: releasing one of several holders of a mode must not wake the
@@ -720,6 +747,38 @@ TEST_P(SlabLayout, PackedStorageKeepsOnlyDenseSpinlocks) {
 INSTANTIATE_TEST_SUITE_P(AllTables, SlabLayout,
                          ::testing::ValuesIn(test::table_cases()),
                          test::case_name);
+
+// The packed word is the one field of the object that acquisitions write.
+// Wherever the allocator puts the mechanism (16 B granules), the word's cache
+// line holds none of the fields every lock() and unlock() reads, so a CAS on
+// the word never evicts them from another core; and the object stays the
+// size it was, unaligned.
+TEST(SlabLayout, PackedWordSharesNoLineWithFastPathFields) {
+  const auto t = ModeTable::compile(
+      commute::account_spec(),
+      {SymbolicSet({op("deposit", {star()}), op("withdraw", {star()})}),
+       SymbolicSet({op("balance")})},
+      ModeTableConfig{.storage = std::nullopt});
+  ASSERT_EQ(t.storage(), StorageKind::Packed);
+#if defined(SEMLOCK_OBS)
+  EXPECT_EQ(sizeof(LockMechanism), 128u);
+#endif
+  EXPECT_EQ(alignof(LockMechanism), alignof(void*));
+  constexpr std::uintptr_t kLine = util::kCacheLineSize;
+  alignas(64) std::byte buffer[64 + sizeof(LockMechanism)];
+  for (std::size_t offset = 0; offset < 64; offset += 16) {
+    auto* m = ::new (buffer + offset) LockMechanism(t);
+    const std::uintptr_t word = LockMechanismLayoutPeer::word(*m);
+    EXPECT_EQ(word / kLine, (word + sizeof(std::uint64_t) - 1) / kLine);
+    EXPECT_GE(word - reinterpret_cast<std::uintptr_t>(m), 64u);
+    for (const auto& [begin, end] :
+         LockMechanismLayoutPeer::fast_path_fields(*m)) {
+      EXPECT_NE(begin / kLine, word / kLine) << "offset " << offset;
+      EXPECT_NE((end - 1) / kLine, word / kLine) << "offset " << offset;
+    }
+    m->~LockMechanism();
+  }
+}
 
 TEST(SlabLayout, SinglePartitionFootprintIsUnchanged) {
   // BENCH_footprint's 8-mode striped table: one partition, so a dense slab.

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -423,6 +424,30 @@ TEST_P(CompiledTableOracle, MatchesDefinitionAndRecordedDigest) {
   const std::uint64_t digest = table_digest(t);
   EXPECT_EQ(digest, recorded_digest(c.name))
       << c.name << " digest 0x" << std::hex << digest;
+}
+
+// Left to choose, a table packs exactly when it has at most kMaxPackedModes
+// modes and no reader (storage_policy.h). Of these tables that is the
+// server's account table and seven test tables; every app table, and every
+// small table with a reader, stays striped. A forced storage wins either way.
+TEST_P(CompiledTableOracle, StorageIsPackedWithoutReadersUnlessForced) {
+  const TableCase& c = GetParam();
+  static const std::set<std::string> packed = {
+      "server_account", "constant_sites", "shared_sites", "set_consts_n1",
+      "set_consts_n256", "graph_n1",      "graph_n128",   "graph_n256"};
+  ModeTableConfig config = c.config;
+  config.storage = std::nullopt;
+  const auto chosen = ModeTable::compile(*c.spec, c.sites, config);
+  EXPECT_EQ(chosen.storage(), packed.contains(c.name) ? StorageKind::Packed
+                                                      : StorageKind::Striped);
+  config.storage = StorageKind::Striped;
+  EXPECT_EQ(ModeTable::compile(*c.spec, c.sites, config).storage(),
+            StorageKind::Striped);
+  config.storage = StorageKind::Packed;
+  const auto forced = ModeTable::compile(*c.spec, c.sites, config);
+  EXPECT_EQ(forced.storage(), forced.packed_layout() != nullptr
+                                  ? StorageKind::Packed
+                                  : StorageKind::Striped);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTables, CompiledTableOracle,

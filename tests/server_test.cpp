@@ -13,10 +13,12 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "semlock/history.h"
+#include "semlock/lock_mechanism.h"
 #include "server/cc_backend.h"
 #include "server/config.h"
 #include "server/server.h"
@@ -24,6 +26,10 @@
 #include "server/traffic_gen.h"
 #include "server/zipf.h"
 #include "util/rng.h"
+
+#if defined(SEMLOCK_OBS)
+#include "obs/trace.h"
+#endif
 
 namespace semlock::server {
 namespace {
@@ -496,6 +502,41 @@ TEST(ServerTest, SerialModeClampsToOneWorker) {
   Server psrv(cfg, parallel.get());
   EXPECT_EQ(psrv.workers(), 8);
 }
+
+#if defined(SEMLOCK_OBS)
+// The SEMANTIC backend compiles its tables with the default config, so each
+// table chooses its storage: the account table (Move and Audit conflict and
+// both self-commute) packs, and the map table (a reader mode, and 128 modes)
+// stays striped. Traced mechanisms name themselves in their events, which is
+// how the test finds the locks a request took.
+TEST(ServerTest, SemanticAccountLocksPackAndMapLocksStayStriped) {
+  obs::ScopedTraceEnable enable;
+  auto backend = make_cc_backend(CCMode::kSemantic, small_store());
+  const auto storages_of = [&](RequestKind kind) {
+    obs::reset_for_test();
+    backend->execute(Request{.kind = kind, .a = 1, .b = 2, .amount = 5});
+    std::set<StorageKind> storages;
+    for (const obs::ThreadTrace& t : obs::snapshot_traces()) {
+      for (const obs::Event& e : t.events) {
+        if (e.type != obs::EventType::kAcquireBegin) continue;
+        storages.insert(
+            reinterpret_cast<const LockMechanism*>(e.instance)->storage());
+      }
+    }
+    return storages;
+  };
+  // SEMLOCK_STORAGE, when set, forces its kind wherever the table fits.
+  const StorageKind account = default_storage().value_or(StorageKind::Packed);
+  EXPECT_EQ(storages_of(RequestKind::kTransfer),
+            std::set<StorageKind>{account});
+  EXPECT_EQ(storages_of(RequestKind::kAudit), std::set<StorageKind>{account});
+  EXPECT_EQ(storages_of(RequestKind::kComputeIfAbsent),
+            std::set<StorageKind>{StorageKind::Striped});
+  EXPECT_EQ(storages_of(RequestKind::kDegree),
+            std::set<StorageKind>{StorageKind::Striped});
+  obs::reset_for_test();
+}
+#endif
 
 TEST(ServerTest, WorkersNeverExceedShards) {
   ServerConfig cfg;
