@@ -1,13 +1,14 @@
 // Microbenchmarks (google-benchmark): the raw cost of the semantic-locking
 // runtime — uncontended acquire/release vs std::mutex, keyed acquisition
 // and account transactions across threads, mode resolution, and mode-table
-// compilation.
+// compilation, and the map under the CIA shape.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "adt/striped_hash_map.h"
 #include "commute/builtin_specs.h"
 #include "semlock/semantic_lock.h"
 #include "semlock/transaction.h"
@@ -135,6 +136,48 @@ void BM_KeyedLockSite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyedLockSite)->Threads(1)->Threads(3)->UseRealTime();
+
+// The map alone under perfbench cia_hits' shape: one 256-stripe map
+// prefilled with 4096 keys, every thread drawing 90% contains_key hits and
+// 10% misses that put a new key. A thread removes its own new key 1024
+// inserts later, so the map stays within 4096 + 1024 keys per thread.
+void BM_StripedMapCiaShape(benchmark::State& state) {
+  using Map = adt::StripedHashMap<Value, Value>;
+  constexpr std::int32_t kHot = 4096;
+  constexpr Value kWindow = 1024;
+  static Map* map = nullptr;
+  if (state.thread_index() == 0) {
+    map = new Map(/*num_stripes=*/256);
+    for (Value k = 0; k < kHot; ++k) map->put(k, k);
+  }
+  util::Xoshiro256 rng(0x63696173 + static_cast<std::uint64_t>(
+                                        state.thread_index()));
+  std::vector<std::int32_t> draws(4096);  // a hot key, or -1 for a new one
+  for (auto& d : draws) {
+    d = rng.chance_percent(10)
+            ? -1
+            : static_cast<std::int32_t>(rng.next_below(kHot));
+  }
+  const Value base = static_cast<Value>(state.thread_index() + 1) << 40;
+  Value fresh = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::int32_t d = draws[i++ & (draws.size() - 1)];
+    const Value key = d >= 0 ? d : base + fresh;
+    const bool hit = map->contains_key(key);
+    benchmark::DoNotOptimize(hit);
+    if (!hit) {
+      map->put(key, key);
+      if (fresh >= kWindow) map->remove(base + fresh - kWindow);
+      ++fresh;
+    }
+  }
+  if (state.thread_index() == 0) {
+    delete map;
+    map = nullptr;
+  }
+}
+BENCHMARK(BM_StripedMapCiaShape)->Threads(1)->Threads(3)->UseRealTime();
 
 // The server's account path (perfbench txn_hot): a Transaction locks 2 of 16
 // account locks with lv_ordered, the accounts drawn at Zipf 0.99, 70% in

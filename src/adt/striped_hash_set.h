@@ -12,8 +12,8 @@ template <typename K, typename Hash = std::hash<K>>
 class StripedHashSet {
  public:
   explicit StripedHashSet(std::size_t num_stripes = 64,
-                          std::size_t initial_buckets_per_stripe = 16)
-      : map_(num_stripes, initial_buckets_per_stripe) {}
+                          std::size_t initial_slots_per_stripe = 16)
+      : map_(num_stripes, initial_slots_per_stripe) {}
 
   // Returns true if the element was newly added.
   bool add(const K& key) { return map_.put_if_absent(key, Unit{}); }

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "adt/chm_v8.h"
 #include "adt/striped_hash_map.h"
 #include "baseline/global_lock.h"
 #include "baseline/two_pl.h"
@@ -143,6 +142,9 @@ class CiaManual final : public CiaModule {
 };
 
 // --- V8 ----------------------------------------------------------------------
+// Hand-crafted computeIfAbsent in the style of Doug Lea's
+// ConcurrentHashMapV8: the factory runs under the key's stripe lock, in the
+// same map the other strategies use.
 class CiaV8 final : public CiaModule {
  public:
   explicit CiaV8(const CiaParams& params) : params_(params), map_(256) {}
@@ -156,7 +158,7 @@ class CiaV8 final : public CiaModule {
 
  private:
   CiaParams params_;
-  adt::ChmV8Map<Value, Payload> map_;
+  adt::StripedHashMap<Value, Payload> map_;
 };
 
 }  // namespace

@@ -18,7 +18,7 @@
 //   TwoPL  — one standard lock per ADT instance; with a single Map instance
 //            this degenerates to a global lock, as in the paper.
 //   Manual — hand-made lock striping with 64 locks over a concurrent map.
-//   V8     — ConcurrentHashMapV8-style computeIfAbsent (per-bucket locking).
+//   V8     — ConcurrentHashMapV8-style computeIfAbsent (per-stripe locking).
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "adt/chm_v8.h"
 #include "adt/striped_hash_set.h"
 #include "adt/striped_multimap.h"
 #include "adt/two_lock_queue.h"
@@ -173,55 +172,6 @@ TEST(StripedMultimapTest, ConcurrentDisjointKeys) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(mm.num_entries(), 4000u);
   for (Value k = 0; k < 4; ++k) EXPECT_EQ(mm.get_all(k).size(), 1000u);
-}
-
-// --- ChmV8Map ---------------------------------------------------------------
-
-TEST(ChmV8MapTest, ComputeIfAbsentOncePerKey) {
-  ChmV8Map<Value, Value> map;
-  int calls = 0;
-  const Value v1 = map.compute_if_absent(7, [&] {
-    ++calls;
-    return Value{70};
-  });
-  const Value v2 = map.compute_if_absent(7, [&] {
-    ++calls;
-    return Value{71};
-  });
-  EXPECT_EQ(v1, 70);
-  EXPECT_EQ(v2, 70);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(map.size(), 1u);
-  EXPECT_EQ(*map.get(7), 70);
-}
-
-TEST(ChmV8MapTest, ConcurrentComputeIfAbsentAtomic) {
-  ChmV8Map<Value, Value> map;
-  std::atomic<int> factory_calls{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (Value k = 0; k < 3000; ++k) {
-        map.compute_if_absent(k, [&] {
-          factory_calls.fetch_add(1);
-          return k * 2;
-        });
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(factory_calls.load(), 3000);  // at most once per key
-  EXPECT_EQ(map.size(), 3000u);
-  for (Value k = 0; k < 3000; ++k) EXPECT_EQ(*map.get(k), k * 2);
-}
-
-TEST(ChmV8MapTest, GrowsUnderLoad) {
-  ChmV8Map<Value, Value> map(/*num_stripes=*/2);
-  for (Value k = 0; k < 5000; ++k) {
-    map.compute_if_absent(k, [&] { return k; });
-  }
-  EXPECT_EQ(map.size(), 5000u);
-  EXPECT_EQ(*map.get(4999), 4999);
 }
 
 }  // namespace
