@@ -1,21 +1,26 @@
-// Per-instance memory footprint of the two counter-storage policies:
-// striped (one atomic per mode; this table has no self-commuting mode, so
-// no stripes) and the packed single-word layout with futex-word waits (no
-// ParkingLot at all).
+// Per-instance memory footprint of the two counter-storage policies, on one
+// shared 8-mode table: 7 per-value {add(v),remove(v)} modes + {size,clear},
+// the widest table the packed word accepts (8 modes x 7 bits + W <= 64).
+// Every mode conflicts with itself, so neither column has a stripe bank.
+//
+//   striped  one atomic per mode in the mechanism's slab, waiting under
+//            spin-then-park: the footprint includes its one-slot ParkingLot
+//   packed   the whole table in the mechanism's word, waiting under
+//            futex-word on the word itself: no ParkingLot
 //
 // Fleets of 1k / 100k / 1M real LockMechanism instances are materialized
-// over one shared 8-mode table — the shape where the striped-vs-packed gap
-// is at full width and which still packs (8 modes x 7 bits + W <= 64).
-// Three metrics per storage:
+// over the table. Three metrics per storage:
 //
 //   bytes_per_instance  exact, from LockMechanism::footprint_bytes()
 //   cold_ops_per_ms     first-touch lock/unlock across the whole fleet —
 //                       the working-set effect the packed word exists for
-//   contended_ops_per_ms conflicting churn on ONE instance (4 threads) —
-//                       guards packed against a contended-path regression
+//   contended_ops_per_ms exclusive churn on ONE instance at 1, 2 and 4
+//                       threads — guards packed against a contended-path
+//                       regression
 //
-// Emits BENCH_footprint.json; the run stamp carries scaling_claims so CI
-// can refuse to read single-core numbers as scaling figures.
+// Emits BENCH_footprint.json and fails when packed is not at least 1.9x
+// smaller than striped per instance; the run stamp carries scaling_claims
+// so CI can refuse to read single-core numbers as scaling figures.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -97,8 +102,10 @@ FleetResult fleet_cell(const ModeTable& table, std::size_t instances) {
   return r;
 }
 
-// Read-mostly conflicting churn on one instance: packed must stay within
-// noise of striped here while being much smaller.
+// Churn on one instance, 99% on add(0) and thread 0's 1% on {size,clear}:
+// both modes conflict with themselves, so every acquisition excludes the
+// others. Packed must stay within noise of striped here while being much
+// smaller.
 double contended_cell(const ModeTable& table, std::size_t threads,
                       std::size_t ops) {
   LockMechanism mech(table);

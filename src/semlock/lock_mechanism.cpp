@@ -138,14 +138,6 @@ AcquireStats& local_acquire_stats() {
 #endif
 }
 
-LockMechanism::StorageVariant LockMechanism::make_storage(
-    const ModeTable& table, std::byte* slab) {
-  if (table.storage() == StorageKind::Packed) {
-    return StorageVariant(std::in_place_type<PackedStorage>);
-  }
-  return StorageVariant(std::in_place_type<StripedStorage>, table, slab);
-}
-
 LockMechanism::LockMechanism(const ModeTable& table)
     : table_(&table),
       packed_(table.storage() == StorageKind::Packed),
@@ -161,9 +153,16 @@ LockMechanism::LockMechanism(const ModeTable& table)
       slab_(static_cast<std::byte*>(::operator new(
                 table.slab_bytes(), std::align_val_t{table.slab_align()})),
             SlabFree{std::align_val_t{table.slab_align()}}),
-      parking_(futex_word_ ? nullptr
-                           : std::make_unique<runtime::ParkingLot>(
-                                 table.num_partitions())),
+      bank_(table.stripe_rows() > 0
+                ? std::make_unique<util::StripedCounterBank>(
+                      table.stripe_rows(),
+                      static_cast<std::uint32_t>(
+                          table.config().counter_stripes))
+                : nullptr),
+      parking_(can_park_ && !futex_word_
+                   ? std::make_unique<runtime::ParkingLot>(
+                         table.num_partitions())
+                   : nullptr),
       policy_(effective_wait_policy(table)),
       grant_policy_(table.config().grant_policy),
       spin_limit_(table.config().park_spin_limit > 0
@@ -173,8 +172,10 @@ LockMechanism::LockMechanism(const ModeTable& table)
       bypass_bound_(table.config().bypass_bound > 0
                         ? static_cast<std::uint32_t>(
                               table.config().bypass_bound)
-                        : 1),
-      storage_(make_storage(table, slab_.get())) {
+                        : 1) {
+  for (const std::uint32_t offset : table.counter_offsets()) {
+    ::new (slab_.get() + offset) std::atomic<std::uint32_t>(0);
+  }
   for (const std::uint32_t offset : table.lock_offsets()) {
     ::new (slab_.get() + offset) util::Spinlock;
   }
@@ -196,23 +197,71 @@ LockMechanism::~LockMechanism() = default;
 std::uint32_t LockMechanism::holder_count(int mode,
                                           std::memory_order order) const {
   if (packed_) {
-    return storage_as<PackedStorage>().holder_count(layout(), mode, order);
+    const PackedMode& r = table_->packed_mode(mode);
+    return static_cast<std::uint32_t>((word_.load(order) & r.field_mask) >>
+                                      r.shift);
   }
-  return storage_as<StripedStorage>().holder_count(mode, order);
+  return striped_holders(mode, order);
+}
+
+// The striped counter operations are `inline` so that GCC inlines them into
+// the fast-path templates below; out of line they cost three calls per
+// acquisition.
+inline std::uint32_t LockMechanism::striped_holders(
+    int mode, std::memory_order order) const {
+  const int row = table_->stripe_row(mode);
+  if (row >= 0) return bank_->sum(static_cast<std::uint32_t>(row), order);
+  return counter(mode).load(order);
+}
+
+inline void LockMechanism::increment(int mode, std::memory_order order) {
+  const int row = table_->stripe_row(mode);
+  if (row >= 0) {
+    bank_->local_slot(static_cast<std::uint32_t>(row)).fetch_add(1, order);
+  } else {
+    counter(mode).fetch_add(1, order);
+  }
+}
+
+inline bool LockMechanism::release_one(int mode) {
+  const int row = table_->stripe_row(mode);
+  if (row < 0) {
+    const std::uint32_t prev =
+        counter(mode).fetch_sub(1, std::memory_order_release);
+    return can_park_ && prev == 1;
+  }
+  std::atomic<std::uint32_t>& slot =
+      bank_->local_slot(static_cast<std::uint32_t>(row));
+  if (!can_park_) {
+    // Nobody can be parked: skip the last-hold test and keep the release
+    // a single RMW, mirroring the unstriped path under SpinYield.
+    slot.fetch_sub(1, std::memory_order_release);
+    return false;
+  }
+  // The striped last-hold test: seq_cst decrement, then seq_cst sum.
+  // Against a concurrent releaser on another stripe this is Dekker: in
+  // the seq_cst total order one of the two decrements comes second, and
+  // the sum of that releaser sees both, so at least one of two racing
+  // final releasers observes the zero and wakes the partition.
+  slot.fetch_sub(1, std::memory_order_seq_cst);
+  return bank_->sum(static_cast<std::uint32_t>(row),
+                    std::memory_order_seq_cst) == 0;
 }
 
 bool LockMechanism::mode_striped(int mode) const {
-  return !packed_ && storage_as<StripedStorage>().mode_striped(mode);
+  return table_->stripe_row(mode) >= 0;
 }
 
 std::uint32_t LockMechanism::stripes() const {
-  return packed_ ? 1 : storage_as<StripedStorage>().stripes();
+  return bank_ ? bank_->stripes() : 1;
 }
 
 std::size_t LockMechanism::footprint_bytes() const {
   const auto partitions = static_cast<std::size_t>(table_->num_partitions());
   std::size_t total = sizeof(LockMechanism) + table_->slab_bytes();
-  if (!packed_) total += storage_as<StripedStorage>().heap_bytes();
+  if (bank_ != nullptr) {
+    total += sizeof(util::StripedCounterBank) + bank_->heap_bytes();
+  }
   if (parking_ != nullptr) {
     // The lot object plus its one cache-line slot per partition
     // (runtime/parking_lot.h).
@@ -228,28 +277,25 @@ std::size_t LockMechanism::footprint_bytes() const {
   return total;
 }
 
-template <class Storage>
-bool LockMechanism::conflicts_clear_impl(const Storage& s, int mode,
-                                         std::uint32_t self_allow,
+template <bool kPacked>
+bool LockMechanism::conflicts_clear_impl(int mode, std::uint32_t self_allow,
                                          std::memory_order order) const {
-  if constexpr (Storage::kPacked) {
+  if constexpr (kPacked) {
     // The whole conflict row is one masked load against the compiled mask.
     // A saturated own-mode field also blocks (acquiring would corrupt the
     // mini-counter), which is the saturation fallback: the arrival waits
     // like a conflicted one until a release drops the field. Packed storage
     // never announces transiently, so self_allow is moot.
     (void)self_allow;
-    const PackedLayout& l = layout();
-    const auto mi = static_cast<std::size_t>(mode);
-    SEMLOCK_DCT_POINT("word.check", &s.word());
-    const std::uint64_t w = s.word().load(order);
-    return (w & l.conflict_mask[mi]) == 0 &&
-           (w & l.field_mask[mi]) != l.field_mask[mi];
+    const PackedMode& r = table_->packed_mode(mode);
+    SEMLOCK_DCT_POINT("word.check", &word_);
+    const std::uint64_t w = word_.load(order);
+    return (w & r.conflict_mask) == 0 && (w & r.field_mask) != r.field_mask;
   } else {
     for (const std::int32_t other : table_->conflicts_of(mode)) {
-      SEMLOCK_DCT_POINT("mode.check", s.dct_id(other));
+      SEMLOCK_DCT_POINT("mode.check", &counter(other));
       const std::uint32_t allow = other == mode ? self_allow : 0;
-      if (s.holder_count(other, order) > allow) {
+      if (striped_holders(other, order) > allow) {
         return false;
       }
     }
@@ -257,17 +303,14 @@ bool LockMechanism::conflicts_clear_impl(const Storage& s, int mode,
   }
 }
 
-template <class Storage>
-bool LockMechanism::conflicts_clear(const Storage& s, int mode) const {
-  return conflicts_clear_impl(s, mode, 0, std::memory_order_acquire);
+template <bool kPacked>
+bool LockMechanism::conflicts_clear(int mode) const {
+  return conflicts_clear_impl<kPacked>(mode, 0, std::memory_order_acquire);
 }
 
-template <class Storage>
-bool LockMechanism::announce_validate(Storage& s, int mode, int partition,
+bool LockMechanism::announce_validate(int mode, int partition,
                                       AcquireStats& stats) {
-  static_assert(!Storage::kPacked,
-                "packed storage acquires via packed_try_acquire");
-  SEMLOCK_DCT_POINT("mode.announce", s.dct_id(mode));
+  SEMLOCK_DCT_POINT("mode.announce", &counter(mode));
   // Announce-before-validate on both sides, all seq_cst: in the seq_cst
   // total order, of two conflicting announcers one increments second, and
   // that one's validation loads (also seq_cst) then see the other's
@@ -276,23 +319,23 @@ bool LockMechanism::announce_validate(Storage& s, int mode, int partition,
   // barrier into the load/add on ARM, which is why this beats a relaxed
   // announce plus a standalone fence. self_allow=1 discounts our own
   // announcement when the mode conflicts with itself.
-  s.increment(mode, std::memory_order_seq_cst);
-  if (conflicts_clear_impl(s, mode, 1, std::memory_order_seq_cst)) {
+  increment(mode, std::memory_order_seq_cst);
+  if (conflicts_clear_impl<false>(mode, 1, std::memory_order_seq_cst)) {
     return true;
   }
   ++stats.retracts;
   LM_OBS_EVENT(kRetract, mode);
-  SEMLOCK_DCT_POINT("mode.retract", s.dct_id(mode));
+  SEMLOCK_DCT_POINT("mode.retract", &counter(mode));
 #if defined(SEMLOCK_DCT)
   if (dct::mutation_drop_retract_rewake()) {
     // Test-only mutation: retract without the rewake — a conflicting waiter
     // that parked against our transient announcement is never woken
     // (tests/dct_mutation_test.cpp validates the detector against it).
-    (void)s.release_one(mode, can_park_);
+    (void)release_one(mode);
     return false;
   }
 #endif
-  if (s.release_one(mode, can_park_)) {
+  if (release_one(mode)) {
     // Our transient announcement may have parked a conflicting waiter whose
     // real blocker released in the meantime; since ours was possibly the
     // last visible hold, replay the unlock wakeup so that waiter
@@ -302,15 +345,12 @@ bool LockMechanism::announce_validate(Storage& s, int mode, int partition,
   return false;
 }
 
-LockMechanism::Attempt LockMechanism::packed_try_acquire(PackedStorage& s,
-                                                         int mode) {
-  const PackedLayout& l = layout();
-  std::atomic<std::uint64_t>& word = s.word();
-  const auto mi = static_cast<std::size_t>(mode);
-  std::uint64_t w = word.load(std::memory_order_seq_cst);
+LockMechanism::Attempt LockMechanism::packed_try_acquire(int mode) {
+  const PackedMode& r = table_->packed_mode(mode);
+  std::uint64_t w = word_.load(std::memory_order_seq_cst);
   for (int attempt = 0;; ++attempt) {
-    SEMLOCK_DCT_POINT("word.check", &word);
-    std::uint64_t conflict = l.conflict_mask[mi];
+    SEMLOCK_DCT_POINT("word.check", &word_);
+    std::uint64_t conflict = r.conflict_mask;
 #if defined(SEMLOCK_DCT)
     // Test-only mutation: skip the compiled conflict-mask test — holders of
     // conflicting modes stop excluding each other and the serializability
@@ -318,7 +358,7 @@ LockMechanism::Attempt LockMechanism::packed_try_acquire(PackedStorage& s,
     if (dct::mutation_drop_packed_mask_check()) conflict = 0;
 #endif
     if ((w & conflict) != 0) return Attempt::Blocked;
-    if ((w & l.field_mask[mi]) == l.field_mask[mi]) {
+    if ((w & r.field_mask) == r.field_mask) {
       // Mini-counter saturated: another increment would overflow into the
       // neighbor field, so this arrival falls back to the arbitrated/wait
       // tier until a release drops the field below field_max (releases from
@@ -328,10 +368,9 @@ LockMechanism::Attempt LockMechanism::packed_try_acquire(PackedStorage& s,
     // The CAS fuses announce+validate: it claims the field ONLY if the word
     // it validated is still the word it saw, so there is no transient
     // announcement, hence no retract and no rewake on this path.
-    SEMLOCK_DCT_POINT("word.cas", &word);
-    if (word.compare_exchange_weak(w, w + l.inc[mi],
-                                   std::memory_order_seq_cst,
-                                   std::memory_order_seq_cst)) {
+    SEMLOCK_DCT_POINT("word.cas", &word_);
+    if (word_.compare_exchange_weak(w, w + r.inc, std::memory_order_seq_cst,
+                                    std::memory_order_seq_cst)) {
       return Attempt::Acquired;
     }
     // compare_exchange reloaded w; re-run the checks on the fresh value.
@@ -339,15 +378,14 @@ LockMechanism::Attempt LockMechanism::packed_try_acquire(PackedStorage& s,
   }
 }
 
-void LockMechanism::packed_word_wait(PackedStorage& s,
-                                     std::uint64_t observed) {
+void LockMechanism::packed_word_wait(std::uint64_t observed) {
 #if defined(SEMLOCK_DCT)
   if (dct::scheduled()) {
-    dct::futex_wait(s.word(), observed);
+    dct::futex_wait(word_, observed);
     return;
   }
 #endif
-  s.word().wait(observed, std::memory_order_seq_cst);
+  word_.wait(observed, std::memory_order_seq_cst);
 }
 
 bool LockMechanism::fast_path_admitted(int partition, AcquireStats& stats,
@@ -466,21 +504,20 @@ bool LockMechanism::grant_complete(int partition) {
   return slot.waiting > 0;
 }
 
-template <class Storage>
-void LockMechanism::wake_partition(Storage& s, int partition) {
-  if constexpr (Storage::kPacked) {
+template <bool kPacked>
+void LockMechanism::wake_partition(int partition) {
+  if constexpr (kPacked) {
     if (futex_word_) {
       // Futex-word wakeup: clearing W both licenses future releases to skip
       // the notify and CHANGES THE WORD'S VALUE, so sleepers blocked on any
       // stale `observed` return from wait. Woken waiters re-publish W before
       // sleeping again, so a cleared bit never strands a still-blocked
       // waiter.
-      const std::uint64_t waiters_bit = layout().waiters_bit;
-      std::atomic<std::uint64_t>& word = s.word();
-      if ((word.load(std::memory_order_seq_cst) & waiters_bit) != 0) {
-        word.fetch_and(~waiters_bit, std::memory_order_seq_cst);
-        SEMLOCK_DCT_POINT("word.wake", &word);
-        word.notify_all();
+      constexpr std::uint64_t waiters_bit = PackedLayout::waiters_bit;
+      if ((word_.load(std::memory_order_seq_cst) & waiters_bit) != 0) {
+        word_.fetch_and(~waiters_bit, std::memory_order_seq_cst);
+        SEMLOCK_DCT_POINT("word.wake", &word_);
+        word_.notify_all();
       }
       return;
     }
@@ -488,31 +525,29 @@ void LockMechanism::wake_partition(Storage& s, int partition) {
   parking_->unpark_all(partition);
 }
 
-template <class Storage>
-LockMechanism::Attempt LockMechanism::try_acquire(Storage& s, int mode,
-                                                  int partition,
+template <bool kPacked>
+LockMechanism::Attempt LockMechanism::try_acquire(int mode, int partition,
                                                   AcquireStats& stats,
                                                   bool doorway) {
   if (doorway && !fast_path_admitted(partition, stats, mode)) {
     return Attempt::Blocked;
   }
-  if constexpr (Storage::kPacked) {
+  if constexpr (kPacked) {
     // The CAS validates against the word it claims, so the pre-check is
     // part of the attempt itself.
-    return packed_try_acquire(s, mode);
+    return packed_try_acquire(mode);
   } else {
     // Fig. 20 pre-check: a visibly held conflict is refused before the
     // announcement, so it costs no transient increment and no retract.
     // Validation inside announce_validate is unconditional.
-    if (doorway && !conflicts_clear(s, mode)) return Attempt::Blocked;
-    return announce_validate(s, mode, partition, stats) ? Attempt::Acquired
-                                                        : Attempt::Contended;
+    if (doorway && !conflicts_clear<false>(mode)) return Attempt::Blocked;
+    return announce_validate(mode, partition, stats) ? Attempt::Acquired
+                                                     : Attempt::Contended;
   }
 }
 
-template <class Storage>
-void LockMechanism::lock_impl(Storage& s, int mode,
-                              const LockSiteArgs* args) {
+template <bool kPacked>
+void LockMechanism::lock_impl(int mode, const LockSiteArgs* args) {
   auto& stats = local_acquire_stats();
   ++stats.acquisitions;
   LM_OBS_EVENT(kAcquireBegin, mode);
@@ -523,7 +558,7 @@ void LockMechanism::lock_impl(Storage& s, int mode,
   // arrival to the wait path.
   for (int attempt = 0; attempt < kOptimisticAttempts; ++attempt) {
     const Attempt r =
-        try_acquire(s, mode, partition, stats, /*doorway=*/true);
+        try_acquire<kPacked>(mode, partition, stats, /*doorway=*/true);
     if (r == Attempt::Acquired) {
       ++stats.optimistic_hits;
       LM_OBS_EVENT(kOptimisticHit, mode);
@@ -534,11 +569,11 @@ void LockMechanism::lock_impl(Storage& s, int mode,
     if (r == Attempt::Blocked) break;
     backoff_pause(attempt);
   }
-  lock_contended(s, mode, partition, stats, args);
+  lock_contended<kPacked>(mode, partition, stats, args);
 }
 
-template <class Storage>
-void LockMechanism::lock_contended(Storage& s, int mode, int partition,
+template <bool kPacked>
+void LockMechanism::lock_contended(int mode, int partition,
                                    AcquireStats& stats,
                                    const LockSiteArgs* args) {
   util::Spinlock& internal = partition_lock(partition);
@@ -657,7 +692,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   for (;;) {
     const bool eligible =
         ticket == kMaxTicket || waiter_eligible(partition, ticket);
-    if (eligible && conflicts_clear(s, mode)) {
+    if (eligible && conflicts_clear<kPacked>(mode)) {
       // Tier T2: the T1 protocol, arbitrated — the internal lock serializes
       // the slow-path waiters of this partition so they cannot starve each
       // other with dueling announcements, and doorway=false because a
@@ -666,7 +701,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
       // T1 announcers, which never take this lock.)
       internal.lock();
       const bool acquired =
-          try_acquire(s, mode, partition, stats, /*doorway=*/false) ==
+          try_acquire<kPacked>(mode, partition, stats, /*doorway=*/false) ==
           Attempt::Acquired;
       bool handoff = false;
       if (acquired && ticket != kMaxTicket) {
@@ -676,8 +711,10 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
       if (acquired) {
         if (handoff) {
           // The cursor moved: wake the partition so the newly eligible
-          // waiter re-validates instead of sleeping on a stale turn.
-          wake_partition(s, partition);
+          // waiter re-validates instead of sleeping on a stale turn. A
+          // spin-yield waiter never sleeps; it sees the cursor at its next
+          // poll.
+          if (can_park_) wake_partition<kPacked>(partition);
           ++stats.handoffs;
           LM_OBS_EVENT(kGrantHandoff, mode);
         }
@@ -718,7 +755,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
     }
     if (wait.step()) {
       bool slept_on_word = false;
-      if constexpr (Storage::kPacked) {
+      if constexpr (kPacked) {
         if (futex_word_) {
           // Waiter half of the futex-word handshake: publish the waiters
           // bit with an RMW on the word itself, then re-validate against
@@ -729,15 +766,14 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           // already shows the conflict clear and we retry instead of
           // sleeping). Only Free grants sleep on the word
           // (effective_wait_policy), so there is no ticket to re-check.
-          const PackedLayout& l = layout();
-          const auto mi = static_cast<std::size_t>(mode);
-          SEMLOCK_DCT_POINT("word.announce", &s.word());
+          const PackedMode& r = table_->packed_mode(mode);
+          constexpr std::uint64_t waiters_bit = PackedLayout::waiters_bit;
+          SEMLOCK_DCT_POINT("word.announce", &word_);
           const std::uint64_t observed =
-              s.word().fetch_or(l.waiters_bit, std::memory_order_seq_cst) |
-              l.waiters_bit;
-          bool still_blocked =
-              (observed & l.conflict_mask[mi]) != 0 ||
-              (observed & l.field_mask[mi]) == l.field_mask[mi];
+              word_.fetch_or(waiters_bit, std::memory_order_seq_cst) |
+              waiters_bit;
+          bool still_blocked = (observed & r.conflict_mask) != 0 ||
+                               (observed & r.field_mask) == r.field_mask;
 #if defined(SEMLOCK_DCT)
           // Test-only mutation: sleep blind, skipping the re-validation
           // half of the handshake — the lost-wakeup bug the DCT harness
@@ -752,7 +788,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
               watchdog_scope.set_blocker(blocker.owner, blocker.site);
             }
 #endif
-            packed_word_wait(s, observed);
+            packed_word_wait(observed);
             ++stats.parks;
             LM_OBS_EVENT(kUnpark, mode);
           }
@@ -774,9 +810,9 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
         // detect.
         const bool revalidated =
             !dct::mutation_drop_announce_revalidate() && turn_ok &&
-            conflicts_clear(s, mode);
+            conflicts_clear<kPacked>(mode);
 #else
-        const bool revalidated = turn_ok && conflicts_clear(s, mode);
+        const bool revalidated = turn_ok && conflicts_clear<kPacked>(mode);
 #endif
         if (revalidated) {
           parking_->retract(partition);
@@ -797,9 +833,8 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   }
 }
 
-template <class Storage>
-bool LockMechanism::try_lock_impl(Storage& s, int mode,
-                                  const LockSiteArgs* args) {
+template <bool kPacked>
+bool LockMechanism::try_lock_impl(int mode, const LockSiteArgs* args) {
   auto& stats = local_acquire_stats();
   ++stats.acquisitions;
   LM_OBS_EVENT(kAcquireBegin, mode);
@@ -816,7 +851,7 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
   // churn stood in the way: two conflicting try_locks that retract against
   // each other's announcements settle under the internal lock, where
   // exactly one of them revalidates.
-  Attempt r = try_acquire(s, mode, partition, stats, /*doorway=*/true);
+  Attempt r = try_acquire<kPacked>(mode, partition, stats, /*doorway=*/true);
   if (r == Attempt::Acquired) {
     ++stats.optimistic_hits;
     LM_OBS_EVENT(kOptimisticHit, mode);
@@ -825,7 +860,7 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
     internal.lock();
     // The retry acquires at once, like tier T2: this arrival already passed
     // the doorway and the pre-check.
-    r = try_acquire(s, mode, partition, stats, /*doorway=*/false);
+    r = try_acquire<kPacked>(mode, partition, stats, /*doorway=*/false);
     internal.unlock();
     if (r == Attempt::Acquired) LM_OBS_EVENT(kAcquireGrant, mode);
   }
@@ -842,27 +877,26 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
   return false;
 }
 
-template <class Storage>
-void LockMechanism::unlock_impl(Storage& s, int mode) {
-  if constexpr (Storage::kPacked) {
+template <bool kPacked>
+void LockMechanism::unlock_impl(int mode) {
+  if constexpr (kPacked) {
     LM_OBS_EVENT(kRelease, mode);
-    const PackedLayout& l = layout();
-    const auto mi = static_cast<std::size_t>(mode);
-    SEMLOCK_DCT_POINT("word.release", &s.word());
+    const PackedMode& r = table_->packed_mode(mode);
+    SEMLOCK_DCT_POINT("word.release", &word_);
     const std::uint64_t old =
-        s.word().fetch_sub(l.inc[mi], std::memory_order_seq_cst);
+        word_.fetch_sub(r.inc, std::memory_order_seq_cst);
     if (!can_park_) return;
-    const std::uint64_t field = old & l.field_mask[mi];
+    const std::uint64_t field = old & r.field_mask;
     // Wake when a sleeper's predicate may have flipped: this was the mode's
     // last hold (conflicting waiters can now validate), or the field just
     // dropped out of saturation (same-mode waiters blocked on field_max).
-    if (field == l.inc[mi] || field == l.field_mask[mi]) {
-      wake_partition(s, table_->partition_of(mode));
+    if (field == r.inc || field == r.field_mask) {
+      wake_partition<true>(table_->partition_of(mode));
     }
   } else {
     LM_OBS_EVENT(kRelease, mode);
-    SEMLOCK_DCT_POINT("mode.release", s.dct_id(mode));
-    if (s.release_one(mode, can_park_)) {
+    SEMLOCK_DCT_POINT("mode.release", &counter(mode));
+    if (release_one(mode)) {
       // Wake only when this was the mode's last hold: a counter that stays
       // nonzero cannot turn any waiter's conflicts_clear from false to
       // true, so waking earlier would only stampede waiters into
@@ -876,22 +910,22 @@ void LockMechanism::unlock_impl(Storage& s, int mode) {
 
 void LockMechanism::lock(int mode, const LockSiteArgs* args) {
   if (packed_) {
-    lock_impl(storage_as<PackedStorage>(), mode, args);
+    lock_impl<true>(mode, args);
   } else {
-    lock_impl(storage_as<StripedStorage>(), mode, args);
+    lock_impl<false>(mode, args);
   }
 }
 
 bool LockMechanism::try_lock(int mode, const LockSiteArgs* args) {
-  return packed_ ? try_lock_impl(storage_as<PackedStorage>(), mode, args)
-                 : try_lock_impl(storage_as<StripedStorage>(), mode, args);
+  return packed_ ? try_lock_impl<true>(mode, args)
+                 : try_lock_impl<false>(mode, args);
 }
 
 void LockMechanism::unlock(int mode) {
   if (packed_) {
-    unlock_impl(storage_as<PackedStorage>(), mode);
+    unlock_impl<true>(mode);
   } else {
-    unlock_impl(storage_as<StripedStorage>(), mode);
+    unlock_impl<false>(mode);
   }
 }
 

@@ -3,10 +3,15 @@
 // Per ADT instance, the mechanism tracks, per (canonical) locking mode, the
 // number of transactions currently holding that mode. HOW those counts are
 // represented is a storage policy (semlock/storage_policy.h) chosen per
-// mode table: Striped (one atomic per mode, the paper's layout, plus striped
-// banks for self-commuting modes when counter_stripes > 0) or Packed (the
-// whole table in one 64-bit word with compiled conflict masks). Acquisition
-// runs through three tiers (docs/FAST_PATH.md):
+// mode table: Striped (one atomic per mode in the slab, the paper's layout,
+// plus a striped counter bank for the table's stripe rows) or Packed (the
+// whole table in the mechanism's one 64-bit word, with the table's compiled
+// per-mode masks). An instance owns its counters, partition spinlocks and
+// waiting state; everything derived from the conflict graph (slab offsets,
+// stripe rows, packed masks) is read from the shared ModeTable. Each
+// representation compiles its own specialization of the protocol (a `bool
+// kPacked` template parameter), and lock()/unlock() pick one by the packed
+// flag. Acquisition runs through three tiers (docs/FAST_PATH.md):
 //
 //   T1 (optimistic): the Fig. 20 pre-check (skip a visibly held conflict
 //      without writing anything), then announce by incrementing C_l,
@@ -19,9 +24,10 @@
 //   T2 (arbitrated): the same protocol under the partition's internal
 //      spinlock, so conflicting waiters make progress in turn.
 //   T3 (waiting): between T2 attempts, spin/yield/park per the table's wait
-//      policy. Under the futex-word policy (Packed storage, Free grants),
-//      waiters sleep directly on the lock word via std::atomic::wait
-//      instead of the ParkingLot.
+//      policy. Under spin-then-park waiters sleep in the mechanism's
+//      ParkingLot; under the futex-word policy (Packed storage, Free grants)
+//      they sleep directly on the lock word via std::atomic::wait. Only the
+//      former allocates a ParkingLot: under spin-yield nobody parks.
 //
 // `unlock(l)` decrements C_l and, when that was the mode's last hold and the
 // wait policy can park, wakes the released mode's conflict partition.
@@ -31,10 +37,10 @@
 // contend on mechanism metadata — this is what turns the synthesized
 // synchronization into, e.g., key striping for ComputeIfAbsent. Under
 // striped storage this holds per cache line: each partition's counters and
-// internal lock, its ParkingLot slot and its grant slot sit on lines of
-// their own (docs/FAST_PATH.md §8). The same partitioning scopes wakeups: a
-// release bumps only its own partition's ParkingLot generation, so waiters
-// in unrelated conflict components never stampede
+// internal lock, and its ParkingLot slot and grant slot when those exist,
+// sit on lines of their own (docs/FAST_PATH.md §8). The same partitioning
+// scopes wakeups: a release bumps only its own partition's ParkingLot
+// generation, so waiters in unrelated conflict components never stampede
 // (src/runtime/parking_lot.h documents the no-lost-wakeup handshake;
 // ModeTableConfig::wait_policy selects how waiters wait).
 //
@@ -55,7 +61,6 @@
 #include <memory>
 #include <new>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "commute/value.h"
@@ -64,11 +69,10 @@
 #include "runtime/wait_policy.h"
 #include "semlock/acquire_stats.h"
 #include "semlock/mode_table.h"
-#include "semlock/storage_packed.h"
 #include "semlock/storage_policy.h"
-#include "semlock/storage_striped.h"
 #include "util/align.h"
 #include "util/spinlock.h"
+#include "util/striped_counter.h"
 
 namespace semlock {
 
@@ -175,7 +179,7 @@ class LockMechanism {
 
   // Total per-instance memory of this mechanism: the object itself plus
   // every heap allocation it owns (the slab of counters and partition locks,
-  // stripe banks, ParkingLot, grant slots, attribution records). Logical
+  // the stripe bank, ParkingLot, grant slots, attribution records). Logical
   // bytes as requested from the allocator; bench_footprint compares the
   // storage policies with it.
   std::size_t footprint_bytes() const;
@@ -185,9 +189,10 @@ class LockMechanism {
   const std::byte* slab() const { return slab_.get(); }
 
   // Waiting-subsystem observability (tests, watchdog, benches). The
-  // ParkingLot exists unless waiters sleep on the packed word itself
-  // (Packed storage under the futex-word policy and Free grants); callers
-  // in that configuration must not ask for it.
+  // ParkingLot exists only where a waiter can park in it: under the
+  // effective spin-then-park policy. Spin-yield waiters never sleep, and
+  // futex-word waiters sleep on the packed word; callers must check
+  // has_parking_lot() before asking for it.
   const runtime::ParkingLot& parking_lot() const { return *parking_; }
   bool has_parking_lot() const { return parking_ != nullptr; }
   runtime::WaitPolicyKind wait_policy() const { return policy_; }
@@ -233,26 +238,6 @@ class LockMechanism {
   // churn did, so an arbitrated retry may land.
   enum class Attempt { Acquired, Blocked, Contended };
 
-  using StorageVariant = std::variant<StripedStorage, PackedStorage>;
-
-  static StorageVariant make_storage(const ModeTable& table, std::byte* slab);
-
-  // The live storage, named by packed_ rather than by the variant's index:
-  // the index sits after the storage, on the packed word's cache line.
-  template <class Storage>
-  Storage& storage_as() {
-    Storage* s = std::get_if<Storage>(&storage_);
-    if (s == nullptr) __builtin_unreachable();  // packed_ names the live one
-    return *s;
-  }
-  template <class Storage>
-  const Storage& storage_as() const {
-    return const_cast<LockMechanism*>(this)->storage_as<Storage>();
-  }
-
-  // The table's packed-word layout; packed_ mechanisms only.
-  const PackedLayout& layout() const { return *table_->packed_layout(); }
-
   // Frees the slab with the alignment ModeTable::slab_align() gave it.
   struct SlabFree {
     std::align_val_t align;
@@ -267,31 +252,30 @@ class LockMechanism {
         table_->lock_offsets()[static_cast<std::size_t>(partition)]));
   }
 
-  // --- storage-generic algorithm (defined in lock_mechanism.cpp; each
-  // member template is instantiated there for the two policies, with
-  // `if constexpr (Storage::kPacked)` carrying the packed-word variants of
-  // the protocol steps). ----------------------------------------------------
-  template <class Storage>
-  void lock_impl(Storage& s, int mode, const LockSiteArgs* args);
-  template <class Storage>
-  bool try_lock_impl(Storage& s, int mode, const LockSiteArgs* args);
-  template <class Storage>
-  void unlock_impl(Storage& s, int mode);
-  template <class Storage>
-  void lock_contended(Storage& s, int mode, int partition,
-                      AcquireStats& stats, const LockSiteArgs* args);
+  // --- The algorithm, one specialization per counter representation
+  // (defined in lock_mechanism.cpp and instantiated there for both values of
+  // kPacked; `if constexpr (kPacked)` carries the packed-word variants of
+  // the protocol steps). --------------------------------------------------
+  template <bool kPacked>
+  void lock_impl(int mode, const LockSiteArgs* args);
+  template <bool kPacked>
+  bool try_lock_impl(int mode, const LockSiteArgs* args);
+  template <bool kPacked>
+  void unlock_impl(int mode);
+  template <bool kPacked>
+  void lock_contended(int mode, int partition, AcquireStats& stats,
+                      const LockSiteArgs* args);
 
-  template <class Storage>
-  bool conflicts_clear(const Storage& s, int mode) const;
+  template <bool kPacked>
+  bool conflicts_clear(int mode) const;
   // Validation once our own announcement is already counted: `self_allow`
   // holds of `mode` itself are ours, not a conflict (a self-conflicting mode
   // appears in its own conflicts_of row). The optimistic tier validates with
   // seq_cst loads (free on x86) to close the Dekker argument against the
   // seq_cst announce RMW. (Packed storage never announces transiently, so
   // its conflicts_clear ignores self_allow and is one masked load.)
-  template <class Storage>
-  bool conflicts_clear_impl(const Storage& s, int mode,
-                            std::uint32_t self_allow,
+  template <bool kPacked>
+  bool conflicts_clear_impl(int mode, std::uint32_t self_allow,
                             std::memory_order order) const;
 
   // One acquisition attempt of tiers T1/T2. With `doorway` the attempt
@@ -299,24 +283,36 @@ class LockMechanism {
   // pre-check before announcing. The ticketed arbitrated tier passes false:
   // its caller has pre-checked and its turn came, so its own barrier must
   // not divert it.
-  template <class Storage>
-  Attempt try_acquire(Storage& s, int mode, int partition, AcquireStats& stats,
+  template <bool kPacked>
+  Attempt try_acquire(int mode, int partition, AcquireStats& stats,
                       bool doorway);
 
   // The announce/validate/retract step, striped storage only. Returns
   // true when `mode` was acquired; on failure the announcement has been
   // retracted and, if it might have parked a conflicting waiter, the
   // partition rewoken.
-  template <class Storage>
-  bool announce_validate(Storage& s, int mode, int partition,
-                         AcquireStats& stats);
+  bool announce_validate(int mode, int partition, AcquireStats& stats);
 
   // Packed equivalent of announce_validate: one bounded CAS-loop attempt.
   // Returns Contended on CAS churn without a visible blocker.
-  Attempt packed_try_acquire(PackedStorage& s, int mode);
+  Attempt packed_try_acquire(int mode);
   // Sleep on the packed word until it differs from `observed` (futex-word
   // policy; cooperative under DCT).
-  static void packed_word_wait(PackedStorage& s, std::uint64_t observed);
+  void packed_word_wait(std::uint64_t observed);
+
+  // --- Striped counters: the mode's plain counter in the slab, or its row
+  // of bank_ when the table gives it one (ModeTable::stripe_row). The
+  // counter's address is the mode's DCT identity either way. -------------
+  std::atomic<std::uint32_t>& counter(int mode) const {
+    return *std::launder(reinterpret_cast<std::atomic<std::uint32_t>*>(
+        slab_.get() +
+        table_->counter_offsets()[static_cast<std::size_t>(mode)]));
+  }
+  std::uint32_t striped_holders(int mode, std::memory_order order) const;
+  void increment(int mode, std::memory_order order);
+  // Releases one hold; true when the caller must wake the partition (this
+  // was the mode's last hold and the wait policy can park).
+  bool release_one(int mode);
 
   // Doorway check for the bypass tiers (T1, try_lock) of both storages: may
   // this arrival acquire without a ticket? Charges stats.diverted and emits
@@ -336,9 +332,10 @@ class LockMechanism {
   // must wake the partition so the next eligible waiter re-validates.
   bool grant_complete(int partition);
   // Wake every waiter of `partition`: ParkingLot unpark, or the futex-word
-  // clear-waiters-bit + notify protocol for packed words.
-  template <class Storage>
-  void wake_partition(Storage& s, int partition);
+  // clear-waiters-bit + notify protocol for packed words. Only where a
+  // waiter can sleep (can_park_).
+  template <bool kPacked>
+  void wake_partition(int partition);
 
   std::uint32_t holder_count(int mode, std::memory_order order) const;
 
@@ -346,7 +343,8 @@ class LockMechanism {
   // no cache line with the packed word at any 16 B heap placement
   // (docs/FAST_PATH.md §7). ---------------------------------------------
   const ModeTable* table_;
-  // storage_ holds PackedStorage; lock() and unlock() dispatch on it.
+  // The table's storage is Packed: the counters are word_. lock() and
+  // unlock() dispatch on this flag.
   bool packed_;
   bool trace_;
   // False under SpinYield: unlock skips the wakeup fence entirely, keeping
@@ -358,30 +356,44 @@ class LockMechanism {
   // tiers consult its barrier.
   bool ticketed_;
 
-  // --- Slow path only, before the storage. -----------------------------
+  // --- Read by the striped fast path too: the slab and the stripe bank,
+  // so it reads only the first 40 bytes of the object. ------------------
   // One allocation for the mode counters and the partition spinlocks, laid
   // out by the table (ModeTable::counter_offsets).
   std::unique_ptr<std::byte, SlabFree> slab_;
-  // Null only for Packed storage under the futex-word policy (Free grants),
-  // where waiters sleep on the lock word itself and the per-partition slots
-  // would be dead weight at "millions of instances" scale.
+  // One row per ModeTable::stripe_row; null when the table has none.
+  std::unique_ptr<util::StripedCounterBank> bank_;
+
+  // --- Slow path only. ----------------------------------------------------
+  // Only under the effective spin-then-park policy, the one whose waiters
+  // park in it (can_park_ && !futex_word_); null otherwise, so a default
+  // spin-yield mechanism spends nothing on parking.
   std::unique_ptr<runtime::ParkingLot> parking_;
   // One slot per conflict partition; nullptr under the Free policy.
   std::unique_ptr<GrantSlot[]> grant_slots_;
   runtime::WaitPolicyKind policy_;
   runtime::GrantPolicyKind grant_policy_;
+
+  // --- From byte 64: a packed mechanism's counters, then slow-path fields.
+  // Those share the word's line harmlessly: a packed acquisition that reads
+  // them reads the word too, and a striped mechanism never writes it. -----
+  std::atomic<std::uint64_t> word_{0};
   std::uint32_t spin_limit_;
   std::uint32_t bypass_bound_;
-
-  // --- From byte 64: the storage, a packed mechanism's word first. ------
-  StorageVariant storage_;
 #if defined(SEMLOCK_OBS)
   // One seqlock-protected last-acquirer record per mode, allocated only when
   // this mechanism traces (nullptr otherwise). Written at every grant that
   // carries LockSiteArgs; read by the attribution classifier when a waiter
   // blocks against the mode. (src/obs/attribution.h.)
   std::unique_ptr<obs::AttrRecord[]> attr_records_;
+  [[maybe_unused]] std::byte tail_pad_[24];
+#else
+  [[maybe_unused]] std::byte tail_pad_[32];
 #endif
+  // tail_pad_ ends the object 48 B past the word, at 112 B. With glibc's
+  // 8 B chunk header and 16 B granules the next heap chunk, usually this
+  // mechanism's own slab whose spinlock contended waiters write, then starts
+  // a line past the word's at every placement (docs/FAST_PATH.md §7).
 
   // tests/lock_mechanism_test.cpp checks where these fields fall.
   friend struct LockMechanismLayoutPeer;

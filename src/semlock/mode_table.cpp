@@ -643,20 +643,18 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
       l.num_modes = m;
       l.bits_per_mode = bits;
       l.field_max = (std::uint64_t{1} << bits) - 1;
-      l.waiters_bit = std::uint64_t{1} << 63;
       for (int i = 0; i < m; ++i) {
-        const auto mi = static_cast<std::size_t>(i);
-        l.shift[mi] = static_cast<std::uint32_t>(i) * bits;
-        l.inc[mi] = std::uint64_t{1} << l.shift[mi];
-        l.field_mask[mi] = l.field_max << l.shift[mi];
+        PackedMode& r = l.modes[static_cast<std::size_t>(i)];
+        r.shift = static_cast<std::uint32_t>(i) * bits;
+        r.inc = std::uint64_t{1} << r.shift;
+        r.field_mask = l.field_max << r.shift;
       }
       for (int i = 0; i < m; ++i) {
         const auto mi = static_cast<std::size_t>(i);
-        std::uint64_t conflict = 0;
         for (const std::int32_t other : table.conflicts_[mi]) {
-          conflict |= l.field_mask[static_cast<std::size_t>(other)];
+          l.modes[mi].conflict_mask |=
+              l.modes[static_cast<std::size_t>(other)].field_mask;
         }
-        l.conflict_mask[mi] = conflict;
       }
       table.packed_ok_ = true;
     }
@@ -682,6 +680,18 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
   table.storage_ = wanted == StorageKind::Packed && table.packed_ok_
                        ? StorageKind::Packed
                        : StorageKind::Striped;
+
+  // --- Stripe rows (mode_table.h). ----------------------------------------
+  // Striped storage with stripes on gives each self-commuting mode the next
+  // row of the instance's counter bank, in mode order.
+  table.stripe_row_.assign(nc, -1);
+  if (table.storage_ == StorageKind::Striped && cfg.counter_stripes > 0) {
+    for (std::size_t m = 0; m < nc; ++m) {
+      if (self_commutes(static_cast<std::int32_t>(m))) {
+        table.stripe_row_[m] = static_cast<std::int32_t>(table.stripe_rows_++);
+      }
+    }
+  }
 
   // --- Per-instance slab layout (mode_table.h). ---------------------------
   // Partition-major: each partition's counters in mode order, then its

@@ -5,8 +5,9 @@
 // One ModeTable is shared, immutably, by every ADT instance of the same
 // (ADT class, pointer equivalence class) pair — per-instance state is only
 // the counters held by SemanticLock, in the striped or packed storage the
-// table selects (semlock/storage_policy.h), laid out by the table's slab
-// offsets below.
+// table selects (semlock/storage_policy.h). Everything derived from the
+// conflict graph lives here: the packed records, the stripe rows and the
+// slab offsets below.
 #pragma once
 
 #include <cstddef>
@@ -160,6 +161,11 @@ class ModeTable {
   const PackedLayout* packed_layout() const {
     return packed_ok_ ? &packed_ : nullptr;
   }
+  // One mode's packed record, with no eligibility test: only for tables
+  // whose storage() is Packed.
+  const PackedMode& packed_mode(int mode) const {
+    return packed_.modes[static_cast<std::size_t>(mode)];
+  }
 
   // The counter representation mechanisms over this table use: the
   // config's storage if it forces one, else Packed when the table fits and
@@ -167,6 +173,15 @@ class ModeTable {
   // no packed layout (> kMaxPackedModes canonical modes) falls back to
   // Striped.
   StorageKind storage() const { return storage_; }
+
+  // The mode's row in each instance's striped counter bank, or -1 when the
+  // mode counts on its plain counter. A mode has a row exactly when the
+  // storage is Striped, counter_stripes > 0 and the mode commutes with
+  // itself; rows are numbered 0..stripe_rows()-1 in mode order.
+  int stripe_row(int mode) const {
+    return stripe_row_[static_cast<std::size_t>(mode)];
+  }
+  std::uint32_t stripe_rows() const { return stripe_rows_; }
 
   // The per-instance slab (docs/FAST_PATH.md §8): byte offsets, by mode and
   // by partition, of each mode's holder counter and each partition's
@@ -210,6 +225,8 @@ class ModeTable {
   PackedLayout packed_;
   bool packed_ok_ = false;
   StorageKind storage_ = StorageKind::Striped;
+  std::vector<std::int32_t> stripe_row_;
+  std::uint32_t stripe_rows_ = 0;
   std::vector<std::uint32_t> counter_offset_;  // empty under Packed storage
   std::vector<std::uint32_t> lock_offset_;
   std::size_t slab_bytes_ = 0;

@@ -30,22 +30,28 @@ namespace semlock {
 
 inline constexpr int kMaxPackedModes = 8;
 
+// Everything a packed acquisition or release reads for one mode, in one
+// 32 B-aligned record, so the masks come from a single table line.
+struct alignas(32) PackedMode {
+  std::uint64_t inc = 0;         // 1 << shift
+  std::uint64_t field_mask = 0;  // field_max << shift
+  // OR of field_mask over conflicts_of(m) — `word & conflict_mask` is
+  // nonzero iff some conflicting mode (possibly m itself, when
+  // self-conflicting) is held. This is conflicts_clear(m) as one AND.
+  std::uint64_t conflict_mask = 0;
+  // The field occupies bits [shift, shift + bits_per_mode).
+  std::uint32_t shift = 0;
+};
+static_assert(sizeof(PackedMode) == 32);
+
 struct PackedLayout {
+  // Futex-word waiters-present bit.
+  static constexpr std::uint64_t waiters_bit = std::uint64_t{1} << 63;
   int num_modes = 0;
   std::uint32_t bits_per_mode = 0;
   // Saturation value of one (unshifted) field: (1 << bits_per_mode) - 1.
   std::uint64_t field_max = 0;
-  // Futex-word waiters-present bit (bit 63).
-  std::uint64_t waiters_bit = 0;
-  // Per-mode field geometry: field m occupies bits
-  // [shift[m], shift[m] + bits_per_mode).
-  std::array<std::uint32_t, kMaxPackedModes> shift{};
-  std::array<std::uint64_t, kMaxPackedModes> inc{};         // 1 << shift[m]
-  std::array<std::uint64_t, kMaxPackedModes> field_mask{};  // field_max << shift[m]
-  // OR of field_mask over conflicts_of(m) — `word & conflict_mask[m]` is
-  // nonzero iff some conflicting mode (possibly m itself, when
-  // self-conflicting) is held. This is conflicts_clear(m) as one AND.
-  std::array<std::uint64_t, kMaxPackedModes> conflict_mask{};
+  std::array<PackedMode, kMaxPackedModes> modes{};
 };
 
 }  // namespace semlock

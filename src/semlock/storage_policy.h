@@ -2,21 +2,24 @@
 //
 // Per ADT instance the mechanism needs, per canonical mode, "how many
 // transactions currently hold this mode". Two representations coexist
-// behind LockMechanism, chosen per mode table by ModeTable::compile:
+// inside LockMechanism, chosen per mode table by ModeTable::compile; each
+// compiles its own specialization of the acquisition protocol:
 //
-//   Striped — one std::atomic<uint32_t> per mode (the paper's Fig. 20
-//             layout), plus BRAVO/SNZI-style striped banks for the
-//             self-commuting modes (util/striped_counter.h) when
-//             ModeTableConfig::counter_stripes > 0. With counter_stripes = 0
-//             every mode keeps its plain counter. Striping pays when many
-//             commuting holders would otherwise ping-pong one counter line.
-//   Packed  — the whole mode table in ONE 64-bit atomic word: per-mode
-//             holder mini-counters in bit fields, the conflict check
-//             compiled by ModeTable into a single `word & conflict_mask[m]`
-//             test, and (under the futex-word wait policy) waiters sleeping
-//             directly on the word via C++20 std::atomic::wait. Possible
-//             for tables with <= 8 canonical modes (every synthesized ADT in
-//             src/adt). See docs/FAST_PATH.md §7 for the bit layout.
+//   Striped — one std::atomic<uint32_t> per mode in the mechanism's slab
+//             (the paper's Fig. 20 layout), plus a BRAVO/SNZI-style striped
+//             counter bank (util/striped_counter.h) with one row per
+//             self-commuting mode when ModeTableConfig::counter_stripes > 0
+//             (ModeTable::stripe_row). With counter_stripes = 0 every mode
+//             keeps its plain counter. Striping pays when many commuting
+//             holders would otherwise ping-pong one counter line.
+//   Packed  — the whole mode table in ONE 64-bit atomic word of the
+//             mechanism: per-mode holder mini-counters in bit fields, the
+//             conflict check compiled by ModeTable into a single
+//             `word & conflict_mask` test (semlock/packed_layout.h), and
+//             (under the futex-word wait policy) waiters sleeping directly
+//             on the word via C++20 std::atomic::wait. Possible for tables
+//             with <= 8 canonical modes (every synthesized ADT in src/adt).
+//             See docs/FAST_PATH.md §7 for the bit layout.
 //
 // Unless forced, a table packs when it can and has no *reader*: a
 // self-commuting mode whose conflicting modes are all self-conflicting (or
@@ -28,7 +31,9 @@
 // Packed request over a table of more than 8 modes falls back to Striped.
 // LockMechanism::storage() reports the representation actually in use.
 //
-// Both storages read the grant barrier from the mechanism's GrantSlot
+// Everything shape-dependent (slab offsets, stripe rows, packed records)
+// lives in the shared ModeTable; an instance owns only its counters. Both
+// representations read the grant barrier from the mechanism's GrantSlot
 // (docs/RUNTIME_WAITING.md §5); neither keeps a copy of it.
 #pragma once
 

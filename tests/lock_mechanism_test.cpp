@@ -35,8 +35,7 @@ struct LockMechanismLayoutPeer {
             range(m.can_park_),   range(m.futex_word_), range(m.ticketed_)};
   }
   static std::uintptr_t word(const LockMechanism& m) {
-    return reinterpret_cast<std::uintptr_t>(
-        &std::get<PackedStorage>(m.storage_).word());
+    return reinterpret_cast<std::uintptr_t>(&m.word_);
   }
 };
 
@@ -751,8 +750,9 @@ INSTANTIATE_TEST_SUITE_P(AllTables, SlabLayout,
 // The packed word is the one field of the object that acquisitions write.
 // Wherever the allocator puts the mechanism (16 B granules), the word's cache
 // line holds none of the fields every lock() and unlock() reads, so a CAS on
-// the word never evicts them from another core; and the object stays the
-// size it was, unaligned.
+// the word never evicts them from another core. Nor does it hold the next
+// heap chunk (an 8 B header, 16 B granules), usually the mechanism's own
+// slab, whose spinlock contended waiters write. The object is unaligned.
 TEST(SlabLayout, PackedWordSharesNoLineWithFastPathFields) {
   const auto t = ModeTable::compile(
       commute::account_spec(),
@@ -760,17 +760,21 @@ TEST(SlabLayout, PackedWordSharesNoLineWithFastPathFields) {
        SymbolicSet({op("balance")})},
       ModeTableConfig{.storage = std::nullopt});
   ASSERT_EQ(t.storage(), StorageKind::Packed);
-#if defined(SEMLOCK_OBS)
-  EXPECT_EQ(sizeof(LockMechanism), 128u);
-#endif
+  EXPECT_EQ(sizeof(LockMechanism), 112u);
   EXPECT_EQ(alignof(LockMechanism), alignof(void*));
   constexpr std::uintptr_t kLine = util::kCacheLineSize;
+  constexpr std::uintptr_t kChunk =
+      (sizeof(LockMechanism) + 8 + 15) / 16 * 16;
   alignas(64) std::byte buffer[64 + sizeof(LockMechanism)];
   for (std::size_t offset = 0; offset < 64; offset += 16) {
     auto* m = ::new (buffer + offset) LockMechanism(t);
     const std::uintptr_t word = LockMechanismLayoutPeer::word(*m);
     EXPECT_EQ(word / kLine, (word + sizeof(std::uint64_t) - 1) / kLine);
     EXPECT_GE(word - reinterpret_cast<std::uintptr_t>(m), 64u);
+    const std::uintptr_t next_chunk =
+        reinterpret_cast<std::uintptr_t>(m) + kChunk;
+    EXPECT_GT(next_chunk / kLine, (word + sizeof(std::uint64_t) - 1) / kLine)
+        << "offset " << offset;
     for (const auto& [begin, end] :
          LockMechanismLayoutPeer::fast_path_fields(*m)) {
       EXPECT_NE(begin / kLine, word / kLine) << "offset " << offset;
@@ -782,8 +786,8 @@ TEST(SlabLayout, PackedWordSharesNoLineWithFastPathFields) {
 
 TEST(SlabLayout, SinglePartitionFootprintIsUnchanged) {
   // BENCH_footprint's 8-mode striped table: one partition, so a dense slab.
-  // The whole mechanism keeps the 265 B that BENCH_footprint.json records
-  // (an obs-less build drops the 8 B attribution-record pointer).
+  // The whole mechanism takes the 217 B that BENCH_footprint.json records:
+  // the 112 B object, 33 B of slab and a one-slot ParkingLot.
   ModeTableConfig c;
   c.abstract_values = 7;
   c.storage = StorageKind::Striped;
@@ -798,11 +802,49 @@ TEST(SlabLayout, SinglePartitionFootprintIsUnchanged) {
   ASSERT_EQ(t.num_modes(), 8);
   ASSERT_EQ(t.num_partitions(), 1);
   LockMechanism m(t);
-#if defined(SEMLOCK_OBS)
-  EXPECT_EQ(m.footprint_bytes(), 265u);
-#else
-  EXPECT_EQ(m.footprint_bytes(), 257u);
-#endif
+  EXPECT_EQ(m.footprint_bytes(), 217u);
+}
+
+// The whole default footprint of the two locks perfbench exercises most,
+// under an explicit spin-yield policy (the default, pinned so that a
+// SEMLOCK_WAIT_POLICY override cannot move it): the object plus the slab,
+// and no ParkingLot, stripe bank or grant slots.
+ModeTableConfig spin_yield_free(ModeTableConfig c) {
+  c.wait_policy = runtime::WaitPolicyKind::SpinYield;
+  c.grant_policy = runtime::GrantPolicyKind::Free;
+  c.storage = std::nullopt;
+  c.trace_events = false;
+  return c;
+}
+
+TEST(Footprint, DefaultCiaLock) {
+  // {containsKey(key), put(key,*)} at n = 64: 64 self-conflicting modes in
+  // 64 partitions, so no stripe row and one 64 B slab line per partition.
+  const auto t = ModeTable::compile(
+      commute::map_spec(),
+      {SymbolicSet(
+          {op("containsKey", {var("key")}), op("put", {var("key"), star()})})},
+      spin_yield_free(test::cfg(64, 256)));
+  ASSERT_EQ(t.storage(), StorageKind::Striped);
+  ASSERT_EQ(t.num_partitions(), 64);
+  ASSERT_EQ(t.stripe_rows(), 0u);
+  LockMechanism m(t);
+  EXPECT_FALSE(m.has_parking_lot());
+  EXPECT_EQ(m.footprint_bytes(), 4208u);
+}
+
+TEST(Footprint, DefaultServerAccountLock) {
+  // Move {deposit(*),withdraw(*)} and Audit {balance()}: packed, so the
+  // counters are the object's word and the slab is one spinlock byte.
+  const auto t = ModeTable::compile(
+      commute::account_spec(),
+      {SymbolicSet({op("deposit", {star()}), op("withdraw", {star()})}),
+       SymbolicSet({op("balance")})},
+      spin_yield_free(ModeTableConfig{}));
+  ASSERT_EQ(t.storage(), StorageKind::Packed);
+  LockMechanism m(t);
+  EXPECT_FALSE(m.has_parking_lot());
+  EXPECT_EQ(m.footprint_bytes(), 113u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -296,11 +297,11 @@ std::uint64_t table_digest(const ModeTable& t) {
     f.value(l->field_max);
     f.value(l->waiters_bit);
     for (int m = 0; m < l->num_modes; ++m) {
-      const auto i = static_cast<std::size_t>(m);
-      f.value(l->shift[i]);
-      f.value(l->inc[i]);
-      f.value(l->field_mask[i]);
-      f.value(l->conflict_mask[i]);
+      const PackedMode& r = l->modes[static_cast<std::size_t>(m)];
+      f.value(r.shift);
+      f.value(r.inc);
+      f.value(r.field_mask);
+      f.value(r.conflict_mask);
     }
   }
   return f.h;
@@ -448,6 +449,34 @@ TEST_P(CompiledTableOracle, StorageIsPackedWithoutReadersUnlessForced) {
   EXPECT_EQ(forced.storage(), forced.packed_layout() != nullptr
                                   ? StorageKind::Packed
                                   : StorageKind::Striped);
+}
+
+// A mode has a stripe row exactly when the storage is Striped, stripes are
+// on and the mode commutes with itself; the rows number those modes 0, 1, ...
+// in mode order, and stripe_rows() counts them. Checked for the table's own
+// storage choice and for both forced ones, with stripes on and off.
+TEST_P(CompiledTableOracle, StripeRowsFollowTheirDefinition) {
+  const TableCase& c = GetParam();
+  for (const std::optional<StorageKind> storage :
+       {std::optional<StorageKind>{}, std::optional{StorageKind::Striped},
+        std::optional{StorageKind::Packed}}) {
+    for (const int stripes : {0, 4}) {
+      ModeTableConfig config = c.config;
+      config.storage = storage;
+      config.counter_stripes = stripes;
+      const auto t = ModeTable::compile(*c.spec, c.sites, config);
+      const bool striped = t.storage() == StorageKind::Striped;
+      std::int32_t next = 0;
+      for (int m = 0; m < t.num_modes(); ++m) {
+        const bool has_row = striped && stripes > 0 && t.commutes(m, m);
+        EXPECT_EQ(t.stripe_row(m), has_row ? next : -1)
+            << c.name << " " << storage_kind_name(storage) << " stripes "
+            << stripes << " mode " << m;
+        if (has_row) ++next;
+      }
+      EXPECT_EQ(t.stripe_rows(), static_cast<std::uint32_t>(next)) << c.name;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTables, CompiledTableOracle,

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,25 +59,27 @@ TEST(PackedLayoutTest, GeometryMatchesModeTableConflicts) {
   // Counter fields: pairwise disjoint, none overlapping W.
   std::uint64_t fields = 0;
   for (int m = 0; m < l->num_modes; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    EXPECT_EQ(l->inc[mi], std::uint64_t{1} << l->shift[mi]);
-    EXPECT_EQ(l->field_mask[mi], l->field_max << l->shift[mi]);
-    EXPECT_EQ(fields & l->field_mask[mi], 0u) << "fields overlap at mode " << m;
-    fields |= l->field_mask[mi];
+    const PackedMode& r = t.packed_mode(m);
+    EXPECT_EQ(&r, &l->modes[static_cast<std::size_t>(m)]);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&r) % 32, 0u);
+    EXPECT_EQ(r.inc, std::uint64_t{1} << r.shift);
+    EXPECT_EQ(r.field_mask, l->field_max << r.shift);
+    EXPECT_EQ(fields & r.field_mask, 0u) << "fields overlap at mode " << m;
+    fields |= r.field_mask;
   }
   EXPECT_EQ(fields & l->waiters_bit, 0u) << "counter fields overlap W";
 
   // conflict_mask[m] is exactly conflicts_clear(m) compiled to one AND:
   // the OR of the conflicting modes' field masks.
   for (int m = 0; m < l->num_modes; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
+    const PackedMode& r = t.packed_mode(m);
     std::uint64_t expect = 0;
     for (const std::int32_t other : t.conflicts_of(m)) {
-      expect |= l->field_mask[static_cast<std::size_t>(other)];
+      expect |= t.packed_mode(other).field_mask;
     }
-    EXPECT_EQ(l->conflict_mask[mi], expect) << "mode " << m;
+    EXPECT_EQ(r.conflict_mask, expect) << "mode " << m;
     // Self-conflicting modes include their own field; self-commuting don't.
-    const bool self_in_mask = (l->conflict_mask[mi] & l->field_mask[mi]) != 0;
+    const bool self_in_mask = (r.conflict_mask & r.field_mask) != 0;
     EXPECT_EQ(self_in_mask, !t.commutes(m, m)) << "mode " << m;
   }
 }
@@ -84,10 +87,12 @@ TEST(PackedLayoutTest, GeometryMatchesModeTableConflicts) {
 TEST(PackedLayoutTest, TooManyModesFallsBackToStripedObservably) {
   // A per-value site over 9 abstract values yields > kMaxPackedModes
   // canonical modes: the table compiles with no packed layout and a
-  // mechanism asked for Packed must report the Striped it actually built.
+  // mechanism asked for Packed must report the Striped it actually built,
+  // where futex-word degrades to spin-then-park and its ParkingLot.
   ModeTableConfig c;
   c.abstract_values = 9;
   c.storage = StorageKind::Packed;
+  c.wait_policy = runtime::WaitPolicyKind::FutexWord;
   const auto t = ModeTable::compile(
       commute::set_spec(),
       {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})})},
@@ -96,6 +101,7 @@ TEST(PackedLayoutTest, TooManyModesFallsBackToStripedObservably) {
   EXPECT_EQ(t.packed_layout(), nullptr);
   LockMechanism m(t);
   EXPECT_EQ(m.storage(), StorageKind::Striped);
+  EXPECT_EQ(m.wait_policy(), runtime::WaitPolicyKind::SpinThenPark);
   EXPECT_TRUE(m.has_parking_lot());  // futex-word never applies to Striped
   // Site 0 is keyed: resolve it with one value for its one variable.
   const commute::Value v[1] = {3};
@@ -283,52 +289,74 @@ TEST(FutexWordPolicy, DegradesToSpinThenParkOnUnpackedStorage) {
 }
 
 TEST(PackedStorageTest, GrantBarrierPreservesFairnessMachinery) {
-  // The grant-policy churn-to-quiescence check on the packed word, which
-  // passes the same GrantSlot doorway as striped storage: every fair policy
-  // must still exclude, drain, and leave the fast path open.
-  for (const runtime::GrantPolicyKind policy :
-       {runtime::GrantPolicyKind::PhaseFair,
-        runtime::GrantPolicyKind::BoundedBypass}) {
-    ModeTableConfig c;
-    c.storage = StorageKind::Packed;
-    c.grant_policy = policy;
-    c.bypass_bound = 2;
-    const auto t = make_two_mode_table(c);
-    ASSERT_NE(t.packed_layout(), nullptr);
-    LockMechanism m(t);
-    const int add_mode = t.resolve_constant(0);
-    const int clear_mode = t.resolve_constant(1);
-    std::atomic<int> in_clear{0};
-    std::atomic<bool> violated{false};
-    long counter = 0;
-    constexpr int kIters = 2000;
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 3; ++i) {
+  // The grant-policy churn-to-quiescence check on both storages, which pass
+  // the same GrantSlot doorway: every fair policy must still exclude, drain,
+  // and leave the fast path open. Under spin-yield the mechanism has no
+  // ParkingLot, so every ticketed handoff runs with nothing to wake.
+  for (const StorageKind storage : {StorageKind::Striped, StorageKind::Packed}) {
+    for (const runtime::GrantPolicyKind policy :
+         {runtime::GrantPolicyKind::PhaseFair,
+          runtime::GrantPolicyKind::BoundedBypass}) {
+      ModeTableConfig c;
+      c.storage = storage;
+      c.wait_policy = runtime::WaitPolicyKind::SpinYield;
+      c.grant_policy = policy;
+      c.bypass_bound = 2;
+      const auto t = make_two_mode_table(c);
+      LockMechanism m(t);
+      const std::string name = std::string(storage_kind_name(storage)) + "/" +
+                               runtime::grant_policy_name(policy);
+      ASSERT_EQ(m.storage(), storage) << name;
+      ASSERT_FALSE(m.has_parking_lot()) << name;
+      const int add_mode = t.resolve_constant(0);
+      const int clear_mode = t.resolve_constant(1);
+      std::atomic<int> in_clear{0};
+      std::atomic<bool> violated{false};
+      long counter = 0;
+      constexpr int kIters = 2000;
+      std::vector<std::thread> threads;
+      for (int i = 0; i < 3; ++i) {
+        threads.emplace_back([&] {
+          for (int j = 0; j < kIters; ++j) {
+            m.lock(add_mode);
+            if (in_clear.load() != 0) violated.store(true);
+            m.unlock(add_mode);
+          }
+        });
+      }
       threads.emplace_back([&] {
         for (int j = 0; j < kIters; ++j) {
-          m.lock(add_mode);
-          if (in_clear.load() != 0) violated.store(true);
-          m.unlock(add_mode);
+          m.lock(clear_mode);
+          in_clear.fetch_add(1);
+          ++counter;
+          in_clear.fetch_sub(1);
+          m.unlock(clear_mode);
         }
       });
+      for (auto& th : threads) th.join();
+      EXPECT_FALSE(violated.load()) << name;
+      EXPECT_EQ(counter, kIters) << name;
+      EXPECT_EQ(m.holders(add_mode), 0u) << name;
+      EXPECT_EQ(m.holders(clear_mode), 0u) << name;
+      EXPECT_TRUE(m.try_lock(add_mode)) << name;  // barrier reopened
+      m.unlock(add_mode);
     }
-    threads.emplace_back([&] {
-      for (int j = 0; j < kIters; ++j) {
-        m.lock(clear_mode);
-        in_clear.fetch_add(1);
-        ++counter;
-        in_clear.fetch_sub(1);
-        m.unlock(clear_mode);
-      }
-    });
-    for (auto& th : threads) th.join();
-    const char* name = runtime::grant_policy_name(policy);
-    EXPECT_FALSE(violated.load()) << name;
-    EXPECT_EQ(counter, kIters) << name;
-    EXPECT_EQ(m.holders(add_mode), 0u) << name;
-    EXPECT_EQ(m.holders(clear_mode), 0u) << name;
-    EXPECT_TRUE(m.try_lock(add_mode)) << name;  // barrier reopened
-    m.unlock(add_mode);
+  }
+}
+
+TEST(SpinYieldPolicy, AllocatesNoParkingLotOnEitherStorage) {
+  // Spin-yield waiters never sleep, so no mechanism under it needs a place
+  // to park: neither a striped nor a packed one allocates a ParkingLot.
+  for (const StorageKind storage : {StorageKind::Striped, StorageKind::Packed}) {
+    ModeTableConfig c;
+    c.storage = storage;
+    c.wait_policy = runtime::WaitPolicyKind::SpinYield;
+    const auto t = make_two_mode_table(c);
+    LockMechanism m(t);
+    const char* name = storage_kind_name(storage);
+    ASSERT_EQ(m.storage(), storage) << name;
+    EXPECT_EQ(m.wait_policy(), runtime::WaitPolicyKind::SpinYield) << name;
+    EXPECT_FALSE(m.has_parking_lot()) << name;
   }
 }
 
