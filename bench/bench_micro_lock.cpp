@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark): the raw cost of the semantic-locking
 // runtime — uncontended acquire/release vs std::mutex, keyed acquisition
-// and account transactions across threads, mode resolution, and mode-table
-// compilation, and the map under the CIA shape.
+// and account transactions with their balances across threads, mode
+// resolution, and mode-table compilation, and the map under the CIA shape.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -180,11 +181,14 @@ void BM_StripedMapCiaShape(benchmark::State& state) {
 BENCHMARK(BM_StripedMapCiaShape)->Threads(1)->Threads(3)->UseRealTime();
 
 // The server's account path (perfbench txn_hot): a Transaction locks 2 of 16
-// account locks with lv_ordered, the accounts drawn at Zipf 0.99, 70% in
-// Move = {deposit(*),withdraw(*)} and 30% in Audit = {balance()}. Move and
-// Audit self-commute and conflict, so the default table packs; `striped`
-// forces striped storage, which stripes both modes. Both arms in one binary
-// see the same host state.
+// account locks with lv_ordered and runs the request body under them, the
+// accounts drawn at Zipf 0.99: 70% in Move = {deposit(*),withdraw(*)}, two
+// fetch_add, and 30% in Audit = {balance()}, two loads. Move and Audit
+// self-commute and conflict, so the default table packs; `striped` forces
+// striped storage, which stripes both modes. `cell` keeps each balance in its
+// lock's instance cell, on the packed word's line, as the server does;
+// cell:0 keeps them in one separate array, eight to a line. All arms in one
+// binary see the same host state.
 ModeTable account_table(bool striped) {
   ModeTableConfig cfg;
   if (striped) cfg.storage = StorageKind::Striped;
@@ -200,12 +204,15 @@ void BM_AccountTxnOrdered(benchmark::State& state) {
   static const ModeTable default_table = account_table(false);
   static const ModeTable striped_table = account_table(true);
   const ModeTable& table = state.range(0) != 0 ? striped_table : default_table;
+  const bool in_cell = state.range(1) != 0;
   static std::vector<std::unique_ptr<SemanticLock>>* locks = nullptr;
+  static std::vector<std::atomic<std::int64_t>>* balances = nullptr;
   if (state.thread_index() == 0) {
     locks = new std::vector<std::unique_ptr<SemanticLock>>();
     for (std::uint64_t i = 0; i < kAccounts; ++i) {
       locks->push_back(std::make_unique<SemanticLock>(table));
     }
+    balances = new std::vector<std::atomic<std::int64_t>>(kAccounts);
   }
   // Draws are made before timing: the Zipf sampler's pow() would cost more
   // than the two locks. They are indices, since only thread 0 builds the
@@ -227,25 +234,47 @@ void BM_AccountTxnOrdered(benchmark::State& state) {
     if (b == a) b = (a + 1) % kAccounts;
     d = {a, b, rng.chance_percent(30) ? audit : move};
   }
+  const auto balance = [in_cell](SemanticLock* lock, std::uint64_t i)
+      -> std::atomic<std::int64_t>& {
+    return in_cell ? lock->cell() : (*balances)[i];
+  };
   std::size_t i = 0;
   for (auto _ : state) {
     const Draw& d = draws[i++ & (draws.size() - 1)];
+    SemanticLock* a = (*locks)[d.a].get();
+    SemanticLock* b = (*locks)[d.b].get();
     Transaction txn;
-    Transaction::DynTarget targets[2] = {{(*locks)[d.a].get(), d.mode},
-                                         {(*locks)[d.b].get(), d.mode}};
+    Transaction::DynTarget targets[2] = {{a, d.mode}, {b, d.mode}};
     txn.lv_ordered(targets);
-    benchmark::DoNotOptimize(targets);
+    std::atomic<std::int64_t>& from = balance(a, d.a);
+    std::atomic<std::int64_t>& to = balance(b, d.b);
+    if (d.mode == move) {
+      from.fetch_add(-1, std::memory_order_acq_rel);
+      to.fetch_add(1, std::memory_order_acq_rel);
+    } else {
+      benchmark::DoNotOptimize(from.load(std::memory_order_acquire) +
+                               to.load(std::memory_order_acquire));
+    }
     txn.unlock_all();
   }
   if (state.thread_index() == 0) {
+    std::int64_t total = 0;
+    for (std::uint64_t k = 0; k < kAccounts; ++k) {
+      total += balance((*locks)[k].get(), k).load();
+    }
+    if (total != 0) state.SkipWithError("transfers did not conserve money");
     delete locks;
     locks = nullptr;
+    delete balances;
+    balances = nullptr;
   }
 }
 BENCHMARK(BM_AccountTxnOrdered)
-    ->ArgName("striped")
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"striped", "cell"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
     ->Threads(1)
     ->Threads(3)
     ->UseRealTime();

@@ -188,6 +188,12 @@ class LockMechanism {
   // counter_offsets() and lock_offsets() (the layout tests read it).
   const std::byte* slab() const { return slab_.get(); }
 
+  // One word of the guarded instance's own data, kept beside the packed
+  // word so that an operation run under the lock finds its data on the line
+  // its acquisition just wrote (the server keeps an account's balance
+  // here). Starts at 0; the mechanism itself never reads or writes it.
+  std::atomic<std::int64_t>& cell() { return cell_; }
+
   // Waiting-subsystem observability (tests, watchdog, benches). The
   // ParkingLot exists only where a waiter can park in it: under the
   // effective spin-then-park policy. Spin-yield waiters never sleep, and
@@ -374,21 +380,23 @@ class LockMechanism {
   runtime::WaitPolicyKind policy_;
   runtime::GrantPolicyKind grant_policy_;
 
-  // --- From byte 64: a packed mechanism's counters, then slow-path fields.
-  // Those share the word's line harmlessly: a packed acquisition that reads
-  // them reads the word too, and a striped mechanism never writes it. -----
+  // --- From byte 64: a packed mechanism's counters and the instance cell,
+  // which share a line at every 16 B placement, then slow-path fields. ----
   std::atomic<std::uint64_t> word_{0};
-  std::uint32_t spin_limit_;
-  std::uint32_t bypass_bound_;
+  std::atomic<std::int64_t> cell_{0};
 #if defined(SEMLOCK_OBS)
   // One seqlock-protected last-acquirer record per mode, allocated only when
   // this mechanism traces (nullptr otherwise). Written at every grant that
   // carries LockSiteArgs; read by the attribution classifier when a waiter
   // blocks against the mode. (src/obs/attribution.h.)
   std::unique_ptr<obs::AttrRecord[]> attr_records_;
-  [[maybe_unused]] std::byte tail_pad_[24];
+#endif
+  std::uint32_t spin_limit_;
+  std::uint32_t bypass_bound_;
+#if defined(SEMLOCK_OBS)
+  [[maybe_unused]] std::byte tail_pad_[16];
 #else
-  [[maybe_unused]] std::byte tail_pad_[32];
+  [[maybe_unused]] std::byte tail_pad_[24];
 #endif
   // tail_pad_ ends the object 48 B past the word, at 112 B. With glibc's
   // 8 B chunk header and 16 B granules the next heap chunk, usually this

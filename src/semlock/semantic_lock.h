@@ -5,6 +5,7 @@
 // `unlock` API; the symbolic-set semantics live in the shared ModeTable.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -43,6 +44,11 @@ class SemanticLock {
   void unlock(int mode) { mechanism_.unlock(mode); }
 
   std::uint32_t holders(int mode) const { return mechanism_.holders(mode); }
+
+  // The instance's one word of data on its lock's line
+  // (LockMechanism::cell): an ADT with a single int64 of state, such as a
+  // bank account, keeps it here, paired with its lock as in Section 2.2.
+  std::atomic<std::int64_t>& cell() { return mechanism_.cell(); }
 
   // The underlying mechanism — the instance identity that trace events and
   // the StallWatchdog report (tests and forensics match against its address).

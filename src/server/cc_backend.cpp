@@ -11,6 +11,7 @@
 #include "commute/symbolic.h"
 #include "semlock/semantic_lock.h"
 #include "semlock/transaction.h"
+#include "util/align.h"
 #include "util/spinlock.h"
 
 namespace semlock::server {
@@ -40,29 +41,38 @@ namespace {
 using commute::Value;
 
 // Flattened cell index space shared by every backend: the same Request
-// always addresses the same logical record in every mode.
+// always addresses the same logical record in every mode. Accounts lead the
+// flat store when a backend keeps its balances there (`flat_accounts`);
+// otherwise the store starts at the kv table and the backend keeps each
+// balance beside its account's lock.
 struct Layout {
-  explicit Layout(const StoreConfig& cfg)
-      : A(cfg.accounts), K(cfg.kv_keys), N(cfg.nodes) {}
+  Layout(const StoreConfig& cfg, bool flat_accounts)
+      : A(cfg.accounts),
+        K(cfg.kv_keys),
+        N(cfg.nodes),
+        base(flat_accounts ? cfg.accounts : 0) {}
 
   std::size_t total() const {
-    return static_cast<std::size_t>(A + K + N * N + 2 * N);
+    return static_cast<std::size_t>(base + K + N * N + 2 * N);
   }
-  std::size_t acct(std::int64_t i) const { return static_cast<std::size_t>(i); }
+  static std::size_t acct(std::int64_t i) {
+    return static_cast<std::size_t>(i);
+  }
   std::size_t kv(std::int64_t k) const {
-    return static_cast<std::size_t>(A + k);
+    return static_cast<std::size_t>(base + k);
   }
   std::size_t edge(std::int64_t a, std::int64_t b) const {
-    return static_cast<std::size_t>(A + K + a * N + b);
+    return static_cast<std::size_t>(base + K + a * N + b);
   }
   std::size_t succ(std::int64_t a) const {
-    return static_cast<std::size_t>(A + K + N * N + a);
+    return static_cast<std::size_t>(base + K + N * N + a);
   }
   std::size_t pred(std::int64_t b) const {
-    return static_cast<std::size_t>(A + K + N * N + N + b);
+    return static_cast<std::size_t>(base + K + N * N + N + b);
   }
 
   std::int64_t A, K, N;
+  std::int64_t base;  // index of the first kv cell
 };
 
 // The value ComputeIfAbsent installs: any nonzero pure function of the key
@@ -107,7 +117,7 @@ const SpecIds& spec_ids() {
 }
 
 struct LogEntry {
-  std::size_t cell;
+  const void* inst;
   LogOp op;
   Value arg;
 };
@@ -161,16 +171,18 @@ void record_entry(HistoryRecorder* rec, std::uint64_t txn, const void* inst,
 }
 
 // One request body, generic over the storage discipline. `St` provides
-//   load(cell) / store(cell, v) / add(cell, delta) / note(cell, op, arg)
+//   cell(c) / account(i): a handle to flat cell c or to account i's balance
+//   load(h) / store(h, v) / add(h, delta) / note(h, op, arg)
 // so the identical logic runs over the pessimistic backends' atomic cells
 // (note = record inline, locks held) and OCC's buffered read/write sets
-// (note = append to the attempt's op log, recorded at commit).
+// (note = append to the attempt's op log, recorded at commit). Where a
+// balance lives is the storage's business, not the body's.
 template <typename St>
 ExecResult run_body(const Request& r, const Layout& L, St& st) {
   ExecResult res;
   switch (r.kind) {
     case RequestKind::kComputeIfAbsent: {
-      const std::size_t c = L.kv(r.a);
+      const auto c = st.cell(L.kv(r.a));
       const std::int64_t cur = st.load(c);
       st.note(c, LogOp::kKvGet, 0);
       if (cur == 0) {
@@ -182,58 +194,67 @@ ExecResult run_body(const Request& r, const Layout& L, St& st) {
       break;
     }
     case RequestKind::kTransfer: {
-      st.add(L.acct(r.a), -r.amount);
-      st.note(L.acct(r.a), LogOp::kWithdraw, r.amount);
-      st.add(L.acct(r.b), r.amount);
-      st.note(L.acct(r.b), LogOp::kDeposit, r.amount);
+      const auto from = st.account(r.a);
+      const auto to = st.account(r.b);
+      st.add(from, -r.amount);
+      st.note(from, LogOp::kWithdraw, r.amount);
+      st.add(to, r.amount);
+      st.note(to, LogOp::kDeposit, r.amount);
       break;
     }
     case RequestKind::kAudit: {
-      res.observed = st.load(L.acct(r.a)) + st.load(L.acct(r.b));
-      st.note(L.acct(r.a), LogOp::kBalance, 0);
-      st.note(L.acct(r.b), LogOp::kBalance, 0);
+      const auto a = st.account(r.a);
+      const auto b = st.account(r.b);
+      res.observed = st.load(a) + st.load(b);
+      st.note(a, LogOp::kBalance, 0);
+      st.note(b, LogOp::kBalance, 0);
       break;
     }
     case RequestKind::kInsertEdge: {
-      const std::size_t e = L.edge(r.a, r.b);
+      const auto e = st.cell(L.edge(r.a, r.b));
       const std::int64_t cur = st.load(e);
       st.note(e, LogOp::kEdgeGet, 0);
       if (cur == 0) {
+        const auto succ = st.cell(L.succ(r.a));
+        const auto pred = st.cell(L.pred(r.b));
         st.store(e, 1);
         st.note(e, LogOp::kEdgePut, 1);
-        st.add(L.succ(r.a), 1);
-        st.note(L.succ(r.a), LogOp::kDegInc, 0);
-        st.add(L.pred(r.b), 1);
-        st.note(L.pred(r.b), LogOp::kDegInc, 0);
+        st.add(succ, 1);
+        st.note(succ, LogOp::kDegInc, 0);
+        st.add(pred, 1);
+        st.note(pred, LogOp::kDegInc, 0);
         res.observed = 1;
       }
       break;
     }
     case RequestKind::kRemoveEdge: {
-      const std::size_t e = L.edge(r.a, r.b);
+      const auto e = st.cell(L.edge(r.a, r.b));
       const std::int64_t cur = st.load(e);
       st.note(e, LogOp::kEdgeGet, 0);
       if (cur != 0) {
+        const auto succ = st.cell(L.succ(r.a));
+        const auto pred = st.cell(L.pred(r.b));
         st.store(e, 0);
         st.note(e, LogOp::kEdgePut, 0);
-        st.add(L.succ(r.a), -1);
-        st.note(L.succ(r.a), LogOp::kDegDec, 0);
-        st.add(L.pred(r.b), -1);
-        st.note(L.pred(r.b), LogOp::kDegDec, 0);
+        st.add(succ, -1);
+        st.note(succ, LogOp::kDegDec, 0);
+        st.add(pred, -1);
+        st.note(pred, LogOp::kDegDec, 0);
         res.observed = 1;
       }
       break;
     }
     case RequestKind::kDegree: {
-      res.observed = st.load(L.succ(r.a));
-      st.note(L.succ(r.a), LogOp::kDegRead, 0);
+      const auto succ = st.cell(L.succ(r.a));
+      res.observed = st.load(succ);
+      st.note(succ, LogOp::kDegRead, 0);
       break;
     }
   }
   return res;
 }
 
-// --- Pessimistic backends (shared atomic-cell store) -------------------------
+// --- Pessimistic backends (atomic cells) -------------------------------------
 //
 // Cells are atomics because the SEMANTIC mode legitimately runs commuting
 // operations concurrently (two transfers depositing into the same hot
@@ -241,20 +262,18 @@ ExecResult run_body(const Request& r, const Layout& L, St& st) {
 // that linearizable, exactly the "linearizable ADT under a semantic lock"
 // contract of Section 2.2. The serialized modes pay a relaxed-atomic cost
 // that is noise next to their locking.
-class PlainStoreBackend : public CCBackend {
+//
+// Where a balance lives is each backend's account(i). SERIAL and
+// GLOBAL_LOCK keep it in the flat store (the default below); TWO_PL keeps it
+// beside the account's mutex, and SEMANTIC in its account lock's instance
+// cell, so a section's data sits on the line its acquisition wrote.
+template <typename Derived>
+class AtomicStoreBackend : public CCBackend {
  public:
-  PlainStoreBackend(const StoreConfig& cfg, HistoryRecorder* recorder)
-      : layout_(cfg), cells_(layout_.total()), recorder_(recorder) {
-    for (std::int64_t i = 0; i < layout_.A; ++i) {
-      cells_[layout_.acct(i)].store(cfg.initial_balance,
-                                    std::memory_order_relaxed);
-    }
-  }
-
   std::int64_t balance_total() const override {
     std::int64_t sum = 0;
     for (std::int64_t i = 0; i < layout_.A; ++i) {
-      sum += cells_[layout_.acct(i)].load(std::memory_order_relaxed);
+      sum += self().account(i).load(std::memory_order_relaxed);
     }
     return sum;
   }
@@ -274,58 +293,100 @@ class PlainStoreBackend : public CCBackend {
     }
     return n;
   }
+  // The balances in account order, then the flat cells past them: the same
+  // sequence whatever the backend's layout.
   std::uint64_t digest() const override {
     std::uint64_t h = 1469598103934665603ULL;
-    for (const auto& c : cells_) {
-      h ^= static_cast<std::uint64_t>(c.load(std::memory_order_relaxed));
+    const auto mix = [&h](std::int64_t v) {
+      h ^= static_cast<std::uint64_t>(v);
       h *= 1099511628211ULL;
+    };
+    for (std::int64_t i = 0; i < layout_.A; ++i) {
+      mix(self().account(i).load(std::memory_order_relaxed));
+    }
+    for (std::size_t c = layout_.kv(0); c < layout_.total(); ++c) {
+      mix(cells_[c].load(std::memory_order_relaxed));
     }
     return h;
   }
 
- protected:
-  struct Storage {
-    std::vector<std::atomic<std::int64_t>>* cells;
-    HistoryRecorder* rec;
-    std::uint64_t txn;
+  // Account i's balance in the flat store; a backend that keeps balances
+  // elsewhere hides this with its own.
+  std::atomic<std::int64_t>& account(std::int64_t i) const {
+    return cells_[Layout::acct(i)];
+  }
 
-    std::int64_t load(std::size_t c) const {
-      return (*cells)[c].load(std::memory_order_acquire);
+ protected:
+  AtomicStoreBackend(const StoreConfig& cfg, HistoryRecorder* recorder,
+                     bool flat_accounts)
+      : layout_(cfg, flat_accounts),
+        cells_(std::make_unique<std::atomic<std::int64_t>[]>(
+            layout_.total())),
+        recorder_(recorder) {}
+
+  // Derived calls this once its accounts exist.
+  void fund_accounts(std::int64_t initial_balance) {
+    for (std::int64_t i = 0; i < layout_.A; ++i) {
+      self().account(i).store(initial_balance, std::memory_order_relaxed);
     }
-    void store(std::size_t c, std::int64_t v) {
-      (*cells)[c].store(v, std::memory_order_release);
-    }
-    void add(std::size_t c, std::int64_t d) {
-      (*cells)[c].fetch_add(d, std::memory_order_acq_rel);
-    }
-    void note(std::size_t c, LogOp op, Value arg) {
-      if (rec) record_entry(rec, txn, &(*cells)[c], op, arg);
-    }
-  };
+  }
 
   // Runs the body with locks already held by the caller.
   ExecResult locked_body(const Request& r) {
-    Storage st{&cells_, recorder_,
+    Storage st{&self(), cells_.get(), recorder_,
                recorder_ ? recorder_->begin_txn() : 0};
     return run_body(r, layout_, st);
   }
 
   Layout layout_;
-  std::vector<std::atomic<std::int64_t>> cells_;
+
+ private:
+  struct Storage {
+    const Derived* self;
+    std::atomic<std::int64_t>* cells;
+    HistoryRecorder* rec;
+    std::uint64_t txn;
+
+    using Cell = std::atomic<std::int64_t>*;
+    Cell cell(std::size_t c) const { return &cells[c]; }
+    Cell account(std::int64_t i) const { return &self->account(i); }
+    static std::int64_t load(Cell c) {
+      return c->load(std::memory_order_acquire);
+    }
+    static void store(Cell c, std::int64_t v) {
+      c->store(v, std::memory_order_release);
+    }
+    static void add(Cell c, std::int64_t d) {
+      c->fetch_add(d, std::memory_order_acq_rel);
+    }
+    void note(Cell c, LogOp op, Value arg) const {
+      if (rec) record_entry(rec, txn, c, op, arg);
+    }
+  };
+
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+
+  std::unique_ptr<std::atomic<std::int64_t>[]> cells_;
   HistoryRecorder* recorder_;
 };
 
-class SerialBackend final : public PlainStoreBackend {
+class SerialBackend final : public AtomicStoreBackend<SerialBackend> {
  public:
-  using PlainStoreBackend::PlainStoreBackend;
+  SerialBackend(const StoreConfig& cfg, HistoryRecorder* recorder)
+      : AtomicStoreBackend(cfg, recorder, /*flat_accounts=*/true) {
+    fund_accounts(cfg.initial_balance);
+  }
   CCMode mode() const override { return CCMode::kSerial; }
   // Precondition: a single executor (the server clamps SERIAL to 1 worker).
   ExecResult execute(const Request& r) override { return locked_body(r); }
 };
 
-class GlobalLockBackend final : public PlainStoreBackend {
+class GlobalLockBackend final : public AtomicStoreBackend<GlobalLockBackend> {
  public:
-  using PlainStoreBackend::PlainStoreBackend;
+  GlobalLockBackend(const StoreConfig& cfg, HistoryRecorder* recorder)
+      : AtomicStoreBackend(cfg, recorder, /*flat_accounts=*/true) {
+    fund_accounts(cfg.initial_balance);
+  }
   CCMode mode() const override { return CCMode::kGlobalLock; }
   ExecResult execute(const Request& r) override {
     baseline::GlobalSection section(global_);
@@ -336,11 +397,14 @@ class GlobalLockBackend final : public PlainStoreBackend {
   baseline::GlobalLock global_;
 };
 
-class TwoPLBackend final : public PlainStoreBackend {
+class TwoPLBackend final : public AtomicStoreBackend<TwoPLBackend> {
  public:
   TwoPLBackend(const StoreConfig& cfg, HistoryRecorder* recorder)
-      : PlainStoreBackend(cfg, recorder),
-        account_locks_(static_cast<std::size_t>(cfg.accounts)) {}
+      : AtomicStoreBackend(cfg, recorder, /*flat_accounts=*/false),
+        accounts_(std::make_unique<Account[]>(
+            static_cast<std::size_t>(cfg.accounts))) {
+    fund_accounts(cfg.initial_balance);
+  }
 
   CCMode mode() const override { return CCMode::kTwoPL; }
 
@@ -357,8 +421,8 @@ class TwoPLBackend final : public PlainStoreBackend {
       case RequestKind::kTransfer:
       case RequestKind::kAudit: {
         baseline::InstanceLock* pair[2] = {
-            &account_locks_[static_cast<std::size_t>(r.a)],
-            &account_locks_[static_cast<std::size_t>(r.b)]};
+            &accounts_[static_cast<std::size_t>(r.a)].lock,
+            &accounts_[static_cast<std::size_t>(r.b)].lock};
         txn.acquire_ordered(pair);
         break;
       }
@@ -375,18 +439,29 @@ class TwoPLBackend final : public PlainStoreBackend {
     return locked_body(r);
   }
 
+  std::atomic<std::int64_t>& account(std::int64_t i) const {
+    return accounts_[static_cast<std::size_t>(i)].balance;
+  }
+
  private:
-  std::vector<baseline::InstanceLock> account_locks_;
+  // An account's mutex and balance, alone on their line: the same
+  // co-location SEMANTIC gets from its lock's instance cell.
+  struct alignas(util::kCacheLineSize) Account {
+    baseline::InstanceLock lock;
+    std::atomic<std::int64_t> balance{0};
+  };
+
+  std::unique_ptr<Account[]> accounts_;
   baseline::InstanceLock kv_lock_;
   baseline::InstanceLock edge_lock_;
   baseline::InstanceLock succ_lock_;
   baseline::InstanceLock pred_lock_;
 };
 
-class SemanticBackend final : public PlainStoreBackend {
+class SemanticBackend final : public AtomicStoreBackend<SemanticBackend> {
  public:
   SemanticBackend(const StoreConfig& cfg, HistoryRecorder* recorder)
-      : PlainStoreBackend(cfg, recorder),
+      : AtomicStoreBackend(cfg, recorder, /*flat_accounts=*/false),
         account_table_(make_account_table()),
         map_table_(make_map_table(cfg.abstract_values)),
         kv_lock_(map_table_),
@@ -399,6 +474,7 @@ class SemanticBackend final : public PlainStoreBackend {
     for (std::int64_t i = 0; i < cfg.accounts; ++i) {
       account_locks_.push_back(std::make_unique<SemanticLock>(account_table_));
     }
+    fund_accounts(cfg.initial_balance);
   }
 
   CCMode mode() const override { return CCMode::kSemantic; }
@@ -440,6 +516,11 @@ class SemanticBackend final : public PlainStoreBackend {
       }
     }
     return locked_body(r);
+  }
+
+  // The balance is the account instance's data, kept in its lock's cell.
+  std::atomic<std::int64_t>& account(std::int64_t i) const {
+    return account_locks_[static_cast<std::size_t>(i)]->cell();
   }
 
  private:
@@ -496,9 +577,11 @@ class SemanticBackend final : public PlainStoreBackend {
 class OccBackend final : public CCBackend {
  public:
   OccBackend(const StoreConfig& cfg, HistoryRecorder* recorder)
-      : layout_(cfg), cells_(layout_.total()), recorder_(recorder) {
+      : layout_(cfg, /*flat_accounts=*/true),
+        cells_(layout_.total()),
+        recorder_(recorder) {
     for (std::int64_t i = 0; i < layout_.A; ++i) {
-      cells_[layout_.acct(i)].val.store(cfg.initial_balance,
+      cells_[Layout::acct(i)].val.store(cfg.initial_balance,
                                         std::memory_order_relaxed);
     }
   }
@@ -527,7 +610,7 @@ class OccBackend final : public CCBackend {
         if (committed) {
           const std::uint64_t id = recorder_->begin_txn();
           for (const LogEntry& e : oplog) {
-            record_entry(recorder_, id, &cells_[e.cell], e.op, e.arg);
+            record_entry(recorder_, id, e.inst, e.op, e.arg);
           }
         }
       } else {
@@ -551,7 +634,7 @@ class OccBackend final : public CCBackend {
   std::int64_t balance_total() const override {
     std::int64_t sum = 0;
     for (std::int64_t i = 0; i < layout_.A; ++i) {
-      sum += cells_[layout_.acct(i)].val.load(std::memory_order_relaxed);
+      sum += cells_[Layout::acct(i)].val.load(std::memory_order_relaxed);
     }
     return sum;
   }
@@ -587,12 +670,13 @@ class OccBackend final : public CCBackend {
     baseline::OccTxn* txn;
     std::vector<LogEntry>* oplog;  // null when unchecked
 
-    std::int64_t load(std::size_t c) { return txn->read(&(*cells)[c]); }
-    void store(std::size_t c, std::int64_t v) { txn->write(&(*cells)[c], v); }
-    void add(std::size_t c, std::int64_t d) {
-      txn->write(&(*cells)[c], txn->read(&(*cells)[c]) + d);
-    }
-    void note(std::size_t c, LogOp op, Value arg) {
+    using Cell = baseline::OccCell*;
+    Cell cell(std::size_t c) const { return &(*cells)[c]; }
+    Cell account(std::int64_t i) const { return cell(Layout::acct(i)); }
+    std::int64_t load(Cell c) { return txn->read(c); }
+    void store(Cell c, std::int64_t v) { txn->write(c, v); }
+    void add(Cell c, std::int64_t d) { txn->write(c, txn->read(c) + d); }
+    void note(Cell c, LogOp op, Value arg) {
       if (oplog) oplog->push_back(LogEntry{c, op, arg});
     }
   };

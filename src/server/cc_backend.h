@@ -3,7 +3,8 @@
 // All five modes execute the IDENTICAL logical schema — a fixed-size typed
 // store of int64 records (bank accounts, a kv table for ComputeIfAbsent,
 // and a graph kept as edge-presence plus degree tables) — and differ only in
-// how atomic sections synchronize:
+// how atomic sections synchronize, and so in where an account's balance
+// lives (beside its lock under SEMANTIC and TWO_PL, docs/SERVER.md §2):
 //
 //   SEMANTIC     the paper's mechanism: per-ADT-instance SemanticLocks with
 //                keyed (alpha-striped) modes; commuting transfers and
@@ -78,8 +79,9 @@ class CCBackend {
   virtual std::int64_t balance_total() const = 0;    // conservation invariant
   virtual std::int64_t kv_inserted() const = 0;      // # non-absent kv cells
   virtual std::int64_t edges_present() const = 0;    // # set edge cells
-  // FNV-style digest over the full store in cell order, for exact
-  // cross-mode comparison of final states.
+  // FNV-style digest over the full store, the balances in account order and
+  // then the kv and graph cells, for exact cross-mode comparison of final
+  // states.
   virtual std::uint64_t digest() const = 0;
 };
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <thread>
 
 #if defined(SEMLOCK_OBS)
 #include "obs/attribution.h"
@@ -35,6 +36,33 @@ std::string captured_stderr(Fn&& fn) {
   fn();
   return ::testing::internal::GetCapturedStderr();
 }
+
+// Sets (or, for nullptr, unsets) one process environment variable for the
+// scope, and restores its previous value on exit.
+class ScopedEnvVar {
+ public:
+  ScopedEnvVar(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ScopedEnvVar(const ScopedEnvVar&) = delete;
+  ScopedEnvVar& operator=(const ScopedEnvVar&) = delete;
+  ~ScopedEnvVar() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
 
 TEST(EnvIntInRange, AcceptsPlainDecimal) {
   const std::string err = captured_stderr([] {
@@ -632,6 +660,67 @@ TEST(ServerEnv, MalformedKnobsWarnPerKnobAndFallBack) {
         "SEMLOCK_SERVER_CHECKED=\"yes\""}) {
     EXPECT_NE(err.find(knob), std::string::npos) << knob << "\n" << err;
   }
+}
+
+// The getenv() wrapper: every SEMLOCK_SERVER_* variable reaches its own
+// field. Each value differs from its default and from the others, so a
+// variable read into the wrong field shows.
+TEST(ServerEnv, FromEnvReadsEachVariableIntoItsOwnField) {
+  const ScopedEnvVar vars[] = {
+      {"SEMLOCK_SERVER_WORKERS", "3"},
+      {"SEMLOCK_SERVER_SHARDS", "5"},
+      {"SEMLOCK_SERVER_QUEUE_CAP", "77"},
+      {"SEMLOCK_SERVER_MODE", "2pl"},
+      {"SEMLOCK_SERVER_CHECKED", "1"},
+      {"SEMLOCK_SERVER_RATE", "4321.5"},
+      {"SEMLOCK_SERVER_DURATION_MS", "123"},
+      {"SEMLOCK_SERVER_ZIPF_THETA", "0.25"},
+      {"SEMLOCK_SERVER_BURST_X", "6"},
+      {"SEMLOCK_SERVER_BURST_PERIOD_MS", "9"},
+      {"SEMLOCK_SERVER_THINK_USERS", "11"},
+      {"SEMLOCK_SERVER_THINK_MS", "0.5"},
+      {"SEMLOCK_SERVER_MIX", "graph"},
+      {"SEMLOCK_SERVER_SEED", "4242"},
+  };
+  const std::string err = captured_stderr([] {
+    const server::ServerConfig cfg = server::server_config_from_env();
+    EXPECT_EQ(cfg.workers, 3);
+    EXPECT_EQ(cfg.shards, 5);
+    EXPECT_EQ(cfg.queue_capacity, 77);
+    EXPECT_EQ(cfg.mode, server::CCMode::kTwoPL);
+    EXPECT_TRUE(cfg.checked);
+    EXPECT_EQ(cfg.traffic.rate_rps, 4321.5);
+    EXPECT_EQ(cfg.traffic.duration_ms, 123u);
+    EXPECT_EQ(cfg.traffic.zipf_theta, 0.25);
+    EXPECT_EQ(cfg.traffic.burst_factor, 6);
+    EXPECT_EQ(cfg.traffic.burst_period_ms, 9u);
+    EXPECT_EQ(cfg.traffic.think_users, 11);
+    EXPECT_EQ(cfg.traffic.think_ms, 0.5);
+    EXPECT_EQ(cfg.traffic.mix.pct[static_cast<int>(
+                  server::RequestKind::kInsertEdge)],
+              40);
+    EXPECT_EQ(cfg.traffic.mix.pct[static_cast<int>(
+                  server::RequestKind::kTransfer)],
+              0);
+    EXPECT_EQ(cfg.traffic.seed, 4242u);
+  });
+  EXPECT_TRUE(err.empty()) << err;
+}
+
+// Unset, or rejected, SEMLOCK_SERVER_WORKERS resolves to the hardware
+// concurrency, or to 1 where the runtime cannot tell it.
+TEST(ServerEnv, FromEnvResolvesUnsetWorkersToHardwareConcurrency) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int expected = hw == 0 ? 1 : static_cast<int>(hw);
+  {
+    const ScopedEnvVar workers("SEMLOCK_SERVER_WORKERS", nullptr);
+    EXPECT_EQ(server::server_config_from_env().workers, expected);
+  }
+  const ScopedEnvVar workers("SEMLOCK_SERVER_WORKERS", "0");
+  const std::string err = captured_stderr(
+      [expected] { EXPECT_EQ(server::server_config_from_env().workers, expected); });
+  EXPECT_NE(err.find("SEMLOCK_SERVER_WORKERS=\"0\""), std::string::npos)
+      << err;
 }
 
 TEST(EnvBool01, AcceptsExactlyZeroAndOne) {

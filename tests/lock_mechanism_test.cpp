@@ -37,6 +37,9 @@ struct LockMechanismLayoutPeer {
   static std::uintptr_t word(const LockMechanism& m) {
     return reinterpret_cast<std::uintptr_t>(&m.word_);
   }
+  static std::uintptr_t cell(const LockMechanism& m) {
+    return reinterpret_cast<std::uintptr_t>(&m.cell_);
+  }
 };
 
 namespace {
@@ -753,6 +756,9 @@ INSTANTIATE_TEST_SUITE_P(AllTables, SlabLayout,
 // the word never evicts them from another core. Nor does it hold the next
 // heap chunk (an 8 B header, 16 B granules), usually the mechanism's own
 // slab, whose spinlock contended waiters write. The object is unaligned.
+// The instance cell, where the server keeps an account's balance, follows
+// the word at byte 72 and shares its line at every placement, so a section
+// that holds the lock finds its data on the line its acquisition wrote.
 TEST(SlabLayout, PackedWordSharesNoLineWithFastPathFields) {
   const auto t = ModeTable::compile(
       commute::account_spec(),
@@ -771,6 +777,11 @@ TEST(SlabLayout, PackedWordSharesNoLineWithFastPathFields) {
     const std::uintptr_t word = LockMechanismLayoutPeer::word(*m);
     EXPECT_EQ(word / kLine, (word + sizeof(std::uint64_t) - 1) / kLine);
     EXPECT_GE(word - reinterpret_cast<std::uintptr_t>(m), 64u);
+    const std::uintptr_t cell = LockMechanismLayoutPeer::cell(*m);
+    EXPECT_EQ(cell - reinterpret_cast<std::uintptr_t>(m), 72u);
+    EXPECT_EQ(cell, reinterpret_cast<std::uintptr_t>(&m->cell()));
+    EXPECT_EQ((cell + sizeof(std::int64_t) - 1) / kLine, word / kLine)
+        << "offset " << offset;
     const std::uintptr_t next_chunk =
         reinterpret_cast<std::uintptr_t>(m) + kChunk;
     EXPECT_GT(next_chunk / kLine, (word + sizeof(std::uint64_t) - 1) / kLine)

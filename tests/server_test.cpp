@@ -591,6 +591,51 @@ TEST(ServerTest, CheckedConcurrentRunsAreSerializable) {
   }
 }
 
+// SEMANTIC keeps each balance in its account lock's instance cell and TWO_PL
+// beside its account's mutex, where SERIAL keeps them in the flat store. A
+// concurrent checked run of the bank mix must still be serializable over
+// one recorded instance per account, and end on SERIAL's exact store:
+// transfers commute, so the final balances do not depend on the
+// interleaving.
+TEST(ServerTest, CheckedBankRunsMatchSerialWhereverBalancesLive) {
+  TrafficConfig traffic = small_traffic(31);
+  parse_traffic_mix("bank", &traffic.mix);
+  const auto schedule = generate_schedule(traffic);
+  std::set<std::int64_t> accounts;
+  for (const Request& r : schedule) {
+    accounts.insert(r.a);
+    accounts.insert(r.b);
+  }
+  const auto run = [&](CCMode mode, int workers, HistoryRecorder* recorder) {
+    ServerConfig cfg;
+    cfg.workers = workers;
+    cfg.shards = 8;
+    cfg.queue_capacity = static_cast<int>(schedule.size());
+    auto backend = make_cc_backend(mode, traffic.store, recorder);
+    Server srv(cfg, backend.get());
+    const ServerReport r = srv.run(schedule, /*paced=*/false);
+    EXPECT_EQ(r.completed, r.offered) << cc_mode_name(mode);
+    return backend;
+  };
+  const auto serial = run(CCMode::kSerial, 1, nullptr);
+  ASSERT_EQ(serial->balance_total(),
+            traffic.store.accounts * traffic.store.initial_balance);
+  for (const CCMode mode : {CCMode::kSemantic, CCMode::kTwoPL}) {
+    HistoryRecorder recorder;
+    const auto backend = run(mode, 4, &recorder);
+    const std::vector<HistoryEvent> history = recorder.snapshot();
+    const SerializabilityReport rep = check_conflict_serializability(history);
+    EXPECT_TRUE(rep.serializable)
+        << cc_mode_name(mode) << ": " << rep.to_string();
+    std::set<const void*> instances;
+    for (const HistoryEvent& e : history) instances.insert(e.instance);
+    EXPECT_EQ(instances.size(), accounts.size()) << cc_mode_name(mode);
+    EXPECT_EQ(backend->balance_total(), serial->balance_total())
+        << cc_mode_name(mode);
+    EXPECT_EQ(backend->digest(), serial->digest()) << cc_mode_name(mode);
+  }
+}
+
 TEST(ServerTest, IdenticalStreamYieldsIdenticalFinalStateAcrossModes) {
   // The final store is order-independent across shard interleavings: every
   // pair of requests whose operations do NOT commute (same-source edge ops,
