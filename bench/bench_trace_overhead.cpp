@@ -8,13 +8,15 @@
 //       compiled-in-but-off configuration must be indistinguishable from
 //       itself run twice, i.e. the trace gates cost less than the noise
 //       they hide in.
-//   on — tracing on (events and spans): the full recording cost
-//       (informational; a traced run has opted into paying for it).
+//   on — tracing on: the full recording cost of the op's six events
+//       (txn_begin, acquire_begin, optimistic_hit, release, unlock_all,
+//       txn_end), informational; a traced run has opted into paying for
+//       it. EXPERIMENTS.md §20 has the figures.
 //
 // The measured op is one Transaction opening and releasing a self-commuting
-// mode — the exact shape that crosses every trace gate (txn exec/commit
-// clocks, lock-path event and span checks) without ever blocking, so the
-// numbers are gate and recording cost, not contention.
+// mode — the exact shape that crosses every trace gate (the transaction's
+// begin/end events, the lock path's event checks) without ever blocking,
+// so the numbers are gate and recording cost, not contention.
 #include <algorithm>
 #include <chrono>
 #include <cmath>

@@ -361,9 +361,9 @@ AttrClass classify_wait(const ModeTable& table, int waiter_mode,
   return AttrClass::kModeOverapprox;
 }
 
-AttrClass record_attribution(const void* instance, const ModeTable& table,
-                             int waiter_mode, const LockSiteArgs* waiter_args,
-                             int holder_mode, const AttrRecord* holder_rec) {
+void record_attribution(const void* instance, const ModeTable& table,
+                        int waiter_mode, const LockSiteArgs* waiter_args,
+                        int holder_mode, const AttrRecord* holder_rec) {
   AttrSnapshot waiter;
   if (waiter_args != nullptr && waiter_args->site >= 0 &&
       waiter_args->values.size() <= kAttrMaxVals) {
@@ -392,8 +392,7 @@ AttrClass record_attribution(const void* instance, const ModeTable& table,
                                       holder, exec_mask);
   record_attribution_tally(instance, waiter_mode, holder_mode,
                            static_cast<std::uint32_t>(cls));
-  emit(EventType::kAttribution, instance, static_cast<int>(cls));
-  return cls;
+  emit(EventType::kAttribution, instance, holder_mode, static_cast<int>(cls));
 }
 
 }  // namespace semlock::obs

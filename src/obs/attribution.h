@@ -173,11 +173,11 @@ AttrClass classify_wait(const ModeTable& table, int waiter_mode,
 // its live LockSiteArgs, seqlock-reads the holder's grant record (discarding
 // it when it is the waiter's own previous grant), classifies, bumps the
 // per-(instance, mode pair) tallies and emits a kAttribution event whose
-// mode field is the AttrClass index. Returns the class assigned (kUnsampled
-// when the holder record was torn or the waiter's own) so the span recorder
-// can stamp the wait's lock-wait span with it.
-AttrClass record_attribution(const void* instance, const ModeTable& table,
-                             int waiter_mode, const LockSiteArgs* waiter_args,
-                             int holder_mode, const AttrRecord* holder_rec);
+// mode field is `holder_mode` and whose payload is the AttrClass index
+// (kUnsampled when the holder record was torn or the waiter's own), which
+// the trace's derived lock wait takes when `holder_mode` is its blocker.
+void record_attribution(const void* instance, const ModeTable& table,
+                        int waiter_mode, const LockSiteArgs* waiter_args,
+                        int holder_mode, const AttrRecord* holder_rec);
 
 }  // namespace semlock::obs

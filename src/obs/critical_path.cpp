@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -11,45 +12,115 @@
 
 namespace semlock::obs {
 
-namespace {
-
-struct TxnProfile {
-  std::uint64_t start_ns = ~0ull;  // earliest exec start
-  std::uint64_t end_ns = 0;        // latest commit end
-  std::uint64_t latency_ns = 0;    // summed exec+commit durations
-  std::vector<Span> waits;         // the txn's lock-wait spans
-};
-
-std::uint64_t span_dur(const Span& s) noexcept {
-  return s.end_ns > s.start_ns ? s.end_ns - s.start_ns : 0;
-}
-
-// Per-owner profiles from the dump's span sections. Keyed by the owner id
-// (txn or thread sentinel); only owners with an exec span become
-// transactions for tail purposes, but every owner's waits are kept so chain
-// walking can follow blockers that never ran inside a Transaction.
-std::unordered_map<std::uint64_t, TxnProfile> build_profiles(
-    const TraceDump& dump) {
-  std::unordered_map<std::uint64_t, TxnProfile> profiles;
-  for (const ThreadSpans& t : dump.spans) {
-    for (const Span& s : t.spans) {
-      if (s.txn == 0) continue;
-      TxnProfile& p = profiles[s.txn];
-      switch (s.kind) {
-        case SpanKind::kExec:
-        case SpanKind::kCommit:
-          p.latency_ns += span_dur(s);
-          p.start_ns = std::min(p.start_ns, s.start_ns);
-          p.end_ns = std::max(p.end_ns, s.end_ns);
+DerivedSpans derive_spans(const TraceDump& dump) {
+  struct Grant {
+    std::uint64_t ts_ns;
+    std::uint64_t owner;
+  };
+  std::map<std::pair<std::uint64_t, std::int32_t>, std::vector<Grant>> grants;
+  std::map<std::uint64_t, TxnInterval> txns;
+  DerivedSpans out;
+  for (const ThreadTrace& t : dump.threads) {
+    std::optional<LockWait> open;
+    std::map<std::int32_t, std::uint32_t> classes;  // blocker mode -> class
+    for (const Event& e : t.events) {
+      const std::uint64_t owner = e.txn != 0 ? e.txn : kThreadOwnerBit | t.tid;
+      switch (e.type) {
+        case EventType::kContendedWait:
+          open = LockWait{.waiter = owner,
+                          .instance = e.instance,
+                          .mode = e.mode,
+                          .start_ns = e.ts_ns,
+                          .blocker_mode = e.payload,
+                          .capture_ns = e.ts_ns};
+          classes.clear();
           break;
-        case SpanKind::kLockWait:
-          p.waits.push_back(s);
+        case EventType::kPark:
+          if (open && e.payload >= 0) {
+            open->blocker_mode = e.payload;
+            open->capture_ns = e.ts_ns;
+          }
           break;
-        case SpanKind::kQueueWait:
+        case EventType::kAttribution:
+          if (open) classes[e.mode] = static_cast<std::uint32_t>(e.payload);
+          break;
+        case EventType::kAcquireGrant:
+        case EventType::kOptimisticHit:
+          grants[{e.instance, e.mode}].push_back(Grant{e.ts_ns, owner});
+          if (open && e.type == EventType::kAcquireGrant &&
+              e.instance == open->instance && e.mode == open->mode) {
+            open->end_ns = e.ts_ns;
+            const auto c = classes.find(open->blocker_mode);
+            if (c != classes.end()) open->attr_class = c->second;
+            out.waits.push_back(*open);
+            open.reset();
+          }
+          break;
+        case EventType::kTxnBegin:
+        case EventType::kTxnEnd: {
+          TxnInterval& x =
+              txns.try_emplace(e.txn, TxnInterval{e.txn, ~0ull, 0})
+                  .first->second;
+          if (e.type == EventType::kTxnBegin) {
+            x.begin_ns = std::min(x.begin_ns, e.ts_ns);
+          } else {
+            x.end_ns = std::max(x.end_ns, e.ts_ns);
+          }
+          break;
+        }
+        default:
           break;
       }
     }
   }
+  for (auto& [key, list] : grants) {
+    std::stable_sort(list.begin(), list.end(),
+                     [](const Grant& a, const Grant& b) {
+                       return a.ts_ns < b.ts_ns;
+                     });
+  }
+  for (LockWait& w : out.waits) {
+    const auto it = grants.find({w.instance, w.blocker_mode});
+    if (it == grants.end()) continue;
+    // The latest grant at or before the sample, skipping the waiter's own.
+    auto g = std::upper_bound(
+        it->second.begin(), it->second.end(), w.capture_ns,
+        [](std::uint64_t ts, const Grant& x) { return ts < x.ts_ns; });
+    while (g != it->second.begin()) {
+      if ((--g)->owner != w.waiter) {
+        w.blocker = g->owner;
+        break;
+      }
+    }
+  }
+  for (const auto& [txn, x] : txns) {
+    if (x.begin_ns <= x.end_ns) out.txns.push_back(x);
+  }
+  return out;
+}
+
+namespace {
+
+struct TxnProfile {
+  std::uint64_t latency_ns = 0;        // 0 = no interval in the dump
+  std::vector<const LockWait*> waits;  // the owner's lock waits
+};
+
+std::uint64_t wait_dur(const LockWait& w) noexcept {
+  return w.end_ns > w.start_ns ? w.end_ns - w.start_ns : 0;
+}
+
+// Per-owner profiles. Keyed by the owner id (txn or thread sentinel); only
+// owners with an interval become transactions for tail purposes, but every
+// owner's waits are kept so chain walking can follow blockers that never
+// ran inside a Transaction.
+std::unordered_map<std::uint64_t, TxnProfile> build_profiles(
+    const DerivedSpans& spans) {
+  std::unordered_map<std::uint64_t, TxnProfile> profiles;
+  for (const TxnInterval& x : spans.txns) {
+    profiles[x.txn].latency_ns = x.end_ns - x.begin_ns;
+  }
+  for (const LockWait& w : spans.waits) profiles[w.waiter].waits.push_back(&w);
   return profiles;
 }
 
@@ -67,23 +138,23 @@ void append_ns(std::string& out, std::uint64_t ns) {
 }
 
 // The longest blocking chain starting from `txn`'s worst wait: follow the
-// blocker's own lock-wait spans that overlap the waiter's window.
+// blocker's own lock waits that overlap the waiter's window.
 std::string render_chain(
     std::uint64_t txn,
     const std::unordered_map<std::uint64_t, TxnProfile>& profiles,
     std::size_t max_depth = 8) {
   const auto it = profiles.find(txn);
   if (it == profiles.end() || it->second.waits.empty()) return "";
-  const Span* worst = &it->second.waits.front();
-  for (const Span& w : it->second.waits) {
-    if (span_dur(w) > span_dur(*worst)) worst = &w;
+  const LockWait* worst = it->second.waits.front();
+  for (const LockWait* w : it->second.waits) {
+    if (wait_dur(*w) > wait_dur(*worst)) worst = w;
   }
   std::string out = format_owner(txn);
   std::set<std::uint64_t> seen{txn};
-  const Span* cur = worst;
+  const LockWait* cur = worst;
   for (std::size_t depth = 0; depth < max_depth; ++depth) {
     out += " -(";
-    append_ns(out, span_dur(*cur));
+    append_ns(out, wait_dur(*cur));
     char buf[96];
     std::snprintf(buf, sizeof(buf), " on 0x%llx mode %d %s)-> ",
                   static_cast<unsigned long long>(cur->instance), cur->mode,
@@ -102,10 +173,10 @@ std::string render_chain(
     if (bit == profiles.end()) break;
     // The blocker's own longest wait overlapping the time we spent blocked
     // on it: that is the next hop of the critical path.
-    const Span* next = nullptr;
-    for (const Span& w : bit->second.waits) {
-      if (w.end_ns <= cur->start_ns || w.start_ns >= cur->end_ns) continue;
-      if (next == nullptr || span_dur(w) > span_dur(*next)) next = &w;
+    const LockWait* next = nullptr;
+    for (const LockWait* w : bit->second.waits) {
+      if (w->end_ns <= cur->start_ns || w->start_ns >= cur->end_ns) continue;
+      if (next == nullptr || wait_dur(*w) > wait_dur(*next)) next = w;
     }
     if (next == nullptr) break;
     cur = next;
@@ -117,10 +188,11 @@ std::string render_chain(
 
 CriticalPathStats analyze_critical_paths(const TraceDump& dump) {
   CriticalPathStats stats;
+  const DerivedSpans spans = derive_spans(dump);
   const std::unordered_map<std::uint64_t, TxnProfile> profiles =
-      build_profiles(dump);
+      build_profiles(spans);
 
-  // Transactions (owners with exec time), ranked by latency for the tail.
+  // Transactions (owners with an interval), ranked by latency for the tail.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> latencies;  // (lat,txn)
   for (const auto& [txn, p] : profiles) {
     if (p.latency_ns == 0) continue;
@@ -144,13 +216,13 @@ CriticalPathStats analyze_critical_paths(const TraceDump& dump) {
   for (const auto& [latency, txn] : tail) {
     stats.tail_latency_ns += latency;
     const TxnProfile& p = profiles.at(txn);
-    for (const Span& w : p.waits) {
-      const std::uint64_t dur = span_dur(w);
+    for (const LockWait* w : p.waits) {
+      const std::uint64_t dur = wait_dur(*w);
       stats.tail_blocked_ns += dur;
-      TailGroup& g = groups[{w.instance, w.mode, w.attr_class}];
-      g.instance = w.instance;
-      g.mode = w.mode;
-      g.attr_class = w.attr_class;
+      TailGroup& g = groups[{w->instance, w->mode, w->attr_class}];
+      g.instance = w->instance;
+      g.mode = w->mode;
+      g.attr_class = w->attr_class;
       g.blocked_ns += dur;
       g.waits += 1;
     }
@@ -186,8 +258,8 @@ std::string critical_path_report(const TraceDump& dump) {
   std::string out = "critical-path report\n";
   char buf[256];
   if (stats.txns == 0) {
-    out += "  no transactions with exec spans in this dump (the traced run "
-           "closed no Transaction)\n";
+    out += "  no transactions with begin and end events in this dump (the "
+           "traced run closed no Transaction)\n";
     return out;
   }
   std::snprintf(buf, sizeof(buf),
@@ -208,7 +280,7 @@ std::string critical_path_report(const TraceDump& dump) {
 
   out += "\n  tail blocked time by (instance, mode, attribution class):\n";
   if (stats.groups.empty()) {
-    out += "    (no lock-wait spans on tail transactions)\n";
+    out += "    (no lock waits on tail transactions)\n";
   }
   constexpr std::size_t kTopGroups = 12;
   for (std::size_t i = 0; i < stats.groups.size() && i < kTopGroups; ++i) {
@@ -231,58 +303,6 @@ std::string critical_path_report(const TraceDump& dump) {
     out += "\n  longest blocking chains (worst tail transactions):\n";
     for (const std::string& chain : stats.chains) {
       out += "    " + chain + "\n";
-    }
-  }
-  return out;
-}
-
-std::vector<ReconstructedBlocker> reconstruct_blockers(const TraceDump& dump) {
-  // Grant events across all threads, with the emitting thread's sentinel as
-  // fallback owner — the event-stream ground truth the online capture (a
-  // read of the PR 5 grant record at park time) must reproduce.
-  struct GrantEvent {
-    std::uint64_t ts_ns;
-    std::uint64_t instance;
-    std::int32_t mode;
-    std::uint64_t owner;
-  };
-  std::vector<GrantEvent> grants;
-  for (const ThreadTrace& t : dump.threads) {
-    for (const Event& e : t.events) {
-      if (e.type != EventType::kAcquireGrant &&
-          e.type != EventType::kOptimisticHit) {
-        continue;
-      }
-      GrantEvent g;
-      g.ts_ns = e.ts_ns;
-      g.instance = e.instance;
-      g.mode = e.mode;
-      g.owner = e.txn != 0 ? e.txn : (0x8000000000000000ull | t.tid);
-      grants.push_back(g);
-    }
-  }
-  std::sort(grants.begin(), grants.end(),
-            [](const GrantEvent& a, const GrantEvent& b) {
-              return a.ts_ns < b.ts_ns;
-            });
-
-  std::vector<ReconstructedBlocker> out;
-  for (const ThreadSpans& t : dump.spans) {
-    for (const Span& s : t.spans) {
-      if (s.kind != SpanKind::kLockWait) continue;
-      if (s.blocker_mode < 0 || s.capture_ns == 0) continue;
-      ReconstructedBlocker r;
-      r.waiter = s.txn;
-      r.instance = s.instance;
-      r.mode = s.mode;
-      r.online = s.blocker;
-      for (const GrantEvent& g : grants) {
-        if (g.ts_ns > s.capture_ns) break;
-        if (g.instance != s.instance || g.mode != s.blocker_mode) continue;
-        if (g.owner == s.txn) continue;
-        r.offline = g.owner;  // latest qualifying grant wins
-      }
-      out.push_back(r);
     }
   }
   return out;

@@ -1,4 +1,4 @@
-// Dump I/O and the human-facing exporters. Format v5 is documented in
+// Dump I/O and the human-facing exporters. Format v6 is documented in
 // export.h; everything here is plain C stdio so the exporters work in the
 // stripped-down CLI as well as the runtime's exit path.
 #include "obs/export.h"
@@ -17,7 +17,7 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'L', 'T', 'R', 'A', 'C', 'E', '1'};
 // The only version written and the only one loaded.
-constexpr std::uint32_t kVersion = 5;
+constexpr std::uint32_t kVersion = 6;
 
 // --- little binary writer/reader over stdio ---------------------------------
 
@@ -37,11 +37,9 @@ struct Writer {
   void bytes(const void* p, std::size_t n) {
     if (ok && n > 0) ok = std::fwrite(p, 1, n, f) == n;
   }
-  // One ring record in its word form (obs/ring.h).
-  template <class Record>
-  void record(const Record& rec) {
-    std::uint64_t w[Record::kWords];
-    rec.to_words(w);
+  void event(const Event& e) {
+    std::uint64_t w[Event::kWords];
+    e.to_words(w);
     for (const std::uint64_t word : w) u64(word);
   }
 };
@@ -68,11 +66,10 @@ struct Reader {
   void bytes(void* p, std::size_t n) {
     if (ok && n > 0) ok = std::fread(p, 1, n, f) == n;
   }
-  template <class Record>
-  Record record() {
-    std::uint64_t w[Record::kWords];
+  Event event() {
+    std::uint64_t w[Event::kWords];
     for (std::uint64_t& word : w) word = u64();
-    return Record::from_words(w);
+    return Event::from_words(w);
   }
 };
 
@@ -232,15 +229,7 @@ bool write_dump_file(const TraceDump& dump, const std::string& path,
     w.u32(t.tid);
     w.u32(t.live ? 1 : 0);
     w.u64(t.events.size());
-    for (const Event& e : t.events) w.record(e);
-  }
-  // Span sections: the same per-thread shape with Span-wide records.
-  w.u32(static_cast<std::uint32_t>(dump.spans.size()));
-  for (const ThreadSpans& t : dump.spans) {
-    w.u32(t.tid);
-    w.u32(t.live ? 1 : 0);
-    w.u64(t.spans.size());
-    for (const Span& s : t.spans) w.record(s);
+    for (const Event& e : t.events) w.event(e);
   }
   const bool ok = w.ok && std::fclose(f) == 0;
   if (!ok && error != nullptr) *error = "short write to " + path;
@@ -289,24 +278,7 @@ bool load_dump_file(const std::string& path, TraceDump& out,
       return false;
     }
     t.events.resize(static_cast<std::size_t>(count));
-    for (Event& e : t.events) e = r.record<Event>();
-  }
-  const std::uint32_t span_threads = r.u32();
-  if (!r.ok || span_threads > (1u << 20)) {
-    if (error != nullptr) *error = path + ": corrupt span header";
-    return false;
-  }
-  out.spans.resize(span_threads);
-  for (ThreadSpans& t : out.spans) {
-    t.tid = r.u32();
-    t.live = r.u32() != 0;
-    const std::uint64_t count = r.u64();
-    if (!r.ok || count > (1ull << 28)) {
-      if (error != nullptr) *error = path + ": corrupt span section";
-      return false;
-    }
-    t.spans.resize(static_cast<std::size_t>(count));
-    for (Span& s : t.spans) s = r.record<Span>();
+    for (Event& e : t.events) e = r.event();
   }
   if (!r.ok && error != nullptr) *error = path + ": truncated dump";
   return r.ok;

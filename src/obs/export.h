@@ -3,11 +3,11 @@
 // report. Shared by the runtime's exit dump (trace.cpp) and the
 // tools/semlock-trace CLI, so both ends of the format live in one place.
 //
-// Binary dump format v5 (native endianness; produced and consumed on the
-// same machine). The loader accepts v5 only; any other version is refused
+// Binary dump format v6 (native endianness; produced and consumed on the
+// same machine). The loader accepts v6 only; any other version is refused
 // as "unsupported dump version N".
 //   char[8]  magic "SLTRACE1"
-//   u32      version (5)
+//   u32      version (6)
 //   u32      thread count
 //   metrics section (MetricsSnapshot, see read/write in export.cpp: acquire
 //   totals, per-instance tallies, blocked-by and attribution cells, wait
@@ -15,16 +15,17 @@
 //   histogram, paired/unmatched counts, top holds)
 //   per thread: u32 tid, u32 live, u64 event count,
 //               count * Event::kWords u64 words (oldest event first)
-//   u32 span-thread count, then per thread: u32 tid, u32 live,
-//   u64 span count, count * Span::kWords u64 words (oldest span first).
-// A record's words are its ring words (Event/Span::to_words, obs/ring.h).
+// An event's words are its ring words (Event::to_words, obs/event.h); v6's
+// type word carries the per-type payload (lock site, blocker mode, class)
+// from which lock waits and transaction intervals are derived
+// (obs/critical_path.h). v5 appended span sections and packed the type
+// word without a payload.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 
 namespace semlock::obs {
@@ -32,7 +33,6 @@ namespace semlock::obs {
 struct TraceDump {
   std::vector<ThreadTrace> threads;
   MetricsSnapshot metrics;
-  std::vector<ThreadSpans> spans;
 };
 
 // In-process capture: ring snapshots (live + retired) plus collect_metrics().

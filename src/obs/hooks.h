@@ -14,12 +14,10 @@
 
 #if defined(SEMLOCK_OBS)
 
-#include "obs/span.h"
 #include "obs/trace.h"
-#include "runtime/wait_registry.h"
 
-// Process-level event (no owning LockMechanism): transaction epilogues,
-// harness pass marks. `type` is an EventType enumerator name.
+// Process-level event (no owning LockMechanism): transaction begin, end and
+// epilogue, harness pass marks. `type` is an EventType enumerator name.
 #define SEMLOCK_OBS_EVENT(type, instance, mode)                       \
   do {                                                                \
     if (::semlock::obs::runtime_enabled())                            \
@@ -34,18 +32,10 @@
 #define SEMLOCK_OBS_TXN_BEGIN() ::semlock::obs::txn_begin()
 #define SEMLOCK_OBS_TXN_END() ::semlock::obs::txn_end()
 
-// Span clock for the transaction exec/commit spans (obs/span.h): steady-now
-// when tracing is on, 0 otherwise — the zero doubles as the "don't record"
-// flag, keeping the disabled cost at one relaxed load and a branch.
-#define SEMLOCK_OBS_SPAN_CLOCK()                                          \
-  (::semlock::obs::runtime_enabled() ? ::semlock::runtime::steady_now_ns() \
-                                     : 0)
-
 #else  // !SEMLOCK_OBS
 
 #define SEMLOCK_OBS_EVENT(type, instance, mode) ((void)0)
 #define SEMLOCK_OBS_TXN_BEGIN() ((void)0)
 #define SEMLOCK_OBS_TXN_END() ((void)0)
-#define SEMLOCK_OBS_SPAN_CLOCK() 0
 
 #endif  // SEMLOCK_OBS

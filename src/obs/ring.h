@@ -1,6 +1,5 @@
-// Per-thread lock-free SPSC record ring with overwrite-oldest semantics,
-// shared by the event stream (obs/event.h, 4 words a record) and the span
-// stream (obs/span.h, 8 words a record).
+// Per-thread lock-free SPSC record ring with overwrite-oldest semantics: the
+// storage of the event stream (obs/event.h, 4 words a record).
 //
 // Exactly one thread appends (its own records); any thread may take a
 // snapshot (the exporter at dump time, the stall watchdog mid-run for

@@ -1,6 +1,6 @@
-// Per-thread trace state (event ring, span ring, stats, metric
-// accumulators), the process-wide registry it retires into, and the metrics
-// fold. See trace.h for the lifecycle contract.
+// Per-thread trace state (event ring, stats, metric accumulators), the
+// process-wide registry it retires into, and the metrics fold. See trace.h
+// for the lifecycle contract.
 //
 // Synchronization summary:
 //   - the registry (live-thread list, retired data, dump path) is guarded
@@ -13,8 +13,7 @@
 //     fast path; it is folded only at retirement (merge-on-exit) or read
 //     from the calling thread itself, so totals are exact once worker
 //     threads have joined and no fast-path write is ever contended;
-//   - event and span rings are SPSC with lock-free concurrent snapshot
-//     (ring.h).
+//   - event rings are SPSC with lock-free concurrent snapshot (ring.h).
 //
 // The registry itself is a leaky heap singleton: thread exit order versus
 // static destruction order is unknowable across toolchains, and a retiring
@@ -38,7 +37,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/ring.h"
-#include "obs/span.h"
 #include "runtime/wait_registry.h"
 #include "util/env.h"
 #include "util/spinlock.h"
@@ -62,6 +60,8 @@ const char* event_name(EventType type) noexcept {
     case EventType::kAttribution: return "attribution";
     case EventType::kBarrierDivert: return "barrier_divert";
     case EventType::kGrantHandoff: return "grant_handoff";
+    case EventType::kTxnBegin: return "txn_begin";
+    case EventType::kTxnEnd: return "txn_end";
   }
   return "unknown";
 }
@@ -74,7 +74,6 @@ std::atomic<std::uint64_t> g_next_txn{0};
 namespace {
 
 std::atomic<std::uint32_t> g_ring_capacity{kDefaultRingEvents};
-std::atomic<std::uint32_t> g_span_ring_capacity{kDefaultSpanRingCapacity};
 
 // (waiter_mode, holder_mode) packed for the per-thread blocked-by map.
 std::uint64_t pack_pair(std::int32_t waiter, std::int32_t holder) noexcept {
@@ -149,10 +148,9 @@ constexpr std::size_t kMaxOpenHolds = 4096;
 
 struct ThreadState {
   std::uint32_t tid = 0;
-  // Created lazily on the first emitted event / recorded span; published
-  // with release so concurrent snapshotters see fully constructed storage.
+  // Created lazily on the first emitted event; published with release so
+  // concurrent snapshotters see fully constructed storage.
   std::atomic<Ring<Event>*> ring{nullptr};
-  std::atomic<Ring<Span>*> span_ring{nullptr};
   AcquireStats stats;  // fast-path counters; owner-written, folded on retire
   mutable util::Spinlock metrics_lock;
   MetricsAccum metrics;
@@ -162,50 +160,29 @@ struct ThreadState {
   std::atomic<std::uint64_t> event_counts[kNumEventTypes] = {};
   // Hold-time profiler working state (owner-only, see OpenHold).
   std::vector<OpenHold> open_holds;
-  std::int32_t pending_site = -1;  // stashed by note_lock_site()
 
-  ~ThreadState() {
-    delete ring.load(std::memory_order_relaxed);
-    delete span_ring.load(std::memory_order_relaxed);
-  }
+  ~ThreadState() { delete ring.load(std::memory_order_relaxed); }
 };
 
-// The calling thread's own ring in `slot`, created on first use.
-template <class Record>
-Ring<Record>& own_ring(std::atomic<Ring<Record>*>& slot,
-                       std::uint32_t capacity) {
-  Ring<Record>* ring = slot.load(std::memory_order_relaxed);
-  if (ring == nullptr) {
-    ring = new Ring<Record>(capacity);
-    slot.store(ring, std::memory_order_release);
-  }
-  return *ring;
+std::vector<Event> ring_snapshot(const ThreadState& ts) {
+  const Ring<Event>* ring = ts.ring.load(std::memory_order_acquire);
+  return ring != nullptr ? ring->snapshot() : std::vector<Event>{};
 }
 
-template <class Record>
-std::vector<Record> ring_snapshot(const std::atomic<Ring<Record>*>& slot) {
-  const Ring<Record>* ring = slot.load(std::memory_order_acquire);
-  return ring != nullptr ? ring->snapshot() : std::vector<Record>{};
-}
-
-// Exited threads' retained records, oldest-retired first. Past `kCap`
-// records, whole oldest-retired threads are evicted first (their records
-// are the least likely to matter in a dump), never the newest one.
-template <class Record, std::size_t kCap>
+// Exited threads' retained events, oldest-retired first. Past kCap events,
+// whole oldest-retired threads are evicted first (their events are the
+// least likely to matter in a dump), never the newest one.
 struct RetiredLog {
-  struct Thread {
-    std::uint32_t tid = 0;
-    std::vector<Record> records;
-  };
-  std::deque<Thread> threads;
+  static constexpr std::size_t kCap = 1u << 18;  // 262144 events
+  std::deque<ThreadTrace> threads;
   std::size_t count = 0;
 
-  void add(std::uint32_t tid, std::vector<Record> records) {
-    if (records.empty()) return;
-    count += records.size();
-    threads.push_back(Thread{tid, std::move(records)});
+  void add(std::uint32_t tid, std::vector<Event> events) {
+    if (events.empty()) return;
+    count += events.size();
+    threads.push_back(ThreadTrace{tid, false, std::move(events)});
     while (count > kCap && threads.size() > 1) {
-      count -= threads.front().records.size();
+      count -= threads.front().events.size();
       threads.pop_front();
     }
   }
@@ -218,17 +195,17 @@ class Registry {
     return *r;
   }
 
-  std::uint32_t register_thread(ThreadState* ts) {
+  // The tid is stamped under the lock: a concurrent snapshot reads it there.
+  void register_thread(ThreadState* ts) {
     std::lock_guard<util::Spinlock> g(lock_);
+    ts->tid = next_tid_++;
     live_.push_back(ts);
-    return next_tid_++;
   }
 
   void retire_thread(ThreadState* ts) {
-    // Snapshot the rings outside the registry lock: the owner is retiring,
-    // so the rings are quiescent and this is a plain read.
-    std::vector<Event> events = ring_snapshot(ts->ring);
-    std::vector<Span> spans = ring_snapshot(ts->span_ring);
+    // Snapshot the ring outside the registry lock: the owner is retiring,
+    // so the ring is quiescent and this is a plain read.
+    std::vector<Event> events = ring_snapshot(*ts);
     std::lock_guard<util::Spinlock> g(lock_);
     live_.erase(std::remove(live_.begin(), live_.end(), ts), live_.end());
     retired_stats_.merge(ts->stats);
@@ -238,15 +215,22 @@ class Registry {
           ts->event_counts[i].load(std::memory_order_relaxed);
     }
     retired_events_.add(ts->tid, std::move(events));
-    retired_spans_.add(ts->tid, std::move(spans));
   }
 
+  // Retired threads' events plus a racy-but-consistent snapshot of every
+  // live thread's ring (empty if it never emitted), ordered by tid.
   std::vector<ThreadTrace> snapshot_traces() {
-    return snapshot<ThreadTrace>(retired_events_, &ThreadState::ring);
-  }
-
-  std::vector<ThreadSpans> snapshot_spans() {
-    return snapshot<ThreadSpans>(retired_spans_, &ThreadState::span_ring);
+    std::lock_guard<util::Spinlock> g(lock_);
+    std::vector<ThreadTrace> out(retired_events_.threads.begin(),
+                                 retired_events_.threads.end());
+    for (ThreadState* ts : live_) {
+      out.push_back(ThreadTrace{ts->tid, true, ring_snapshot(*ts)});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const ThreadTrace& a, const ThreadTrace& b) {
+                return a.tid < b.tid;
+              });
+    return out;
   }
 
   std::array<std::uint64_t, kNumEventTypes> event_count_totals() {
@@ -349,19 +333,16 @@ class Registry {
   void reset(ThreadState* self) {
     std::lock_guard<util::Spinlock> g(lock_);
     retired_events_ = {};
-    retired_spans_ = {};
     retired_stats_ = AcquireStats{};
     retired_metrics_ = MetricsAccum{};
     for (std::uint64_t& c : retired_event_counts_) c = 0;
     if (self != nullptr) {
       delete self->ring.exchange(nullptr, std::memory_order_acq_rel);
-      delete self->span_ring.exchange(nullptr, std::memory_order_acq_rel);
       self->stats = AcquireStats{};
       for (std::atomic<std::uint64_t>& c : self->event_counts) {
         c.store(0, std::memory_order_relaxed);
       }
       self->open_holds.clear();
-      self->pending_site = -1;
       std::lock_guard<util::Spinlock> tg(self->metrics_lock);
       self->metrics = MetricsAccum{};
     }
@@ -380,31 +361,10 @@ class Registry {
  private:
   Registry() = default;
 
-  // Retired threads' records plus a racy-but-consistent snapshot of every
-  // live thread's ring (empty if it never recorded), ordered by tid.
-  template <class Thread, class Log, class Record>
-  std::vector<Thread> snapshot(const Log& retired,
-                               std::atomic<Ring<Record>*> ThreadState::*ring) {
-    std::lock_guard<util::Spinlock> g(lock_);
-    std::vector<Thread> out;
-    out.reserve(retired.threads.size() + live_.size());
-    for (const auto& r : retired.threads) {
-      out.push_back(Thread{r.tid, false, r.records});
-    }
-    for (ThreadState* ts : live_) {
-      out.push_back(Thread{ts->tid, true, ring_snapshot(ts->*ring)});
-    }
-    std::sort(out.begin(), out.end(), [](const Thread& a, const Thread& b) {
-      return a.tid < b.tid;
-    });
-    return out;
-  }
-
   util::Spinlock lock_;
   std::uint32_t next_tid_ = 1;
   std::vector<ThreadState*> live_;
-  RetiredLog<Event, (1u << 18)> retired_events_;  // 262144 events
-  RetiredLog<Span, (1u << 16)> retired_spans_;    // 65536 spans
+  RetiredLog retired_events_;
   AcquireStats retired_stats_;
   MetricsAccum retired_metrics_;
   std::uint64_t retired_event_counts_[kNumEventTypes] = {};
@@ -416,7 +376,7 @@ class Registry {
 // happens exactly once per thread, on first use.
 struct TlsHandle {
   ThreadState state;
-  TlsHandle() { state.tid = Registry::instance().register_thread(&state); }
+  TlsHandle() { Registry::instance().register_thread(&state); }
   ~TlsHandle() { Registry::instance().retire_thread(&state); }
 };
 
@@ -477,17 +437,6 @@ void set_ring_capacity(std::uint32_t events) noexcept {
                         std::memory_order_relaxed);
 }
 
-std::uint32_t span_ring_capacity() noexcept {
-  return g_span_ring_capacity.load(std::memory_order_relaxed);
-}
-
-void set_span_ring_capacity(std::uint32_t spans) noexcept {
-  g_span_ring_capacity.store(spans < Ring<Span>::kMinCapacity
-                                 ? Ring<Span>::kMinCapacity
-                                 : spans,
-                             std::memory_order_relaxed);
-}
-
 // --- emission ---------------------------------------------------------------
 
 namespace {
@@ -529,20 +478,16 @@ void drain_snapshot_requests() {
 }
 
 // Hold-time profiler: the grant side pushes an OpenHold, the release side
-// LIFO-matches it by (instance, mode) and records the span. LIFO is the
+// LIFO-matches it by (instance, mode) and records the hold. LIFO is the
 // right order for lock scopes — nested acquisitions release innermost
 // first — and degrades gracefully for the rare hand-over-hand pattern (the
 // match walks past non-matching entries).
 void open_hold_on_grant(ThreadState& ts, const Event& e) {
-  if (ts.open_holds.size() >= kMaxOpenHolds) {
-    // Full table: drop this grant (its release will count as unmatched)
-    // rather than evicting an older hold into a silently wrong pairing.
-    ts.pending_site = -1;
-    return;
-  }
-  ts.open_holds.push_back(OpenHold{e.instance, e.ts_ns, e.txn,
-                                   e.mode, ts.pending_site});
-  ts.pending_site = -1;
+  // Full table: drop this grant (its release will count as unmatched)
+  // rather than evicting an older hold into a silently wrong pairing.
+  if (ts.open_holds.size() >= kMaxOpenHolds) return;
+  ts.open_holds.push_back(
+      OpenHold{e.instance, e.ts_ns, e.txn, e.mode, e.payload});
 }
 
 void close_hold_on_release(ThreadState& ts, const Event& e) {
@@ -565,16 +510,21 @@ void close_hold_on_release(ThreadState& ts, const Event& e) {
 
 }  // namespace
 
-void emit(EventType type, const void* instance, int mode) {
+void emit(EventType type, const void* instance, int mode, int payload) {
   ThreadState& ts = thread_state();
-  Ring<Event>& ring = own_ring(ts.ring, ring_capacity());
+  Ring<Event>* ring = ts.ring.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new Ring<Event>(ring_capacity());
+    ts.ring.store(ring, std::memory_order_release);
+  }
   Event e;
   e.ts_ns = runtime::steady_now_ns();
   e.instance = reinterpret_cast<std::uint64_t>(instance);
   e.txn = current_txn();
   e.type = type;
   e.mode = mode;
-  ring.append(e);
+  e.payload = payload;
+  ring->append(e);
   const auto ti = static_cast<std::size_t>(type);
   if (ti < kNumEventTypes) {
     // Owner-only writer: load+store, not an RMW (see event_count_totals).
@@ -601,10 +551,6 @@ void emit(EventType type, const void* instance, int mode) {
   }
 }
 
-void note_lock_site(std::int32_t site) noexcept {
-  thread_state().pending_site = site;
-}
-
 std::array<std::uint64_t, kNumEventTypes> event_count_totals() {
   return Registry::instance().event_count_totals();
 }
@@ -614,16 +560,15 @@ AcquireStats& thread_acquire_stats() { return thread_state().stats; }
 std::uint64_t current_owner_id() noexcept {
   const std::uint64_t txn = current_txn();
   if (txn != 0) return txn;
-  return 0x8000000000000000ull | thread_state().tid;
+  return kThreadOwnerBit | thread_state().tid;
 }
 
-std::uint32_t thread_obs_tid() { return thread_state().tid; }
-
-void record_span(const Span& s) {
-  ThreadState& ts = thread_state();
-  Span stamped = s;
-  stamped.tid = ts.tid;
-  own_ring(ts.span_ring, span_ring_capacity()).append(stamped);
+std::string format_owner(std::uint64_t owner) {
+  if (owner == 0) return "?";
+  if ((owner & kThreadOwnerBit) != 0) {
+    return "thread " + std::to_string(owner & ~kThreadOwnerBit);
+  }
+  return "txn " + std::to_string(owner);
 }
 
 void record_blocked_by(const void* instance, int waiter_mode,
@@ -666,10 +611,6 @@ std::vector<ThreadTrace> snapshot_traces() {
   return Registry::instance().snapshot_traces();
 }
 
-std::vector<ThreadSpans> snapshot_spans() {
-  return Registry::instance().snapshot_spans();
-}
-
 MetricsSnapshot collect_metrics() {
   return Registry::instance().collect(&thread_state());
 }
@@ -683,7 +624,6 @@ TraceDump capture() {
   TraceDump dump;
   dump.threads = Registry::instance().snapshot_traces();
   dump.metrics = Registry::instance().collect(nullptr);
-  dump.spans = Registry::instance().snapshot_spans();
   return dump;
 }
 
@@ -807,7 +747,6 @@ void reset_for_test() {
   detail::g_next_txn.store(0, std::memory_order_relaxed);
   detail::txn_tls().id = 0;
   detail::txn_tls().depth = 0;
-  detail::txn_tls().last_id = 0;
   // Drop un-drained snapshot requests (the written count stays monotonic so
   // earlier files are never overwritten) and the executed-ops evidence.
   g_snapshot_claims.store(g_snapshot_requests.load(std::memory_order_acquire),

@@ -7,8 +7,8 @@
 //     tests/benches) feeds the default of ModeTableConfig::trace_events;
 //   - each LockMechanism caches its table's trace_events flag and emits
 //     events/metrics only when it is set;
-//   - per-thread state (the SPSC event and span rings of ring.h,
-//     AcquireStats, the conflict/latency accumulators of metrics.h)
+//   - per-thread state (the SPSC event ring of ring.h, AcquireStats, the
+//     conflict/latency accumulators of metrics.h)
 //     registers itself with a process-wide registry on first use and
 //     retires into it at thread exit, so dumps and metrics include threads
 //     that are already gone.
@@ -74,10 +74,6 @@ extern std::atomic<std::uint64_t> g_next_txn;
 struct TxnTls {
   std::uint64_t id = 0;  // 0 until current_txn() assigns one
   std::uint32_t depth = 0;
-  // Id of the thread's most recently closed outermost transaction; lets the
-  // server stamp a queue-wait span with the transaction its request ran as
-  // (last_completed_txn) without threading ids through the backend API.
-  std::uint64_t last_id = 0;
 };
 inline TxnTls& txn_tls() noexcept {
   thread_local TxnTls tls;
@@ -120,10 +116,7 @@ inline void txn_begin() noexcept { ++detail::txn_tls().depth; }
 
 inline void txn_end() noexcept {
   detail::TxnTls& tls = detail::txn_tls();
-  if (tls.depth > 0 && --tls.depth == 0) {
-    tls.last_id = tls.id;
-    tls.id = 0;
-  }
+  if (tls.depth > 0 && --tls.depth == 0) tls.id = 0;
 }
 
 // The open transaction's id, assigned on this first request (0 outside any
@@ -136,32 +129,23 @@ inline std::uint64_t current_txn() noexcept {
   return tls.id;
 }
 
-// Id of this thread's most recently completed outermost transaction; 0 if
-// there was none or it never had an id assigned.
-inline std::uint64_t last_completed_txn() noexcept {
-  return detail::txn_tls().last_id;
-}
-
 // Identity of the caller for attribution records: the open transaction id,
 // or (outside any transaction) the thread's obs tid with the top bit set so
 // the two id spaces never collide.
 std::uint64_t current_owner_id() noexcept;
+inline constexpr std::uint64_t kThreadOwnerBit = 0x8000000000000000ull;
 
-// This thread's small process-unique obs tid (registering it on first use):
-// the tid of its event section and its span section in a dump.
-std::uint32_t thread_obs_tid();
+// "txn 12" / "thread 3" / "?" — shared rendering of the owner-id space for
+// chains, reports, and the wait graph.
+std::string format_owner(std::uint64_t owner);
 
 // --- emission (callers gate: LockMechanism on its cached trace_events flag,
 // --- process-level sites on runtime_enabled()) ------------------------------
 
-void emit(EventType type, const void* instance, int mode);
-
-// Stashes the caller's lock-site id (LockSiteArgs::site, -1 = unknown) for
-// the thread's NEXT grant event: lock()/try_lock() entry calls this, emit()
-// consumes it when the grant lands, and the hold-time profiler stamps the
-// resulting HoldSample with it. Thread-local, so interleaved acquisitions
-// of different mechanisms on one thread each keep their own site.
-void note_lock_site(std::int32_t site) noexcept;
+// `payload` is the per-type payload of the type word (obs/event.h): the
+// lock site of a grant, which the hold-time profiler stamps its HoldSample
+// with; the blocker mode of a wait or park; the class of an attribution.
+void emit(EventType type, const void* instance, int mode, int payload = -1);
 
 // Exact per-EventType totals across all threads, live and retired. Each
 // tracing thread owns a cache line of relaxed atomic counters bumped in

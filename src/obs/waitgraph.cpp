@@ -5,7 +5,7 @@
 #include <map>
 #include <set>
 
-#include "obs/span.h"
+#include "obs/trace.h"
 #include "runtime/wait_registry.h"
 
 namespace semlock::obs {

@@ -413,7 +413,6 @@ namespace {
 // the SIGUSR1 snapshot counters in trace.cpp.
 std::atomic<std::uint32_t> g_reset_requests{0};
 std::atomic<std::uint32_t> g_reset_claims{0};
-std::atomic<std::uint32_t> g_resets_done{0};
 
 extern "C" void window_reset_signal_handler(int) { request_window_reset(); }
 
@@ -429,10 +428,6 @@ void install_window_reset_signal_handler() noexcept {
 #endif
 }
 
-std::uint32_t window_resets() noexcept {
-  return g_resets_done.load(std::memory_order_relaxed);
-}
-
 void WindowedMetrics::drain_reset_requests() {
   const std::uint32_t pending =
       g_reset_requests.load(std::memory_order_acquire);
@@ -445,7 +440,6 @@ void WindowedMetrics::drain_reset_requests() {
     return;  // another collector instance took them
   }
   reset_window();
-  g_resets_done.fetch_add(1, std::memory_order_relaxed);
   std::fprintf(stderr, "[semlock] window baseline reset (SIGUSR2)\n");
 }
 

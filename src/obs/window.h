@@ -168,9 +168,6 @@ void request_window_reset() noexcept;
 // WindowedMetrics::start(); tests may call it directly.
 void install_window_reset_signal_handler() noexcept;
 
-// Number of window resets performed so far (monotonic).
-std::uint32_t window_resets() noexcept;
-
 // --- process-wide collector -------------------------------------------------
 
 // The lazily created process-wide instance, sized from the env knobs on

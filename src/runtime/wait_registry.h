@@ -93,8 +93,8 @@ class WaitRegistry {
 };
 
 // Steady-clock nanoseconds: the one clock of wait publication and
-// sampling, trace events, spans and metric windows, so all of them share an
-// epoch. Inline, so a hot caller pays for the clock read alone.
+// sampling, trace events and metric windows, so all of them share an epoch.
+// Inline, so a hot caller pays for the clock read alone.
 inline std::uint64_t steady_now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

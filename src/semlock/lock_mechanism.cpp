@@ -19,7 +19,6 @@
 
 #if defined(SEMLOCK_OBS)
 #include "obs/attribution.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 // Mechanism-level trace hook: gated on this mechanism's cached
 // ModeTableConfig::trace_events flag (trace_), not the global switch, so
@@ -30,35 +29,28 @@
       ::semlock::obs::emit(::semlock::obs::EventType::type, this,    \
                            (mode));                                  \
   } while (0)
-// Grant hook for the conflict-attribution profiler: refresh the mode's
-// last-acquirer record with this caller's identity and concrete argument
-// values. Same trace_ gate as LM_OBS_EVENT, so the traced-off cost stays one
-// predictable branch.
-#define LM_ATTR_GRANT(mode, args)                                    \
-  do {                                                               \
-    if (trace_) [[unlikely]] {                                       \
-      if (attr_records_ != nullptr && obs::attribution_enabled()) {  \
-        obs::attr_record_grant(                                      \
-            attr_records_[static_cast<std::size_t>(mode)],           \
-            obs::current_owner_id(), (args));                        \
-      }                                                              \
-    }                                                                \
-  } while (0)
-// Site hook for the hold-time profiler: stash the caller's lock site at
-// acquisition entry so the grant event (whichever tier lands it) can stamp
-// its OpenHold with the code path that took the lock.
-#define LM_OBS_SITE(args)                                            \
-  do {                                                               \
-    if (trace_) [[unlikely]]                                         \
-      ::semlock::obs::note_lock_site((args) != nullptr ? (args)->site \
-                                                       : -1);        \
+// Grant hook, same gate: the grant event carries the caller's lock site
+// (the hold-time profiler's site, and a derived blocker's), and the
+// conflict-attribution profiler's last-acquirer record of the mode is
+// refreshed with this caller's identity and concrete argument values.
+#define LM_OBS_GRANT(type, mode, args)                                \
+  do {                                                                \
+    if (trace_) [[unlikely]] {                                        \
+      ::semlock::obs::emit(::semlock::obs::EventType::type, this,     \
+                           (mode), (args) != nullptr ? (args)->site   \
+                                                     : -1);           \
+      if (attr_records_ != nullptr && obs::attribution_enabled()) {   \
+        obs::attr_record_grant(                                       \
+            attr_records_[static_cast<std::size_t>(mode)],            \
+            obs::current_owner_id(), (args));                         \
+      }                                                               \
+    }                                                                 \
   } while (0)
 #else
 // The hooks still consume their operands, so parameters that only feed them
 // do not trip -Wunused-parameter in an obs-less build.
 #define LM_OBS_EVENT(type, mode) ((void)(mode))
-#define LM_ATTR_GRANT(mode, args) ((void)(mode), (void)(args))
-#define LM_OBS_SITE(args) ((void)(args))
+#define LM_OBS_GRANT(type, mode, args) ((void)(mode), (void)(args))
 #endif
 
 namespace semlock {
@@ -551,7 +543,6 @@ void LockMechanism::lock_impl(int mode, const LockSiteArgs* args) {
   auto& stats = local_acquire_stats();
   ++stats.acquisitions;
   LM_OBS_EVENT(kAcquireBegin, mode);
-  LM_OBS_SITE(args);
   const int partition = table_->partition_of(mode);
   // Tier T1: lock-free attempts. Under a non-Free grant policy every attempt
   // first consults the partition's barrier — a raised barrier sends this
@@ -561,8 +552,7 @@ void LockMechanism::lock_impl(int mode, const LockSiteArgs* args) {
         try_acquire<kPacked>(mode, partition, stats, /*doorway=*/true);
     if (r == Attempt::Acquired) {
       ++stats.optimistic_hits;
-      LM_OBS_EVENT(kOptimisticHit, mode);
-      LM_ATTR_GRANT(mode, args);
+      LM_OBS_GRANT(kOptimisticHit, mode, args);
       LM_DCT_GRANT(partition);
       return;
     }
@@ -578,21 +568,21 @@ void LockMechanism::lock_contended(int mode, int partition,
                                    const LockSiteArgs* args) {
   util::Spinlock& internal = partition_lock(partition);
   ++stats.contended;
-  LM_OBS_EVENT(kContendedWait, mode);
 #if defined(SEMLOCK_OBS)
-  // Blocker identity for the causal layer (span recorder + wait-for graph):
-  // the owner that last acquired the first held conflicting mode, sampled
-  // from the PR 5 seqlock grant records. Captured on entry and refreshed at
-  // every park, so the recorded blocker is whoever was actually holding at
-  // the moment this waiter went to sleep.
-  obs::BlockerInfo blocker;
-  const auto capture_blocker = [&](std::uint64_t now_ns) {
+  // The blocker sample, taken on entry and before every park so it names
+  // whoever was holding when this waiter went to sleep: the first held
+  // conflicting mode (returned, -1 if none, for the kContendedWait or kPark
+  // event to carry; the trace derives the blocking owner from it offline)
+  // and, for the live wait-for graph, the owner that last acquired it, from
+  // the PR 5 seqlock grant records. A sample that finds nothing held keeps
+  // the previous owner.
+  std::uint64_t blocker_owner = 0;
+  std::int32_t blocker_site = -1;
+  const auto sample_blocker = [&]() -> std::int32_t {
     for (const std::int32_t other : table_->conflicts_of(mode)) {
       if (holder_count(other, std::memory_order_acquire) == 0) continue;
-      blocker.mode = other;
-      blocker.capture_ns = now_ns;
-      blocker.owner = 0;
-      blocker.site = -1;
+      blocker_owner = 0;
+      blocker_site = -1;
       if (attr_records_ != nullptr) {
         // The owner field is stored even for bare-mode grants (site -1), so
         // this works without LockSiteArgs; only a torn read or our own
@@ -600,12 +590,13 @@ void LockMechanism::lock_contended(int mode, int partition,
         const obs::AttrSnapshot h =
             obs::attr_read(attr_records_[static_cast<std::size_t>(other)]);
         if (h.owner != 0 && h.owner != obs::current_owner_id()) {
-          blocker.owner = h.owner;
-          blocker.site = h.site;
+          blocker_owner = h.owner;
+          blocker_site = h.site;
         }
       }
-      return;
+      return other;
     }
+    return -1;
   };
   // Right after a handoff this waiter can find `other` held before its new
   // holder has published the grant record: the record is mid-write or still
@@ -631,7 +622,7 @@ void LockMechanism::lock_contended(int mode, int partition,
     }
   };
   if (trace_) {
-    capture_blocker(runtime::steady_now_ns());
+    obs::emit(obs::EventType::kContendedWait, this, mode, sample_blocker());
     // Sample the blocked-by conflict matrix: which non-commuting modes were
     // actually held when this waiter gave up on the fast path. The walk is
     // over conflicts_of(mode) only, so commuting pairs can never appear.
@@ -646,12 +637,9 @@ void LockMechanism::lock_contended(int mode, int partition,
         obs::record_blocked_by(this, mode, other);
         if (classify) {
           await_grant_record(other);
-          const obs::AttrClass cls = obs::record_attribution(
+          obs::record_attribution(
               this, *table_, mode, args, other,
               &attr_records_[static_cast<std::size_t>(other)]);
-          if (other == blocker.mode) {
-            blocker.attr_class = static_cast<std::uint32_t>(cls);
-          }
         }
       }
     }
@@ -664,7 +652,12 @@ void LockMechanism::lock_contended(int mode, int partition,
   // and the edge cleared with the scope on grant.
   runtime::WaitScope watchdog_scope(this, mode, partition, wait_start,
                                     trace_ ? obs::current_owner_id() : 0);
-  if (trace_) watchdog_scope.set_blocker(blocker.owner, blocker.site);
+  if (trace_) watchdog_scope.set_blocker(blocker_owner, blocker_site);
+  const auto note_park = [&] {
+    const std::int32_t sampled = sample_blocker();
+    watchdog_scope.set_blocker(blocker_owner, blocker_site);
+    obs::emit(obs::EventType::kPark, this, mode, sampled);
+  };
 #else
   runtime::WaitScope watchdog_scope(this, mode, partition, wait_start);
 #endif
@@ -725,8 +718,7 @@ void LockMechanism::lock_contended(int mode, int partition,
             cpu_start == 0
                 ? waited
                 : spin_ns + (runtime::thread_cpu_now_ns() - cpu_start);
-        LM_OBS_EVENT(kAcquireGrant, mode);
-        LM_ATTR_GRANT(mode, args);
+        LM_OBS_GRANT(kAcquireGrant, mode, args);
 #if defined(SEMLOCK_DCT)
         // A contended grant is an overtake only of waiters that entered the
         // wait loop BEFORE this one (granted() bumps exactly those); the
@@ -735,11 +727,7 @@ void LockMechanism::lock_contended(int mode, int partition,
         starvation_scope.granted();
 #endif
 #if defined(SEMLOCK_OBS)
-        if (trace_) {
-          obs::record_wait(this, mode, waited);
-          obs::record_lock_wait_span(this, mode, wait_start,
-                                     wait_start + waited, blocker);
-        }
+        if (trace_) obs::record_wait(this, mode, waited);
 #endif
         return;
       }
@@ -781,12 +769,8 @@ void LockMechanism::lock_contended(int mode, int partition,
           if (dct::mutation_drop_announce_revalidate()) still_blocked = true;
 #endif
           if (still_blocked) {
-            LM_OBS_EVENT(kPark, mode);
 #if defined(SEMLOCK_OBS)
-            if (trace_) {
-              capture_blocker(runtime::steady_now_ns());
-              watchdog_scope.set_blocker(blocker.owner, blocker.site);
-            }
+            if (trace_) note_park();
 #endif
             packed_word_wait(observed);
             ++stats.parks;
@@ -817,12 +801,8 @@ void LockMechanism::lock_contended(int mode, int partition,
         if (revalidated) {
           parking_->retract(partition);
         } else {
-          LM_OBS_EVENT(kPark, mode);
 #if defined(SEMLOCK_OBS)
-          if (trace_) {
-            capture_blocker(runtime::steady_now_ns());
-            watchdog_scope.set_blocker(blocker.owner, blocker.site);
-          }
+          if (trace_) note_park();
 #endif
           parking_->park(partition, gen);
           ++stats.parks;
@@ -838,7 +818,6 @@ bool LockMechanism::try_lock_impl(int mode, const LockSiteArgs* args) {
   auto& stats = local_acquire_stats();
   ++stats.acquisitions;
   LM_OBS_EVENT(kAcquireBegin, mode);
-  LM_OBS_SITE(args);
   const int partition = table_->partition_of(mode);
   // Mirrors lock(): the same pre-checked attempt, and a refused attempt
   // charges its duration to the wait counters just like a contended lock()
@@ -854,7 +833,7 @@ bool LockMechanism::try_lock_impl(int mode, const LockSiteArgs* args) {
   Attempt r = try_acquire<kPacked>(mode, partition, stats, /*doorway=*/true);
   if (r == Attempt::Acquired) {
     ++stats.optimistic_hits;
-    LM_OBS_EVENT(kOptimisticHit, mode);
+    LM_OBS_GRANT(kOptimisticHit, mode, args);
   } else if (r == Attempt::Contended) {
     util::Spinlock& internal = partition_lock(partition);
     internal.lock();
@@ -862,10 +841,9 @@ bool LockMechanism::try_lock_impl(int mode, const LockSiteArgs* args) {
     // the doorway and the pre-check.
     r = try_acquire<kPacked>(mode, partition, stats, /*doorway=*/false);
     internal.unlock();
-    if (r == Attempt::Acquired) LM_OBS_EVENT(kAcquireGrant, mode);
+    if (r == Attempt::Acquired) LM_OBS_GRANT(kAcquireGrant, mode, args);
   }
   if (r == Attempt::Acquired) {
-    LM_ATTR_GRANT(mode, args);
     LM_DCT_GRANT(partition);
     return true;
   }

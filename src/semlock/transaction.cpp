@@ -41,7 +41,7 @@ void Transaction::unlock_all() {
   if (size_ != 0) {
     // Epilogue marker: one event per non-empty release, with the number of
     // instances released in the mode field. Emitted after the unlocks so a
-    // reader sees release events inside the [begin, unlock_all] span.
+    // reader sees release events inside the [begin, unlock_all] interval.
     SEMLOCK_OBS_EVENT(kUnlockAll, nullptr, static_cast<int>(size_));
   }
   size_ = 0;

@@ -25,30 +25,16 @@ class Transaction {
   Transaction() {
     // Open the thread's transaction scope: every event emitted while this
     // (outermost) transaction is open carries its id, assigned on first use,
-    // which is what lets forensics name the holder.
+    // which is what lets forensics name the holder. The begin and end
+    // events bound the transaction's interval in the trace.
     SEMLOCK_OBS_TXN_BEGIN();
-#if defined(SEMLOCK_OBS)
-    exec_start_ns_ = SEMLOCK_OBS_SPAN_CLOCK();
-#endif
+    SEMLOCK_OBS_EVENT(kTxnBegin, nullptr, -1);
   }
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
   ~Transaction() {
-#if defined(SEMLOCK_OBS)
-    // Exec span ends where the epilogue begins; the commit span covers
-    // unlock_all. Recorded before TXN_END so the spans carry this txn's id.
-    const std::uint64_t commit_start_ns =
-        exec_start_ns_ != 0 ? ::semlock::runtime::steady_now_ns() : 0;
-    const int released = static_cast<int>(size_);
-#endif
     unlock_all();
-#if defined(SEMLOCK_OBS)
-    if (exec_start_ns_ != 0) {
-      ::semlock::obs::record_txn_spans(exec_start_ns_, commit_start_ns,
-                                       ::semlock::runtime::steady_now_ns(),
-                                       released);
-    }
-#endif
+    SEMLOCK_OBS_EVENT(kTxnEnd, nullptr, -1);
     SEMLOCK_OBS_TXN_END();
   }
 
@@ -146,11 +132,6 @@ class Transaction {
   // linear scan, reset by unlock_all.
   std::unordered_set<const SemanticLock*> index_;
   bool index_live_ = false;
-#if defined(SEMLOCK_OBS)
-  // Span-clock stamp of construction; 0 = span recording was off, so the
-  // destructor records nothing.
-  std::uint64_t exec_start_ns_ = 0;
-#endif
 };
 
 }  // namespace semlock

@@ -11,8 +11,6 @@
 #include "util/spinlock.h"
 
 #if defined(SEMLOCK_OBS)
-#include "obs/span.h"
-#include "obs/trace.h"
 #include "server/admin.h"
 #endif
 
@@ -152,31 +150,8 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
         for (int s = w; s < shards_; s += workers_) {
           if (!queues[static_cast<std::size_t>(s)]->try_pop(&r)) continue;
           any = true;
-#if defined(SEMLOCK_OBS)
-          // Admission span: the request waited [arrival, t0) in its shard
-          // queue. Run times are relative to start, span clocks absolute, so
-          // shift by the run epoch; the transaction id the request executed
-          // as is picked up after the fact via last_completed_txn (the
-          // backend opens/closes the Transaction internally).
-          const bool span_on = obs::runtime_enabled();
-          const std::uint64_t t0 = span_on ? ns_since(start) : 0;
-          const std::uint64_t txn_before =
-              span_on ? obs::last_completed_txn() : 0;
-#endif
           const ExecResult res = backend_->execute(r);
           const std::uint64_t t1 = ns_since(start);
-#if defined(SEMLOCK_OBS)
-          if (span_on) {
-            const std::uint64_t txn_after = obs::last_completed_txn();
-            const std::uint64_t epoch_ns = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    start.time_since_epoch())
-                    .count());
-            obs::record_queue_wait_span(
-                txn_after != txn_before ? txn_after : 0,
-                epoch_ns + r.arrival_ns, epoch_ns + t0);
-          }
-#endif
           st.completed.store(st.completed.load(std::memory_order_relaxed) + 1,
                              std::memory_order_relaxed);
           st.retries += res.retries;

@@ -1,11 +1,13 @@
-// Causal spans under the DCT scheduler (ISSUE 10): the same seed must
-// produce the same span streams, and — the acceptance check for blocker
-// capture — the blocker identity sampled online at park time must equal the
-// offline reconstruction from the raw event stream, on every scheduled
-// workload including Packed storage under the futex-word wait policy. Only
-// built when both -DSEMLOCK_DCT=ON and SEMLOCK_OBS are enabled.
+// Derived spans under the DCT scheduler (ISSUE 10): on every scheduled
+// workload, including Packed storage under the futex-word wait policy, the
+// same seed must derive the same lock waits and transactions from the
+// event stream, every derived blocker must be the one transaction the
+// schedule granted the blocker mode, and the critical-path report must give
+// the answers pinned below. Only built when both -DSEMLOCK_DCT=ON and
+// SEMLOCK_OBS are enabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -20,7 +22,6 @@
 #include "obs/attribution.h"
 #include "obs/critical_path.h"
 #include "obs/export.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "semlock/semantic_lock.h"
 #include "semlock/transaction.h"
@@ -43,13 +44,13 @@ struct WorkloadConfig {
 // Three transactions on one semantic lock, each acquiring a mode that is
 // granted by exactly ONE transaction over the whole schedule: the hub mode
 // {size, clear} conflicts with both add modes, the add modes commute with
-// each other. Uniqueness is what makes the offline reconstruction exact
-// regardless of timestamp ties — for any blocker_mode there is only one
-// candidate owner.
+// each other. Uniqueness is what lets the blocker check name the right
+// owner independently of the derivation — for any blocker mode there is
+// only one candidate.
 dct::ScheduleResult run_span_workload(std::uint64_t seed,
                                       const WorkloadConfig& cfg) {
-  // The lock-path spans gate on the table's trace_events flag, but the
-  // Transaction exec/commit spans are process-level sites: they need the
+  // The lock-path events gate on the table's trace_events flag, but the
+  // Transaction begin/end events are process-level sites: they need the
   // process-wide switch on too.
   obs::ScopedTraceEnable trace_on;
   struct State {
@@ -92,115 +93,185 @@ dct::ScheduleResult run_span_workload(std::uint64_t seed,
   return dct::Scheduler(opts).run(std::move(threads));
 }
 
-// A span stream reduced to its schedule-determined parts: timestamps are
-// wall-clock and instance fields are heap addresses, so timestamps are
-// dropped and instances normalized to first-appearance order.
-using SpanSig =
-    std::tuple<std::uint32_t, std::uint64_t, std::int32_t, std::int32_t,
-               std::uint32_t, std::uint64_t, std::uint64_t>;
+std::vector<WorkloadConfig> workloads() {
+  return {{},
+          {.counter_stripes = default_counter_stripes(),
+           .park_spin_limit = 64,
+           .name = "striped/spin-then-park"},
+          {.storage = StorageKind::Packed,
+           .wait_policy = runtime::WaitPolicyKind::FutexWord,
+           .park_spin_limit = 64,
+           .name = "packed/futex-word"}};
+}
+constexpr std::uint64_t kSeeds[4] = {11, 222, 3333, 44444};
 
-std::vector<std::vector<SpanSig>> span_signatures() {
-  std::map<std::uint64_t, std::uint64_t> instance_ids;
-  auto norm = [&](std::uint64_t instance) -> std::uint64_t {
-    if (instance == 0) return 0;
-    return instance_ids.emplace(instance, instance_ids.size() + 1)
-        .first->second;
-  };
-  std::vector<std::vector<SpanSig>> out;
-  for (const obs::ThreadSpans& t : obs::snapshot_spans()) {
-    if (t.spans.empty()) continue;
-    std::vector<SpanSig> sig;
-    sig.reserve(t.spans.size());
-    for (const obs::Span& s : t.spans) {
-      sig.emplace_back(static_cast<std::uint32_t>(s.kind), s.txn, s.mode,
-                       s.blocker_mode, s.attr_class, s.blocker,
-                       norm(s.instance));
+// Runs one workload x seed and returns its dump with every timestamp
+// replaced by its rank among all the dump's events. DCT runs one virtual
+// thread at a time, so the ranks are the order the schedule fixed; the
+// wall-clock gaps between them are noise that would otherwise decide which
+// of three transactions land in the p99 tail.
+obs::TraceDump run_ranked(std::uint64_t seed, const WorkloadConfig& cfg) {
+  obs::reset_for_test();
+  const dct::ScheduleResult r = run_span_workload(seed, cfg);
+  EXPECT_FALSE(r.hung()) << cfg.name << " seed " << seed << "\n"
+                         << r.to_string();
+  obs::TraceDump dump = obs::capture();
+  std::vector<std::uint64_t> ts;
+  for (const obs::ThreadTrace& t : dump.threads) {
+    for (const obs::Event& e : t.events) ts.push_back(e.ts_ns);
+  }
+  std::sort(ts.begin(), ts.end());
+  for (obs::ThreadTrace& t : dump.threads) {
+    for (obs::Event& e : t.events) {
+      e.ts_ns = static_cast<std::uint64_t>(
+          std::lower_bound(ts.begin(), ts.end(), e.ts_ns) - ts.begin());
     }
-    out.push_back(std::move(sig));
   }
-  return out;
+  return dump;
 }
 
-TEST(DctSpan, SameSeedProducesSameSpanStreams) {
-  const WorkloadConfig cfg;
-  obs::reset_for_test();
-  obs::set_attribution_enabled(true);
-  const dct::ScheduleResult a = run_span_workload(4242, cfg);
-  ASSERT_FALSE(a.hung()) << a.to_string();
-  const auto sig_a = span_signatures();
+// The derived streams reduced to their schedule-determined parts: instance
+// fields are heap addresses, so they are normalized to first-appearance
+// order; the ranked timestamps stay.
+using WaitSig = std::tuple<std::uint64_t, std::uint64_t, std::int32_t,
+                           std::uint64_t, std::uint64_t, std::int32_t,
+                           std::uint64_t, std::uint64_t, std::uint32_t>;
+using TxnSig = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 
-  obs::reset_for_test();
-  const dct::ScheduleResult b = run_span_workload(4242, cfg);
-  ASSERT_FALSE(b.hung()) << b.to_string();
-  const auto sig_b = span_signatures();
+std::pair<std::vector<WaitSig>, std::vector<TxnSig>> derived_signature(
+    const obs::TraceDump& dump) {
+  std::map<std::uint64_t, std::uint64_t> instance_ids;
+  const obs::DerivedSpans spans = obs::derive_spans(dump);
+  std::vector<WaitSig> waits;
+  for (const obs::LockWait& w : spans.waits) {
+    const std::uint64_t inst =
+        instance_ids.emplace(w.instance, instance_ids.size() + 1)
+            .first->second;
+    waits.emplace_back(w.waiter, inst, w.mode, w.start_ns, w.end_ns,
+                       w.blocker_mode, w.capture_ns, w.blocker, w.attr_class);
+  }
+  std::vector<TxnSig> txns;
+  for (const obs::TxnInterval& x : spans.txns) {
+    txns.emplace_back(x.txn, x.begin_ns, x.end_ns);
+  }
+  return {waits, txns};
+}
+
+TEST(DctSpan, SameSeedDerivesTheSameStreams) {
+  obs::set_attribution_enabled(true);
+  for (const WorkloadConfig& cfg : workloads()) {
+    for (const std::uint64_t seed : kSeeds) {
+      const auto a = derived_signature(run_ranked(seed, cfg));
+      const auto b = derived_signature(run_ranked(seed, cfg));
+      EXPECT_EQ(a.first, b.first) << cfg.name << " seed " << seed;
+      EXPECT_EQ(a.second, b.second) << cfg.name << " seed " << seed;
+      EXPECT_EQ(a.second.size(), 3u) << cfg.name << " seed " << seed;
+    }
+  }
   obs::set_attribution_enabled(false);
-
-  // Same seed → same schedule → same txn ids, same waits, same blockers.
-  ASSERT_EQ(a.steps, b.steps);
-  ASSERT_FALSE(sig_a.empty());
-  ASSERT_EQ(sig_a.size(), sig_b.size());
-  for (std::size_t i = 0; i < sig_a.size(); ++i) {
-    EXPECT_EQ(sig_a[i], sig_b[i]) << "thread " << i;
-  }
 }
 
-// The tentpole acceptance criterion: for every lock-wait span that captured
-// a blocker online, replaying the event stream offline must name the SAME
-// owner — proving the park-time read of the grant record is causally
-// consistent with the event order the schedule fixed.
-TEST(DctSpan, OnlineBlockerCaptureEqualsOfflineReconstruction) {
-  const WorkloadConfig workloads[3] = {
-      {},
-      {.counter_stripes = default_counter_stripes(),
-       .park_spin_limit = 64,
-       .name = "striped/spin-then-park"},
-      {.storage = StorageKind::Packed,
-       .wait_policy = runtime::WaitPolicyKind::FutexWord,
-       .park_spin_limit = 64,
-       .name = "packed/futex-word"},
-  };
+// Each mode is granted by one transaction over the whole schedule, so the
+// owner a derived wait must name is known without the derivation's rule:
+// that transaction, or nobody when the sample saw the mode held before its
+// grant landed (a T1 announcement not yet validated).
+TEST(DctSpan, EveryDerivedBlockerIsTheTransactionGrantedTheBlockerMode) {
   obs::set_attribution_enabled(true);
-  std::size_t captured_waits = 0;
-  for (const WorkloadConfig& cfg : workloads) {
-    for (const std::uint64_t seed : {11u, 222u, 3333u, 44444u}) {
-      obs::reset_for_test();
-      const dct::ScheduleResult r = run_span_workload(seed, cfg);
-      ASSERT_FALSE(r.hung()) << cfg.name << " seed " << seed << "\n"
-                             << r.to_string();
-      const obs::TraceDump dump = obs::capture();
-      for (const obs::ReconstructedBlocker& rb :
-           obs::reconstruct_blockers(dump)) {
-        ++captured_waits;
-        EXPECT_EQ(rb.online, rb.offline)
+  std::size_t named = 0;
+  for (const WorkloadConfig& cfg : workloads()) {
+    for (const std::uint64_t seed : kSeeds) {
+      const obs::TraceDump dump = run_ranked(seed, cfg);
+      for (const obs::LockWait& w : obs::derive_spans(dump).waits) {
+        if (w.blocker_mode < 0) continue;
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> grants;
+        for (const obs::ThreadTrace& t : dump.threads) {
+          for (const obs::Event& e : t.events) {
+            if ((e.type == obs::EventType::kAcquireGrant ||
+                 e.type == obs::EventType::kOptimisticHit) &&
+                e.instance == w.instance && e.mode == w.blocker_mode) {
+              grants.emplace_back(e.txn, e.ts_ns);
+            }
+          }
+        }
+        ASSERT_EQ(grants.size(), 1u) << cfg.name << " seed " << seed;
+        const auto [owner, granted_at] = grants.front();
+        EXPECT_EQ(w.blocker, granted_at <= w.capture_ns ? owner : 0)
             << cfg.name << " seed " << seed << ": waiter "
-            << obs::format_owner(rb.waiter) << " waited mode " << rb.mode
-            << " — online says " << obs::format_owner(rb.online)
-            << ", events say " << obs::format_owner(rb.offline);
+            << obs::format_owner(w.waiter) << " waited mode " << w.mode
+            << " on mode " << w.blocker_mode << " granted to "
+            << obs::format_owner(owner);
+        if (w.blocker != 0) ++named;
       }
     }
   }
   obs::set_attribution_enabled(false);
-  // The schedules must actually have exercised blocked waits, or the
-  // equality above proved nothing.
-  EXPECT_GT(captured_waits, 0u);
+  // The schedules must actually have exercised blocked waits with a
+  // granted blocker, or the equality above proved nothing.
+  EXPECT_GT(named, 0u);
 }
 
-// Same check against the analyzer's own consumption path: the critical-path
-// chains rendered from the dump name owners that exist in the schedule.
-TEST(DctSpan, CriticalPathChainsNameScheduleOwners) {
-  const WorkloadConfig cfg;
-  obs::set_attribution_enabled(true);
-  obs::reset_for_test();
-  const dct::ScheduleResult r = run_span_workload(11, cfg);
-  ASSERT_FALSE(r.hung()) << r.to_string();
-  const obs::TraceDump dump = obs::capture();
-  obs::set_attribution_enabled(false);
+// The critical-path answers, timings and addresses aside: transactions,
+// tail transactions, tail groups (mode, class, waits) and the longest
+// chains' owners. Recorded from the span-ring analyzer (dump v5) on the
+// same ranked clock; the derived spans must reproduce them.
+std::string critical_path_answers(const obs::TraceDump& dump) {
+  const obs::CriticalPathStats s = obs::analyze_critical_paths(dump);
+  std::string out = "txns " + std::to_string(s.txns) + " tail " +
+                    std::to_string(s.tail_txns) + " |";
+  for (const obs::TailGroup& g : s.groups) {
+    out += " (mode " + std::to_string(g.mode) + " class " +
+           std::to_string(g.attr_class) + " waits " +
+           std::to_string(g.waits) + ")";
+  }
+  out += " |";
+  for (const std::string& chain : s.chains) {
+    // "txn 3 -(12ns on 0x5f.. mode 1 unsampled)-> ?" -> "txn 3 -(mode 1
+    // unsampled)-> ?"
+    std::string stripped;
+    for (std::size_t i = 0; i < chain.size();) {
+      if (chain.compare(i, 2, "-(") == 0) {
+        stripped += "-(";
+        i = chain.find(' ', chain.find(" on 0x", i) + 6) + 1;
+      } else {
+        stripped += chain[i++];
+      }
+    }
+    out += " [" + stripped + "]";
+  }
+  return out;
+}
 
-  const obs::CriticalPathStats stats = obs::analyze_critical_paths(dump);
-  // Three transactions ran, all with exec spans.
-  EXPECT_EQ(stats.txns, 3u);
-  const std::string report = obs::critical_path_report(dump);
-  EXPECT_NE(report.find("transactions: 3"), std::string::npos) << report;
+TEST(DctSpan, CriticalPathGivesThePinnedAnswers) {
+  // Per workload, per seed in kSeeds order; each string starts with
+  // "txns 3 tail 2 |".
+  const char* const kPinned[3][4] = {
+      {"(mode 1 class 5 waits 1) | [txn 3 -(mode 1 unsampled)-> ?]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> txn 2]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> ?]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> txn 2]"},
+      {"(mode 1 class 5 waits 1) | [txn 3 -(mode 1 unsampled)-> ?]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> txn 2]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> ?]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> txn 2]"},
+      {"(mode 0 class 5 waits 1) | [txn 2 -(mode 0 unsampled)-> txn 1]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> txn 1]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> txn 2]",
+       "(mode 4 class 5 waits 1) | [txn 3 -(mode 4 unsampled)-> txn 2]"},
+  };
+  obs::set_attribution_enabled(true);
+  const std::vector<WorkloadConfig> cfgs = workloads();
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const WorkloadConfig& cfg = cfgs[i];
+    for (std::size_t s = 0; s < 4; ++s) {
+      const obs::TraceDump dump = run_ranked(kSeeds[s], cfg);
+      EXPECT_EQ(critical_path_answers(dump),
+                std::string("txns 3 tail 2 | ") + kPinned[i][s])
+          << cfg.name << " seed " << kSeeds[s];
+      EXPECT_NE(obs::critical_path_report(dump).find("transactions: 3"),
+                std::string::npos);
+    }
+  }
+  obs::set_attribution_enabled(false);
 }
 
 }  // namespace

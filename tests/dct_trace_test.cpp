@@ -24,8 +24,8 @@ using commute::op;
 using commute::SymbolicSet;
 
 // The per-thread event stream reduced to its schedule-determined parts:
-// event type and mode. Timestamps are wall-clock and vary run to run, so
-// they are deliberately excluded from the signature.
+// event type, payload and mode. Timestamps are wall-clock and vary run to
+// run, so they are deliberately excluded from the signature.
 std::vector<std::vector<std::uint64_t>> trace_signatures() {
   std::vector<std::vector<std::uint64_t>> out;
   for (const obs::ThreadTrace& t : obs::snapshot_traces()) {
@@ -33,7 +33,7 @@ std::vector<std::vector<std::uint64_t>> trace_signatures() {
     std::vector<std::uint64_t> sig;
     sig.reserve(t.events.size());
     for (const obs::Event& e : t.events) {
-      sig.push_back(obs::pack_type_mode(e.type, e.mode));
+      sig.push_back(obs::pack_type_word(e.type, e.payload, e.mode));
     }
     out.push_back(std::move(sig));
   }

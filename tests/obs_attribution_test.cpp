@@ -320,6 +320,49 @@ std::array<std::uint64_t, obs::kNumAttrClasses> run_two_key_workload(
   return class_totals();
 }
 
+// The attribution report and the metrics JSON over a snapshot with
+// attribution cells: totals, the genuine/artifact split, per mode pair and
+// per instance, and one JSON key per class.
+TEST(AttributionReport, SummarizesCellsAndInstances) {
+  obs::TraceDump dump;
+  EXPECT_NE(obs::attribution_report(dump).find("no classified waits"),
+            std::string::npos);
+  auto cls = [](AttrClass c) { return static_cast<std::size_t>(c); };
+  obs::AttributionCell cell;
+  cell.waiter = 2;
+  cell.holder = 3;
+  cell.counts[cls(AttrClass::kPhiCollision)] = 6;
+  cell.counts[cls(AttrClass::kTrueConflict)] = 2;
+  cell.counts[cls(AttrClass::kUnsampled)] = 1;
+  dump.metrics.attribution.push_back(cell);
+  obs::InstanceMetrics im;
+  im.instance = 0xABC;
+  for (std::size_t c = 0; c < obs::kNumAttrClasses; ++c) {
+    im.attribution[c] = cell.counts[c];
+  }
+  dump.metrics.instances.push_back(im);
+
+  const std::string report = obs::attribution_report(dump);
+  for (const char* line :
+       {"classified waits: 8 (+ 1 unsampled)",
+        "genuine semantic conflicts: 2 (25.0%)",
+        "abstraction artifacts:      6 (75.0%)", "phi collision      6 (66.7%)",
+        "mode 2 <- mode 3: 9", "0xabc:  true_conflict 2  phi_collision 6  "
+                               "unsampled 1"}) {
+    EXPECT_NE(report.find(line), std::string::npos) << line << "\n" << report;
+  }
+
+  const std::string json = dump.metrics.to_json();
+  std::string error;
+  EXPECT_TRUE(obs::validate_json(json, &error)) << error;
+  EXPECT_NE(json.find("\"attribution\": {\"true_conflict\": 2, "
+                      "\"self_mode\": 0, \"phi_collision\": 6, "
+                      "\"mode_overapprox\": 0, \"wrapper_coarsening\": 0, "
+                      "\"unsampled\": 1}"),
+            std::string::npos)
+      << json;
+}
+
 TEST(AttributionIntegration, AlphaMergedDisjointKeysBlameThePhiCollision) {
   obs::ScopedTraceEnable trace_on;
   obs::set_attribution_enabled(true);

@@ -1,9 +1,9 @@
-// Causal transaction tracing (ISSUE 10): the per-thread span ring and its
-// trace gate, blocker-identity capture on contended waits, the live
-// wait-for graph (snapshot / cycles / JSON / DOT / chain) and the
-// WaitRegistry slot it shares with the watchdog, the v5 dump round-trip and
-// the refusal of every other version, the tail critical-path analyzer, the
-// offline blocker reconstruction, and the Chrome flow events binding a
+// Causal transaction tracing: transaction intervals, lock waits and their
+// blockers derived offline from the event stream (obs/critical_path.h),
+// blocker refresh at park, the live wait-for graph (snapshot / cycles /
+// JSON / DOT / chain) and the WaitRegistry slot it shares with the
+// watchdog, the v6 dump round-trip and the refusal of every other version,
+// the tail critical-path analyzer, and the Chrome flow events binding a
 // waiter's parked slice to the release that woke it. Only built with
 // SEMLOCK_OBS (the default).
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "obs/attribution.h"
 #include "obs/critical_path.h"
 #include "obs/export.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "obs/waitgraph.h"
 #include "runtime/wait_registry.h"
@@ -33,8 +33,9 @@ namespace {
 using commute::op;
 using commute::SymbolicSet;
 using commute::Value;
-using obs::Span;
-using obs::SpanKind;
+using obs::AttrClass;
+using obs::Event;
+using obs::EventType;
 
 ModeTable make_table(bool traced = true) {
   ModeTableConfig c;
@@ -50,63 +51,42 @@ ModeTable make_table(bool traced = true) {
       c);
 }
 
-std::vector<Span> all_spans() {
-  std::vector<Span> out;
-  for (const obs::ThreadSpans& t : obs::snapshot_spans()) {
-    out.insert(out.end(), t.spans.begin(), t.spans.end());
+std::vector<Event> all_events() {
+  std::vector<Event> out;
+  for (const obs::ThreadTrace& t : obs::snapshot_traces()) {
+    out.insert(out.end(), t.events.begin(), t.events.end());
   }
   return out;
 }
 
-TEST(Span, MetaPackRoundTripsSignedModes) {
-  Span s;
-  s.kind = SpanKind::kLockWait;
-  s.mode = -7;
-  s.blocker_mode = 12345;
-  s.attr_class = 3;
-  Span back;
-  obs::span_unpack_meta(obs::span_pack_meta(s), back);
-  EXPECT_EQ(back.kind, SpanKind::kLockWait);
-  EXPECT_EQ(back.mode, -7);
-  EXPECT_EQ(back.blocker_mode, 12345);
-  EXPECT_EQ(back.attr_class, 3u);
-}
-
-TEST(Span, KindNamesAreStable) {
-  EXPECT_STREQ(obs::span_kind_name(SpanKind::kQueueWait), "queue_wait");
-  EXPECT_STREQ(obs::span_kind_name(SpanKind::kLockWait), "lock_wait");
-  EXPECT_STREQ(obs::span_kind_name(SpanKind::kExec), "exec");
-  EXPECT_STREQ(obs::span_kind_name(SpanKind::kCommit), "commit");
-}
-
-TEST(Span, RingWrapsOverwritingOldest) {
-  obs::set_span_ring_capacity(64);
-  obs::reset_for_test();  // drop this thread's rings so the new capacity
-                          // applies to the next record
-  constexpr int kTotal = 200;
-  for (int i = 0; i < kTotal; ++i) {
-    Span s;
-    s.start_ns = static_cast<std::uint64_t>(i);
-    s.end_ns = static_cast<std::uint64_t>(i) + 1;
-    s.kind = SpanKind::kExec;
-    s.txn = 1;
-    obs::record_span(s);
+// The lock waits derived from the current capture on `lk`'s mechanism.
+std::vector<obs::LockWait> waits_on(const SemanticLock* lk) {
+  const std::uint64_t instance =
+      reinterpret_cast<std::uint64_t>(&lk->mechanism());
+  std::vector<obs::LockWait> out;
+  for (const obs::LockWait& w : obs::derive_spans(obs::capture()).waits) {
+    if (w.instance == instance) out.push_back(w);
   }
-  const std::vector<Span> got = all_spans();
-  // Same retention contract as the event ring: the last `capacity` spans
-  // minus the one torn-slot guard, oldest first.
-  ASSERT_EQ(got.size(), 63u);
-  EXPECT_EQ(got.front().start_ns, static_cast<std::uint64_t>(kTotal - 63));
-  EXPECT_EQ(got.back().start_ns, static_cast<std::uint64_t>(kTotal - 1));
-  obs::set_span_ring_capacity(obs::kDefaultSpanRingCapacity);
-  obs::reset_for_test();
+  return out;
 }
 
-TEST(Span, TransactionRecordsExecAndCommitOnlyWhenEnabled) {
+// Polls until `pred` holds or 10 s pass.
+template <class Pred>
+bool eventually(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+TEST(TxnEvents, TransactionEmitsBeginAndEndOnlyWhenEnabled) {
   obs::reset_for_test();
   obs::set_runtime_enabled(false);
   { Transaction txn; }
-  EXPECT_TRUE(all_spans().empty());
+  EXPECT_TRUE(all_events().empty());
 
   obs::ScopedTraceEnable trace_on;
   const auto t = make_table();
@@ -116,49 +96,42 @@ TEST(Span, TransactionRecordsExecAndCommitOnlyWhenEnabled) {
     Transaction txn;
     txn.lv_mode(&lk, t.resolve_constant(1));
     txn_id = obs::current_txn();
+    Transaction nested;  // shares the outer id and interval
   }
-  const std::vector<Span> spans = all_spans();
-  std::size_t execs = 0, commits = 0;
-  for (const Span& s : spans) {
-    if (s.txn != txn_id) continue;
-    if (s.kind == SpanKind::kExec) {
-      ++execs;
-      EXPECT_EQ(s.mode, 1);  // one instance released by unlock_all
-      EXPECT_LE(s.start_ns, s.end_ns);
-    }
-    if (s.kind == SpanKind::kCommit) {
-      ++commits;
-      EXPECT_LE(s.start_ns, s.end_ns);
+  std::vector<std::uint64_t> begins, ends;
+  for (const Event& e : all_events()) {
+    if (e.type == EventType::kTxnBegin) begins.push_back(e.ts_ns);
+    if (e.type == EventType::kTxnEnd) ends.push_back(e.ts_ns);
+    if (e.type == EventType::kTxnBegin || e.type == EventType::kTxnEnd) {
+      EXPECT_EQ(e.txn, txn_id);
+      EXPECT_EQ(e.instance, 0u);
     }
   }
-  EXPECT_EQ(execs, 1u);
-  EXPECT_EQ(commits, 1u);
+  ASSERT_EQ(begins.size(), 2u);
+  ASSERT_EQ(ends.size(), 2u);
+  EXPECT_STREQ(obs::event_name(EventType::kTxnBegin), "txn_begin");
+  EXPECT_STREQ(obs::event_name(EventType::kTxnEnd), "txn_end");
+
+  // One interval per id: the outer begin to the outer end.
+  const obs::DerivedSpans spans = obs::derive_spans(obs::capture());
+  ASSERT_EQ(spans.txns.size(), 1u);
+  EXPECT_EQ(spans.txns[0].txn, txn_id);
+  EXPECT_EQ(spans.txns[0].begin_ns, begins.front());
+  EXPECT_EQ(spans.txns[0].end_ns, ends.back());
+  EXPECT_TRUE(spans.waits.empty());
 }
 
-TEST(Span, QueueWaitSpanCarriesTxnAndWindow) {
-  obs::reset_for_test();
-  obs::ScopedTraceEnable trace_on;
-  obs::record_queue_wait_span(42, 1000, 5000);
-  const std::vector<Span> spans = all_spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].kind, SpanKind::kQueueWait);
-  EXPECT_EQ(spans[0].txn, 42u);
-  EXPECT_EQ(spans[0].start_ns, 1000u);
-  EXPECT_EQ(spans[0].end_ns, 5000u);
-  EXPECT_EQ(spans[0].instance, 0u);
-}
-
-TEST(Span, FormatOwnerRendersBothIdSpaces) {
+TEST(TxnEvents, FormatOwnerRendersBothIdSpaces) {
   EXPECT_EQ(obs::format_owner(12), "txn 12");
-  EXPECT_EQ(obs::format_owner(0x8000000000000000ull | 3), "thread 3");
+  EXPECT_EQ(obs::format_owner(obs::kThreadOwnerBit | 3), "thread 3");
   EXPECT_EQ(obs::format_owner(0), "?");
 }
 
-// The tentpole wiring end to end: a holder transaction keeps a conflicting
-// mode while a waiter blocks. While blocked, the live wait-for graph names
-// the waiter -> holder edge (and the watchdog chain renders it); after the
-// grant, the waiter's lock-wait span carries the holder's identity.
-TEST(Span, ContendedWaitCapturesBlockerIdentityAndWaitGraphEdge) {
+// A holder transaction keeps a conflicting mode while a waiter blocks.
+// While blocked, the live wait-for graph names the waiter -> holder edge
+// (and the watchdog chain renders it); after the grant, the lock wait
+// derived from the events names the holder.
+TEST(DerivedSpan, ContendedWaitNamesBlockerAndWaitGraphEdge) {
   obs::reset_for_test();
   obs::set_attribution_enabled(true);
   const auto t = make_table();
@@ -223,22 +196,107 @@ TEST(Span, ContendedWaitCapturesBlockerIdentityAndWaitGraphEdge) {
   EXPECT_TRUE(obs::snapshot_waitgraph().empty());
   EXPECT_EQ(obs::waitgraph_chain(&lk.mechanism(), starved), "");
 
-  // ...and the waiter's lock-wait span names the holder.
-  bool saw_wait_span = false;
-  for (const Span& s : all_spans()) {
-    if (s.kind != SpanKind::kLockWait || s.instance != instance) continue;
-    saw_wait_span = true;
-    EXPECT_EQ(s.mode, starved);
-    EXPECT_EQ(s.txn, waiter_id.load(std::memory_order_acquire));
-    EXPECT_EQ(s.blocker, holder_id);
-    EXPECT_EQ(s.blocker_mode, held);
-    EXPECT_GT(s.capture_ns, 0u);
-    EXPECT_LT(s.attr_class,
-              static_cast<std::uint32_t>(obs::kNumAttrClasses));
-    EXPECT_LE(s.start_ns, s.end_ns);
-  }
-  EXPECT_TRUE(saw_wait_span);
+  // ...and the waiter's derived lock wait names the holder.
+  const std::vector<obs::LockWait> waits = waits_on(&lk);
+  ASSERT_EQ(waits.size(), 1u);
+  const obs::LockWait& w = waits.front();
+  EXPECT_EQ(w.mode, starved);
+  EXPECT_EQ(w.waiter, waiter_id.load(std::memory_order_acquire));
+  EXPECT_EQ(w.blocker, holder_id);
+  EXPECT_EQ(w.blocker_mode, held);
+  EXPECT_LE(w.start_ns, w.capture_ns);
+  EXPECT_LT(w.attr_class, static_cast<std::uint32_t>(obs::kNumAttrClasses));
+  EXPECT_LE(w.start_ns, w.end_ns);
   obs::set_attribution_enabled(false);
+}
+
+// A waiter blocked by mode A re-parks on mode B after A's release. Its
+// derived wait names B, and B's class or unsampled, never the class its
+// entry classification gave A: A commutes with B, and only B conflicts with
+// the waiter for real.
+TEST(DerivedSpan, BlockerRefreshTakesTheFinalBlockersClass) {
+  obs::reset_for_test();
+  obs::ScopedTraceEnable trace_on;
+  obs::set_attribution_enabled(true);
+  obs::set_attribution_sample_every(1);
+  ModeTableConfig c;
+  c.abstract_values = 4;  // alpha(k) = k mod 4: keys 0 and 4 collide
+  c.wait_policy = runtime::WaitPolicyKind::SpinThenPark;
+  c.park_spin_limit = 0;
+  c.trace_events = true;
+  const ModeTable t = ModeTable::compile(
+      commute::map_spec(),
+      {SymbolicSet({op("put", {commute::var("k"), commute::star()})}),
+       SymbolicSet({op("containsKey", {commute::var("k")})}),
+       SymbolicSet({op("size")})},
+      c);
+  SemanticLock lk(t);
+  const Value k0[1] = {0};
+  const Value k4[1] = {4};
+  const int waited = t.resolve(0, k0);  // put(0, *)
+  const int mode_a = t.resolve(1, k4);  // containsKey(4): a phi collision
+  const int mode_b = t.resolve_constant(2);  // size: a true conflict
+  ASSERT_FALSE(t.commutes(waited, mode_a));
+  ASSERT_FALSE(t.commutes(waited, mode_b));
+  ASSERT_TRUE(t.commutes(mode_a, mode_b));
+  const std::uint64_t instance =
+      reinterpret_cast<std::uint64_t>(&lk.mechanism());
+  auto parked_on = [&](int blocker_mode) {
+    for (const Event& e : all_events()) {
+      if (e.type == EventType::kPark && e.instance == instance &&
+          e.payload == blocker_mode) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  auto holder_a = std::make_unique<Transaction>();
+  holder_a->lv(&lk, 1, k4);
+  std::atomic<bool> b_held{false};
+  std::atomic<bool> release_b{false};
+  std::atomic<std::uint64_t> b_id{0};
+  std::thread waiter([&] {
+    Transaction txn;
+    txn.lv(&lk, 0, k0);
+  });
+  ASSERT_TRUE(eventually([&] { return parked_on(mode_a); }));
+  std::thread holder_b([&] {
+    Transaction txn;
+    txn.lv(&lk, 2);
+    b_id.store(obs::current_txn(), std::memory_order_release);
+    b_held.store(true, std::memory_order_release);
+    while (!release_b.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return b_held.load(); }));
+  holder_a.reset();  // releases A and wakes the waiter, which finds B
+  ASSERT_TRUE(eventually([&] { return parked_on(mode_b); }));
+  release_b.store(true, std::memory_order_release);
+  holder_b.join();
+  waiter.join();
+  obs::set_attribution_enabled(false);
+
+  // The entry classification blamed A's phi collision...
+  bool classified_a = false;
+  for (const Event& e : all_events()) {
+    if (e.type == EventType::kAttribution && e.mode == mode_a) {
+      classified_a = true;
+      EXPECT_EQ(e.payload, static_cast<int>(AttrClass::kPhiCollision));
+    }
+  }
+  EXPECT_TRUE(classified_a);
+  // ...but the wait ended blocked by B.
+  const std::vector<obs::LockWait> waits = waits_on(&lk);
+  ASSERT_EQ(waits.size(), 1u);
+  EXPECT_EQ(waits[0].mode, waited);
+  EXPECT_EQ(waits[0].blocker_mode, mode_b);
+  EXPECT_EQ(waits[0].blocker, b_id.load());
+  EXPECT_NE(waits[0].attr_class,
+            static_cast<std::uint32_t>(AttrClass::kPhiCollision));
+  EXPECT_EQ(waits[0].attr_class,
+            static_cast<std::uint32_t>(AttrClass::kUnsampled));
 }
 
 // The wait-for graph has no table of its own: a traced wait's edge lives in
@@ -351,81 +409,52 @@ TEST(WaitGraph, CycleDetectionFindsTheLoopAndSkipsTheTail) {
   EXPECT_TRUE(obs::waitgraph_cycles(acyclic).empty());
 }
 
-TEST(SpanDump, V5RoundTripsSpansThroughFile) {
-  obs::reset_for_test();
-  obs::ScopedTraceEnable trace_on;
-  Span s;
-  s.start_ns = 100;
-  s.end_ns = 900;
-  s.txn = 7;
-  s.instance = 0xBEEF;
-  s.kind = SpanKind::kLockWait;
-  s.mode = 2;
-  s.blocker_mode = 3;
-  s.attr_class = 2;
-  s.blocker = 11;
-  s.blocker_site = 42;
-  s.capture_ns = 150;
-  obs::record_span(s);
-
-  const obs::TraceDump dump = obs::capture();
-  ASSERT_FALSE(dump.spans.empty());
-  const std::string path = testing::TempDir() + "/semlock_span_rt.bin";
+// Every event field, the payload included, survives a file round trip.
+TEST(Dump, V6RoundTripsEventPayloads) {
+  obs::TraceDump dump;
+  obs::ThreadTrace tt;
+  tt.tid = 3;
+  tt.events.push_back(Event{100, 0xBEEF, 7, EventType::kContendedWait, 2, 3});
+  tt.events.push_back(Event{150, 0xBEEF, 7, EventType::kAttribution, 3, 2});
+  tt.events.push_back(Event{900, 0xBEEF, 7, EventType::kAcquireGrant, 2, 42});
+  tt.events.push_back(Event{950, 0, 7, EventType::kTxnEnd, -1, -1});
+  dump.threads.push_back(tt);
+  const std::string path = testing::TempDir() + "/semlock_v6_rt.bin";
   std::string error;
   ASSERT_TRUE(obs::write_dump_file(dump, path, &error)) << error;
   obs::TraceDump loaded;
   ASSERT_TRUE(obs::load_dump_file(path, loaded, &error)) << error;
-
-  ASSERT_EQ(loaded.spans.size(), dump.spans.size());
-  bool found = false;
-  for (const obs::ThreadSpans& t : loaded.spans) {
-    for (const Span& got : t.spans) {
-      if (got.txn != 7) continue;
-      found = true;
-      EXPECT_EQ(got.start_ns, 100u);
-      EXPECT_EQ(got.end_ns, 900u);
-      EXPECT_EQ(got.instance, 0xBEEFu);
-      EXPECT_EQ(got.kind, SpanKind::kLockWait);
-      EXPECT_EQ(got.mode, 2);
-      EXPECT_EQ(got.blocker_mode, 3);
-      EXPECT_EQ(got.attr_class, 2u);
-      EXPECT_EQ(got.blocker, 11u);
-      EXPECT_EQ(got.blocker_site, 42);
-      EXPECT_EQ(got.capture_ns, 150u);
-      EXPECT_EQ(got.tid, obs::thread_obs_tid());
-    }
+  ASSERT_EQ(loaded.threads.size(), 1u);
+  EXPECT_EQ(loaded.threads[0].tid, 3u);
+  const std::vector<Event>& got = loaded.threads[0].events;
+  ASSERT_EQ(got.size(), tt.events.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].ts_ns, tt.events[i].ts_ns);
+    EXPECT_EQ(got[i].instance, tt.events[i].instance);
+    EXPECT_EQ(got[i].txn, tt.events[i].txn);
+    EXPECT_EQ(got[i].type, tt.events[i].type);
+    EXPECT_EQ(got[i].mode, tt.events[i].mode);
+    EXPECT_EQ(got[i].payload, tt.events[i].payload);
   }
-  EXPECT_TRUE(found);
   std::remove(path.c_str());
 }
 
-// A v5 dump with no span sections is byte-identical to a v4 dump plus a
-// trailing zero span-thread count — so rewriting the version field and
-// truncating those 4 bytes manufactures a genuine v4 file. Only the version
-// every writer emits loads: the v4 file and a version from the future are
-// both refused by name.
-TEST(SpanDump, OnlyTheCurrentVersionLoads) {
-  obs::reset_for_test();
+// Only the version every writer emits loads: v5 (the span-section format)
+// and a version from the future are both refused by name.
+TEST(Dump, OnlyTheCurrentVersionLoads) {
   obs::TraceDump dump;
   obs::ThreadTrace tt;
   tt.tid = 1;
-  obs::Event e;
-  e.ts_ns = 10;
-  e.instance = 0xA;
-  e.type = obs::EventType::kMark;
-  e.mode = 0;
-  tt.events.push_back(e);
+  tt.events.push_back(Event{10, 0xA, 0, EventType::kMark, 0, -1});
   dump.threads.push_back(tt);
-
-  const std::string path = testing::TempDir() + "/semlock_span_v4.bin";
+  const std::string path = testing::TempDir() + "/semlock_dump_version.bin";
   std::string error;
   ASSERT_TRUE(obs::write_dump_file(dump, path, &error)) << error;
-  obs::TraceDump v5;
-  ASSERT_TRUE(obs::load_dump_file(path, v5, &error)) << error;
-  ASSERT_EQ(v5.threads.size(), 1u);
-  EXPECT_EQ(v5.threads[0].events.size(), 1u);
+  obs::TraceDump v6;
+  ASSERT_TRUE(obs::load_dump_file(path, v6, &error)) << error;
+  ASSERT_EQ(v6.threads.size(), 1u);
+  EXPECT_EQ(v6.threads[0].events.size(), 1u);
 
-  // Read the v5 bytes back.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string bytes;
@@ -434,30 +463,20 @@ TEST(SpanDump, OnlyTheCurrentVersionLoads) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
   std::fclose(f);
   ASSERT_GT(bytes.size(), 16u);
-  // Trailing u32 is the empty span-thread count.
-  ASSERT_EQ(bytes.substr(bytes.size() - 4), std::string(4, '\0'));
-
-  auto write_variant = [&](std::uint32_t version, bool drop_span_count) {
+  for (const std::uint32_t version : {5u, 7u}) {
     std::string v = bytes;
     std::memcpy(&v[8], &version, sizeof(version));  // version follows magic
-    if (drop_span_count) v.resize(v.size() - 4);
     std::FILE* out = std::fopen(path.c_str(), "wb");
     ASSERT_NE(out, nullptr);
     ASSERT_EQ(std::fwrite(v.data(), 1, v.size(), out), v.size());
     std::fclose(out);
-  };
-
-  write_variant(4, true);
-  obs::TraceDump v4;
-  EXPECT_FALSE(obs::load_dump_file(path, v4, &error));
-  EXPECT_NE(error.find("unsupported dump version 4"), std::string::npos)
-      << error;
-
-  write_variant(6, false);
-  obs::TraceDump v6;
-  EXPECT_FALSE(obs::load_dump_file(path, v6, &error));
-  EXPECT_NE(error.find("unsupported dump version 6"), std::string::npos)
-      << error;
+    obs::TraceDump refused;
+    EXPECT_FALSE(obs::load_dump_file(path, refused, &error));
+    EXPECT_NE(error.find("unsupported dump version " +
+                         std::to_string(version)),
+              std::string::npos)
+        << error;
+  }
   std::remove(path.c_str());
 }
 
@@ -465,33 +484,30 @@ TEST(SpanDump, OnlyTheCurrentVersionLoads) {
 // outlier that spent most of its time blocked on a phi collision.
 obs::TraceDump make_tail_dump() {
   obs::TraceDump dump;
-  obs::ThreadSpans ts;
-  ts.tid = 1;
-  auto add = [&](std::uint64_t txn, SpanKind kind, std::uint64_t start,
-                 std::uint64_t end) -> Span& {
-    Span s;
-    s.txn = txn;
-    s.kind = kind;
-    s.start_ns = start;
-    s.end_ns = end;
-    ts.spans.push_back(s);
-    return ts.spans.back();
+  obs::ThreadTrace fast;
+  fast.tid = 1;
+  auto ev = [](obs::ThreadTrace& t, std::uint64_t ts, std::uint64_t txn,
+               EventType type, std::uint64_t instance = 0, int mode = -1,
+               int payload = -1) {
+    t.events.push_back(Event{ts, instance, txn, type, mode, payload});
   };
   for (std::uint64_t i = 1; i <= 10; ++i) {
-    add(i, SpanKind::kExec, i * 1000, i * 1000 + 90 + i);
-    add(i, SpanKind::kCommit, i * 1000 + 90 + i, i * 1000 + 100 + i);
+    ev(fast, i * 1000, i, EventType::kTxnBegin);
+    // txn 1 also takes mode 3 of 0xABC: the outlier's blocker.
+    if (i == 1) ev(fast, i * 1000 + 10, i, EventType::kAcquireGrant, 0xABC, 3);
+    ev(fast, i * 1000 + 100 + i, i, EventType::kTxnEnd);
   }
+  dump.threads.push_back(fast);
   // txn 11: latency 10100ns, 8900ns of it blocked on 0xABC mode 2 by txn 1.
-  add(11, SpanKind::kExec, 20000, 30000);
-  add(11, SpanKind::kCommit, 30000, 30100);
-  Span& w = add(11, SpanKind::kLockWait, 20100, 29000);
-  w.instance = 0xABC;
-  w.mode = 2;
-  w.blocker = 1;
-  w.blocker_mode = 3;
-  w.attr_class = static_cast<std::uint32_t>(obs::AttrClass::kPhiCollision);
-  w.capture_ns = 20200;
-  dump.spans.push_back(ts);
+  obs::ThreadTrace slow;
+  slow.tid = 2;
+  ev(slow, 20000, 11, EventType::kTxnBegin);
+  ev(slow, 20100, 11, EventType::kContendedWait, 0xABC, 2, 3);
+  ev(slow, 20150, 11, EventType::kAttribution, 0xABC, 3,
+     static_cast<int>(AttrClass::kPhiCollision));
+  ev(slow, 29000, 11, EventType::kAcquireGrant, 0xABC, 2);
+  ev(slow, 30100, 11, EventType::kTxnEnd);
+  dump.threads.push_back(slow);
   return dump;
 }
 
@@ -505,8 +521,7 @@ TEST(CriticalPath, NamesTheTailGroupAndItsShare) {
   const obs::TailGroup& g = stats.groups.front();
   EXPECT_EQ(g.instance, 0xABCu);
   EXPECT_EQ(g.mode, 2);
-  EXPECT_EQ(g.attr_class,
-            static_cast<std::uint32_t>(obs::AttrClass::kPhiCollision));
+  EXPECT_EQ(g.attr_class, static_cast<std::uint32_t>(AttrClass::kPhiCollision));
   EXPECT_EQ(g.blocked_ns, 8900u);
   EXPECT_EQ(g.waits, 1u);
   EXPECT_GT(g.share_of_tail_latency, 0.0);
@@ -521,6 +536,7 @@ TEST(CriticalPath, NamesTheTailGroupAndItsShare) {
   // The acceptance headline: the report names at least one (instance,
   // mode, attribution class) group with its share of p99+ tail latency.
   const std::string report = obs::critical_path_report(dump);
+  EXPECT_NE(report.find("transactions: 11"), std::string::npos) << report;
   EXPECT_NE(report.find("0xabc mode 2 phi collision"), std::string::npos)
       << report;
   EXPECT_NE(report.find("% of p99+ tail latency"), std::string::npos)
@@ -537,57 +553,63 @@ TEST(CriticalPath, EmptyDumpReportsGracefully) {
             std::string::npos);
 }
 
-TEST(CriticalPath, OfflineReconstructionFollowsLatestQualifyingGrant) {
+// The derivation's blocker rule on a synthetic stream: the latest grant of
+// the last sampled blocker mode at or before the sample, by another owner.
+TEST(DerivedSpan, BlockerIsTheLatestQualifyingGrantBeforeTheLastSample) {
   obs::TraceDump dump;
-  // Event stream: txn 9 granted mode 3 at t=40, txn 7 granted mode 3 at
-  // t=50 — the later one at or before the capture point wins. An unrelated
-  // mode-1 grant and a post-capture grant must not.
-  obs::ThreadTrace events;
-  events.tid = 1;
+  obs::ThreadTrace grants;
+  grants.tid = 1;
   auto grant = [&](std::uint64_t ts, std::uint64_t txn, int mode) {
-    obs::Event e;
-    e.ts_ns = ts;
-    e.instance = 0xABC;
-    e.txn = txn;
-    e.type = obs::EventType::kAcquireGrant;
-    e.mode = mode;
-    events.events.push_back(e);
+    grants.events.push_back(
+        Event{ts, 0xABC, txn, EventType::kAcquireGrant, mode, -1});
   };
+  // txn 9 then txn 7 take mode 3 before the sample at t=100; a mode-1 grant
+  // and a post-sample grant must not count.
   grant(40, 9, 3);
   grant(50, 7, 3);
   grant(60, 8, 1);
   grant(200, 6, 3);
-  dump.threads.push_back(events);
+  dump.threads.push_back(grants);
 
-  obs::ThreadSpans spans;
-  spans.tid = 2;
-  Span w;
-  w.txn = 2;
-  w.kind = SpanKind::kLockWait;
-  w.instance = 0xABC;
-  w.mode = 2;
-  w.blocker_mode = 3;
-  w.blocker = 7;  // what the runtime captured online
-  w.capture_ns = 100;
-  w.start_ns = 30;
-  w.end_ns = 300;
-  spans.spans.push_back(w);
-  dump.spans.push_back(spans);
+  obs::ThreadTrace waiter;
+  waiter.tid = 2;
+  auto ev = [&](std::uint64_t ts, EventType type, int mode, int payload) {
+    waiter.events.push_back(Event{ts, 0xABC, 2, type, mode, payload});
+  };
+  ev(30, EventType::kContendedWait, 2, 1);  // entry sample: mode 1
+  ev(35, EventType::kAttribution, 1, static_cast<int>(AttrClass::kSelfMode));
+  ev(36, EventType::kAttribution, 3,
+     static_cast<int>(AttrClass::kTrueConflict));
+  ev(90, EventType::kAcquireGrant, 3, -1);   // the waiter's own: skipped
+  ev(100, EventType::kPark, 2, 3);           // refreshed: mode 3 at t=100
+  ev(250, EventType::kPark, 2, -1);          // found nothing: keeps t=100
+  ev(300, EventType::kAcquireGrant, 2, -1);
+  dump.threads.push_back(waiter);
 
-  const auto recon = obs::reconstruct_blockers(dump);
-  ASSERT_EQ(recon.size(), 1u);
-  EXPECT_EQ(recon[0].waiter, 2u);
-  EXPECT_EQ(recon[0].online, 7u);
-  EXPECT_EQ(recon[0].offline, 7u);
+  obs::DerivedSpans spans = obs::derive_spans(dump);
+  ASSERT_EQ(spans.waits.size(), 1u);
+  obs::LockWait w = spans.waits[0];
+  EXPECT_EQ(w.waiter, 2u);
+  EXPECT_EQ(w.instance, 0xABCu);
+  EXPECT_EQ(w.mode, 2);
+  EXPECT_EQ(w.start_ns, 30u);
+  EXPECT_EQ(w.end_ns, 300u);
+  EXPECT_EQ(w.blocker_mode, 3);
+  EXPECT_EQ(w.capture_ns, 100u);
+  EXPECT_EQ(w.blocker, 7u);
+  EXPECT_EQ(w.attr_class,
+            static_cast<std::uint32_t>(AttrClass::kTrueConflict));
 
-  // A bare-mechanism grant (txn == 0) reconstructs to the emitting
-  // thread's sentinel — the same owner-id space the online capture uses.
+  // A bare-mechanism grant (txn == 0) names the emitting thread's sentinel,
+  // the owner-id space of current_owner_id().
   dump.threads[0].events[1].txn = 0;
-  dump.spans[0].spans[0].blocker = 0x8000000000000000ull | 1;
-  const auto recon2 = obs::reconstruct_blockers(dump);
-  ASSERT_EQ(recon2.size(), 1u);
-  EXPECT_EQ(recon2[0].offline, 0x8000000000000000ull | 1);
-  EXPECT_EQ(recon2[0].online, recon2[0].offline);
+  spans = obs::derive_spans(dump);
+  ASSERT_EQ(spans.waits.size(), 1u);
+  EXPECT_EQ(spans.waits[0].blocker, obs::kThreadOwnerBit | 1);
+
+  // A wait whose grant is not retained is dropped.
+  dump.threads[1].events.pop_back();
+  EXPECT_TRUE(obs::derive_spans(dump).waits.empty());
 }
 
 TEST(ChromeExport, FlowEventsBindParkedSliceToItsWakingRelease) {

@@ -8,11 +8,14 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "commute/builtin_specs.h"
 #include "obs/export.h"
+#include "obs/exposition.h"
 #include "obs/trace.h"
 #include "obs/window.h"
 #include "semlock/lock_mechanism.h"
@@ -132,6 +135,43 @@ TEST(WindowedMetrics, ResetRebasesWithoutPublishing) {
   pump(m, mode, 4);
   wm.rotate_now();
   EXPECT_EQ(wm.snapshot().front().grants, 4u);
+}
+
+// The window gauges appear on the Prometheus page only once a window is
+// published, each double gauge at its window's value, and the page stays
+// valid text format.
+TEST(WindowedMetrics, PrometheusPageCarriesThePublishedWindowsGauges) {
+  obs::reset_for_test();
+  const auto t = make_traced_table();
+  LockMechanism m(t);
+  const Value v0[1] = {0};
+  const int mode = t.resolve(0, v0);
+  WindowedMetrics wm(4, 1000);
+  EXPECT_EQ(obs::render_prometheus(obs::collect_metrics(),
+                                   obs::event_count_totals(), wm.snapshot())
+                .find("semlock_window_"),
+            std::string::npos);
+
+  pump(m, mode, 6);
+  wm.rotate_now();
+  const std::vector<WindowStats> windows = wm.snapshot();
+  ASSERT_EQ(windows.size(), 1u);
+  const std::string page = obs::render_prometheus(
+      obs::collect_metrics(), obs::event_count_totals(), windows);
+  std::string error;
+  EXPECT_TRUE(obs::validate_prometheus_text(page, &error)) << error;
+  auto sample = [&](const std::string& name) {
+    const std::size_t at = page.find("\n" + name + " ");
+    EXPECT_NE(at, std::string::npos) << name << "\n" << page;
+    return at == std::string::npos
+               ? -1.0
+               : std::strtod(page.c_str() + at + name.size() + 2, nullptr);
+  };
+  EXPECT_DOUBLE_EQ(sample("semlock_window_seconds"), windows[0].seconds());
+  EXPECT_DOUBLE_EQ(sample("semlock_window_acquisitions_per_sec"),
+                   windows[0].acquisitions_per_sec());
+  EXPECT_GT(windows[0].acquisitions_per_sec(), 0.0);
+  EXPECT_DOUBLE_EQ(sample("semlock_window_false_conflict_pct"), 0.0);
 }
 
 TEST(WindowedMetrics, SigUsr2DrivesTheResetPath) {

@@ -21,7 +21,6 @@
 
 #if defined(SEMLOCK_OBS)
 #include "obs/attribution.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "obs/waitgraph.h"
 #endif

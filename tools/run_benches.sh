@@ -76,7 +76,7 @@ if [[ -x "${BUILD_DIR}/bench/bench_attribution_sweep" ]]; then
   DONE="${DONE} BENCH_attribution.json"
 fi
 
-# Span-recorder overhead: same SEMLOCK_OBS gate as the attribution sweep.
+# Trace-recording overhead: same SEMLOCK_OBS gate as the attribution sweep.
 if [[ -x "${BUILD_DIR}/bench/bench_trace_overhead" ]]; then
   echo "=== bench_trace_overhead -> BENCH_trace_overhead.json ==="
   "${BUILD_DIR}/bench/bench_trace_overhead"

@@ -28,6 +28,12 @@
 //                                             holder txn and lock site, and
 //                                             an offline re-pairing cross-
 //                                             check of the retained events.
+//   semlock-trace critical-path <dump>        p99+ tail report: the lock
+//                                             waits and transactions
+//                                             derived from the events, the
+//                                             tail's blocked time by
+//                                             (instance, mode, class), and
+//                                             its longest blocking chains.
 //   semlock-trace check   <file.json>         structural JSON validation
 //                                             (exit 0/1); CI runs this on
 //                                             the chrome export.
